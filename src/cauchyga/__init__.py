@@ -28,11 +28,8 @@ from .annealing import (
 from .benchmarks import (
     FUNCTION_NAMES,
     ObjectiveSpec,
-    analytic_bounds,
-    evaluate_raw,
     evaluate_raw_batch,
     make_objective,
-    to_fitness,
     to_fitness_batch,
 )
 from .engine import (
@@ -40,11 +37,9 @@ from .engine import (
     AggregatedSeries,
     GaConfig,
     GenerationRecord,
-    Genome,
-    Individual,
+    Population,
     RunSeries,
     aggregate,
-    decode,
     decode_batch,
     multi_run,
     mutate,
@@ -60,7 +55,6 @@ from .nfd import (
     distance,
     fitness_distribution_from_values,
     normalize,
-    support,
 )
 from .selection import (
     boltzmann_apply,

@@ -69,16 +69,8 @@ def make_objective(name: str, dims: int = 15) -> ObjectiveSpec:
     )
 
 
-def analytic_bounds(spec: ObjectiveSpec) -> tuple[float, float]:
-    """Conservative (L, U) bounds on the raw objective over the box."""
-    return spec.raw_lower, spec.raw_upper
-
-
 def evaluate_raw_batch(spec: ObjectiveSpec, xs: np.ndarray) -> np.ndarray:
     """Raw objective values for a (n, dims) batch of in-box points.
-
-    This is the canonical evaluation path; ``evaluate_raw`` wraps it for a
-    single vector, so stored and recomputed values agree bit-exactly.
 
     Raises:
         ValueError: On wrong width or any out-of-box component.
@@ -111,32 +103,19 @@ def evaluate_raw_batch(spec: ObjectiveSpec, xs: np.ndarray) -> np.ndarray:
     return np.sum(-xs * np.sin(np.sqrt(np.abs(xs))), axis=1)
 
 
-def evaluate_raw(spec: ObjectiveSpec, x) -> float:
-    """Raw objective value of one in-box point of length ``spec.dims``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {x.shape}")
-    return float(evaluate_raw_batch(spec, x[np.newaxis, :])[0])
-
-
-def to_fitness(spec: ObjectiveSpec, raw: float) -> float:
-    """Map a raw objective value affinely onto [0, 1], best raw -> 1.
+def to_fitness_batch(spec: ObjectiveSpec, raws: np.ndarray) -> np.ndarray:
+    """Map raw objective values affinely onto [0, 1], best raw -> 1.
 
     Raises:
-        ValueError: If raw falls outside the precomputed [L, U] bounds.
+        ValueError: If any raw value falls outside the precomputed [L, U]
+            bounds.
     """
-    lo, hi = spec.raw_lower, spec.raw_upper
-    if raw < lo or raw > hi:
-        raise ValueError(
-            f"bound violation: recompute bounds (raw={raw!r} outside [{lo}, {hi}])"
-        )
-    return (hi - raw) / (hi - lo)
-
-
-def to_fitness_batch(spec: ObjectiveSpec, raws: np.ndarray) -> np.ndarray:
-    """Vectorized ``to_fitness`` with the same bound check."""
     raws = np.asarray(raws, dtype=np.float64)
     lo, hi = spec.raw_lower, spec.raw_upper
-    if np.any(raws < lo) or np.any(raws > hi):
-        raise ValueError("bound violation: recompute bounds")
+    outside = raws[(raws < lo) | (raws > hi)]
+    if outside.size:
+        raise ValueError(
+            f"bound violation: recompute bounds "
+            f"(raw={float(outside[0])!r} outside [{lo}, {hi}])"
+        )
     return (hi - raws) / (hi - lo)

@@ -18,8 +18,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -96,42 +97,59 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-_FIELD_PARSERS = {
-    "function": str,
-    "selection": str,
-    "alpha": float,
-    "g0": float,
-    "gamma": float,
-    "gamma_target": float,
-    "generations": int,
-    "pop_size": int,
-    "runs": int,
-    "seed": int,
-    "bits_per_var": int,
-    "dims": int,
-    "crossover_prob": float,
-    "mutation_prob": float,
-    "elitism": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "output": str,
+_BOOLEANS = {
+    "true": True, "yes": True, "on": True, "1": True,
+    "false": False, "no": False, "off": False, "0": False,
 }
+
+
+def _parse_bool(text: str) -> bool:
+    """Read a config-file boolean: true/false, yes/no, on/off or 1/0, any case.
+
+    Raises:
+        ValueError: On any other spelling.
+    """
+    try:
+        return _BOOLEANS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(
+            f"not a boolean: {text!r} (use true/false, yes/no, on/off or 1/0)"
+        ) from None
+
+
+def _parser(hint) -> Callable[[str], object]:
+    """Parser of a config-file value for a CliConfig field of type ``hint``."""
+    if hint is bool:
+        return _parse_bool
+    # an optional field parses as its non-None type
+    return next((t for t in get_args(hint) if t is not type(None)), hint)
+
+
+_FIELD_TYPES = get_type_hints(CliConfig)
 
 
 def merge_config(cli_values: dict, file_values: dict[str, str]) -> CliConfig:
     """Apply precedence: explicit flags beat file values beat defaults.
 
+    Config-file values are parsed by the type of their CliConfig field.
+
     Raises:
-        ValueError: On unknown config-file keys or missing required values.
+        ValueError: On unknown config-file keys, a value its field's type
+            cannot read, or missing required values.
     """
-    unknown = set(file_values) - set(_FIELD_PARSERS)
+    unknown = set(file_values) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     merged: dict = {}
-    for name, parser in _FIELD_PARSERS.items():
+    for name, hint in _FIELD_TYPES.items():
         if cli_values.get(name) is not None:
             merged[name] = cli_values[name]
         elif name in file_values:
-            merged[name] = parser(file_values[name])
+            try:
+                merged[name] = _parser(hint)(file_values[name])
+            except ValueError as exc:
+                raise ValueError(f"config key {name}: {exc}") from None
     for required in ("function", "selection"):
         if required not in merged:
             raise ValueError(f"missing required setting: {required}")
@@ -146,9 +164,7 @@ def merge_config(cli_values: dict, file_values: dict[str, str]) -> CliConfig:
     # an explicit flag on one side of the pair retires the file's other side
     if cli_values.get("gamma_target") is not None and cli_values.get("g0") is None:
         merged.pop("g0", None)
-    defaults = {f.name: f.default for f in fields(CliConfig)}
-    known = {name: merged.get(name, defaults[name]) for name in _FIELD_PARSERS}
-    return CliConfig(**known)
+    return CliConfig(**merged)
 
 
 def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
@@ -328,7 +344,11 @@ def emit_schedule(
     schedule = cauchy_schedule(g0_effective, alpha)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"schedule_alpha{alpha:g}.csv"
+    # the short name unless it would collide with a nearby alpha
+    tag = f"{alpha:g}"
+    if float(tag) != alpha:
+        tag = repr(alpha)
+    path = out_dir / f"schedule_alpha{tag}.csv"
     with open(path, "w", newline="") as fh:
         fh.write(f"# alpha = {fmt(alpha)}\n")
         fh.write(f"# g0 = {fmt(g0_effective)}\n")
@@ -396,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("--g0 and --gamma-target are mutually exclusive")
             file_values = load_config_file(args.config) if args.config else {}
             cli_values = {
-                name: getattr(args, name, None) for name in _FIELD_PARSERS
+                name: getattr(args, name, None) for name in _FIELD_TYPES
             }
             cfg = merge_config(cli_values, file_values)
             written = run_experiment(cfg)

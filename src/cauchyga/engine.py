@@ -1,14 +1,20 @@
 """Binary-encoded generational GA with pluggable selection.
 
-One generation is: selection (roulette with replacement under the
-configured scheme) -> random pairing -> uniform crossover -> per-bit
-mutation -> evaluation. The realized selection strength of a generation is
-the L1 distance between the population's NFD before selection and the NFD
-of the selected parent pool.
+A population is three row-aligned arrays: the bit matrix, the raw
+objective values and the fitness values. One generation is: selection
+(roulette with replacement under the configured scheme, drawn as row
+indices) -> random pairing -> uniform crossover -> per-bit mutation ->
+evaluation. The realized selection strength of a generation is the L1
+distance between the population's NFD before selection and the NFD of the
+selected parent pool.
 
 Every random decision of a run comes from one numpy PCG64 generator seeded
 from (master_seed, run_index), so replays are bit-identical and distinct
-runs are independent streams.
+runs are independent streams. The draws come in a fixed order: the initial
+bit matrix, then per generation the roulette draw, the pairing
+permutation, per pair one crossover uniform followed by its swap mask when
+the pair crosses, the odd leftover's partner and crossover, and one
+mutation matrix.
 """
 
 from __future__ import annotations
@@ -18,11 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annealing import AnnealingSchedule, constant_schedule, gamma_at
-from .benchmarks import (
-    ObjectiveSpec,
-    evaluate_raw_batch,
-    to_fitness_batch,
-)
+from .benchmarks import ObjectiveSpec, evaluate_raw_batch, to_fitness_batch
 from .nfd import NFD, distance, fitness_distribution_from_values, normalize
 
 GENERATOR_NAME = "numpy-PCG64"
@@ -36,28 +38,20 @@ SELECTION_SCHEMES = (PROPORTIONATE, BOLTZMANN_CONST, CAUCHY_BOLTZMANN)
 
 
 @dataclass(frozen=True, eq=False)
-class Genome:
-    """Fixed-length bit vector, one gene slice of bits_per_var per variable."""
+class Population:
+    """One generation as row-aligned arrays; row i is individual i.
 
-    bits: np.ndarray  # uint8 values in {0, 1}
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-@dataclass(frozen=True, eq=False)
-class Individual:
-    """A genome with its decoded point, raw objective, and fitness.
-
-    The three derived fields are exactly what decode / evaluate / fitness
-    mapping produce for the genome; recomputing them reproduces the stored
+    ``raw`` and ``fitness`` are exactly what decode / evaluate / fitness
+    mapping produce for ``bits``; recomputing them reproduces the stored
     values bit-for-bit.
     """
 
-    genome: Genome
-    x: np.ndarray
-    raw: float
-    fitness: float
+    bits: np.ndarray  # (n, dims * bits_per_var) uint8 values in {0, 1}
+    raw: np.ndarray  # (n,) raw objective values
+    fitness: np.ndarray  # (n,) fitness values in [0, 1]
+
+    def __len__(self) -> int:
+        return len(self.raw)
 
 
 @dataclass
@@ -158,40 +152,26 @@ def decode_batch(
     return spec.lower + v / denom * (spec.upper - spec.lower)
 
 
-def decode(genome: Genome, spec: ObjectiveSpec, bits_per_var: int) -> np.ndarray:
-    """Decode one genome into its real vector."""
-    return decode_batch(genome.bits[np.newaxis, :], spec, bits_per_var)[0]
-
-
 def make_population(
     bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int
-) -> list[Individual]:
-    """Materialize individuals (decode, evaluate, fitness) from a bit matrix."""
-    xs = decode_batch(bits, spec, bits_per_var)
-    raws = evaluate_raw_batch(spec, xs)
-    fits = to_fitness_batch(spec, raws)
-    return [
-        Individual(
-            genome=Genome(bits[i].copy()),
-            x=xs[i].copy(),
-            raw=float(raws[i]),
-            fitness=float(fits[i]),
-        )
-        for i in range(bits.shape[0])
-    ]
+) -> Population:
+    """Decode, evaluate and map to fitness every row of a bit matrix.
+
+    The population holds ``bits`` itself, not a copy.
+    """
+    raw = evaluate_raw_batch(spec, decode_batch(bits, spec, bits_per_var))
+    return Population(bits=bits, raw=raw, fitness=to_fitness_batch(spec, raw))
 
 
-def population_nfd(population: list[Individual]) -> NFD:
+def population_nfd(fitness: np.ndarray) -> NFD:
     """NFD of a population's fitness values."""
-    return normalize(
-        fitness_distribution_from_values([ind.fitness for ind in population])
-    )
+    return normalize(fitness_distribution_from_values(np.asarray(fitness).tolist()))
 
 
 def selection_probabilities(
-    population: list[Individual], selection: str, gamma_n: float
+    fitness: np.ndarray, selection: str, gamma_n: float
 ) -> np.ndarray:
-    """Categorical selection distribution over the population.
+    """Categorical selection distribution over a population's fitness values.
 
     Proportionate weighs each individual by fitness; either Boltzmann
     scheme weighs by exp(gamma_n * fitness), computed with a max-fitness
@@ -203,9 +183,9 @@ def selection_probabilities(
         ValueError: On an empty population, an unknown scheme, a negative
             gamma_n, or all-zero fitness under proportionate selection.
     """
-    if not population:
+    fits = np.asarray(fitness, dtype=np.float64)
+    if fits.size == 0:
         raise ValueError("empty population")
-    fits = np.array([ind.fitness for ind in population], dtype=np.float64)
     if selection == PROPORTIONATE:
         total = fits.sum()
         if total <= 0.0:
@@ -220,63 +200,66 @@ def selection_probabilities(
 
 
 def select_parents(
-    population: list[Individual],
+    fitness: np.ndarray,
     selection: str,
     gamma_n: float,
     rng: np.random.Generator,
     count: int | None = None,
-) -> list[Individual]:
-    """Draw parents i.i.d. with replacement from the selection distribution.
+) -> np.ndarray:
+    """Indices of parents drawn i.i.d. with replacement by roulette.
 
     Multinomial roulette: ``count`` draws (population size by default) from
     the categorical distribution of :func:`selection_probabilities`.
     """
-    p = selection_probabilities(population, selection, gamma_n)
-    k = len(population) if count is None else count
-    idx = rng.choice(len(population), size=k, replace=True, p=p)
-    return [population[i] for i in idx]
+    p = selection_probabilities(fitness, selection, gamma_n)
+    k = len(p) if count is None else count
+    return rng.choice(len(p), size=k, replace=True, p=p)
 
 
 def uniform_crossover(
-    a: Genome, b: Genome, crossover_prob: float, rng: np.random.Generator
-) -> tuple[Genome, Genome]:
-    """Uniform crossover of two equal-length genomes.
+    a: np.ndarray, b: np.ndarray, crossover_prob: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform crossover of row-aligned parent matrices, row i with row i.
 
-    With probability crossover_prob, every bit position independently swaps
-    between the pair with probability 1/2; otherwise both parents pass
-    through unchanged. Per position the children's bit pair is always a
-    permutation of the parents' pair.
+    Each pair crosses with probability crossover_prob, and then every bit
+    position independently swaps between the pair with probability 1/2;
+    otherwise both parents pass through unchanged. Per position the
+    children's bit pair is always a permutation of the parents' pair.
+    Pairs draw in row order: one uniform, then the swap mask only when
+    the pair crosses.
 
     Raises:
-        ValueError: On a genome length mismatch.
+        ValueError: On parent matrices of different shapes.
     """
-    if len(a) != len(b):
-        raise ValueError("genome length mismatch")
-    if rng.random() >= crossover_prob:
-        return Genome(a.bits.copy()), Genome(b.bits.copy())
-    swap = rng.random(len(a)) < 0.5
-    child_a = np.where(swap, b.bits, a.bits).astype(np.uint8)
-    child_b = np.where(swap, a.bits, b.bits).astype(np.uint8)
-    return Genome(child_a), Genome(child_b)
+    if a.shape != b.shape:
+        raise ValueError(f"genome length mismatch: {a.shape} vs {b.shape}")
+    swap = np.zeros(a.shape, dtype=bool)
+    for i in range(a.shape[0]):
+        if rng.random() < crossover_prob:
+            swap[i] = rng.random(a.shape[1]) < 0.5
+    return np.where(swap, b, a), np.where(swap, a, b)
 
 
 def mutate(
-    genome: Genome, mutation_prob_per_bit: float, rng: np.random.Generator
-) -> Genome:
-    """Flip each bit independently with the given probability."""
+    bits: np.ndarray, mutation_prob_per_bit: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Flip each bit independently with the given probability.
+
+    The flip mask is one draw of the matrix's shape, which fills row by row:
+    the same doubles as one mask per row drawn in turn.
+    """
     if not 0.0 <= mutation_prob_per_bit <= 1.0:
         raise ValueError("mutation probability must be in [0, 1]")
-    flips = rng.random(len(genome)) < mutation_prob_per_bit
-    return Genome(np.where(flips, 1 - genome.bits, genome.bits).astype(np.uint8))
+    return bits ^ (rng.random(bits.shape) < mutation_prob_per_bit)
 
 
 def step_generation(
-    population: list[Individual],
+    population: Population,
     config: GaConfig,
     generation_index: int,
     rng: np.random.Generator,
     best_so_far: float = np.inf,
-) -> tuple[list[Individual], GenerationRecord]:
+) -> tuple[Population, GenerationRecord]:
     """Advance one generation and report its record.
 
     ``best_so_far`` is the running minimum raw objective entering the
@@ -287,9 +270,12 @@ def step_generation(
 
     The crossover pairing walks a fresh random permutation of the selected
     pool two at a time. With an odd pool the leftover is paired against a
-    random earlier parent and only the leftover-side child is kept.
+    random earlier parent and only the leftover-side child is kept. With
+    elitism the best parent (first on ties) replaces the worst child
+    (first on ties).
     """
-    if len(population) != config.pop_size:
+    n = config.pop_size
+    if len(population) != n:
         raise ValueError("population size does not match config")
 
     if config.selection == PROPORTIONATE:
@@ -297,46 +283,42 @@ def step_generation(
     else:
         gamma_n = gamma_at(config.schedule, generation_index)
 
-    phi_before = population_nfd(population)
-    parents = select_parents(population, config.selection, gamma_n, rng)
-    phi_after = population_nfd(parents)
-    strength = distance(phi_before, phi_after)
+    chosen = select_parents(population.fitness, config.selection, gamma_n, rng)
+    strength = distance(
+        population_nfd(population.fitness), population_nfd(population.fitness[chosen])
+    )
 
-    order = rng.permutation(config.pop_size)
-    child_genomes: list[Genome] = []
-    for j in range(0, config.pop_size - 1, 2):
-        ga, gb = parents[order[j]].genome, parents[order[j + 1]].genome
-        ca, cb = uniform_crossover(ga, gb, config.crossover_prob, rng)
-        child_genomes.extend((ca, cb))
-    if config.pop_size % 2 == 1:
-        leftover = parents[order[-1]].genome
-        partner = parents[order[int(rng.integers(0, config.pop_size - 1))]].genome
-        child, _ = uniform_crossover(leftover, partner, config.crossover_prob, rng)
-        child_genomes.append(child)
+    pool = population.bits[chosen[rng.permutation(n)]]
+    pairs = n - n % 2
+    children = np.empty_like(pool)
+    children[0:pairs:2], children[1:pairs:2] = uniform_crossover(
+        pool[0:pairs:2], pool[1:pairs:2], config.crossover_prob, rng
+    )
+    if n % 2 == 1:
+        partner = int(rng.integers(0, n - 1))
+        children[-1:], _ = uniform_crossover(
+            pool[-1:], pool[partner : partner + 1], config.crossover_prob, rng
+        )
 
-    mutated = [
-        mutate(g, config.mutation_prob_per_bit, rng) for g in child_genomes
-    ]
-    bits = np.stack([g.bits for g in mutated])
-    next_population = make_population(bits, config.objective, config.bits_per_var)
+    bits = mutate(children, config.mutation_prob_per_bit, rng)
+    nxt = make_population(bits, config.objective, config.bits_per_var)
 
     if config.elitism:
-        best_parent = min(population, key=lambda ind: ind.raw)
-        worst_child = max(range(len(next_population)),
-                          key=lambda i: next_population[i].raw)
-        next_population[worst_child] = best_parent
+        worst, best = int(np.argmax(nxt.raw)), int(np.argmin(population.raw))
+        nxt.bits[worst] = population.bits[best]
+        nxt.raw[worst] = population.raw[best]
+        nxt.fitness[worst] = population.fitness[best]
 
-    raws = np.array([ind.raw for ind in next_population])
-    gen_best = float(raws.min())
+    gen_best = float(nxt.raw.min())
     record = GenerationRecord(
         generation=generation_index,
         gamma=gamma_n,
         best_so_far_raw=min(best_so_far, gen_best),
         gen_best_raw=gen_best,
-        mean_raw=float(raws.mean()),
+        mean_raw=float(nxt.raw.mean()),
         strength=strength,
     )
-    return next_population, record
+    return nxt, record
 
 
 def run_seed(master_seed: int, run_index: int) -> int:
@@ -352,7 +334,7 @@ def run(config: GaConfig, run_index: int) -> RunSeries:
         0, 2, size=(config.pop_size, config.genome_length), dtype=np.uint8
     )
     population = make_population(bits, config.objective, config.bits_per_var)
-    best = min(ind.raw for ind in population)
+    best = float(population.raw.min())
 
     records: list[GenerationRecord] = []
     for gen in range(1, config.generations + 1):

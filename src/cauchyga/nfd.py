@@ -158,11 +158,6 @@ def normalize(rho: FitnessDistribution) -> NFD:
     return NFD({x: c / n for x, c in rho})
 
 
-def support(phi: NFD | FitnessDistribution) -> set[float]:
-    """The set of fitness values carrying nonzero mass or count."""
-    return phi.support
-
-
 def distance(phi1: NFD, phi2: NFD) -> float:
     """L1 distance between two NFDs over the union of their supports.
 

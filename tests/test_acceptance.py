@@ -17,8 +17,6 @@ from scipy.optimize import minimize_scalar
 from cauchyga.annealing import calibrate_g0, cauchy_schedule, gamma_at
 from cauchyga.benchmarks import (
     FUNCTION_NAMES,
-    analytic_bounds,
-    evaluate_raw,
     evaluate_raw_batch,
     make_objective,
     to_fitness_batch,
@@ -182,15 +180,15 @@ def test_sampling_consistency():
     worst = 0.0
     for _ in range(50):
         bits = rng.integers(0, 2, size=(150, 5), dtype=np.uint8)
-        pop = make_population(bits, spec, 5)
-        phi = population_nfd(pop)
+        fitness = make_population(bits, spec, 5).fitness
+        phi = population_nfd(fitness)
         gamma = float(rng.uniform(0.0, 10.0))
         for scheme, operator in (
             ("cauchy_boltzmann", lambda p: boltzmann_apply(p, gamma)),
             ("proportionate", proportionate_apply),
         ):
-            drawn = select_parents(pop, scheme, gamma, rng, count=100_000)
-            d = distance(population_nfd(drawn), operator(phi))
+            drawn = select_parents(fitness, scheme, gamma, rng, count=100_000)
+            d = distance(population_nfd(fitness[drawn]), operator(phi))
             worst = max(worst, d)
             assert d <= 0.02
     elapsed = time.monotonic() - t0
@@ -205,7 +203,7 @@ def test_benchmark_anchors():
     t0 = time.monotonic()
     for name in ("rastrigin", "griewangk", "ackley"):
         spec = make_objective(name, 15)
-        assert abs(evaluate_raw(spec, [0.0] * 15)) <= 1e-12
+        assert abs(evaluate_raw_batch(spec, np.zeros((1, 15)))[0]) <= 1e-12
 
     f = lambda x: -x * math.sin(math.sqrt(abs(x)))
     grid = np.linspace(-500, 500, 4001)
@@ -219,7 +217,7 @@ def test_benchmark_anchors():
     rng = np.random.default_rng(2028)
     for name in FUNCTION_NAMES:
         spec = make_objective(name, 15)
-        lo, hi = analytic_bounds(spec)
+        lo, hi = spec.raw_lower, spec.raw_upper
         v = np.arange(32, dtype=np.float64)
         lat = spec.lower + v / 31.0 * (spec.upper - spec.lower)
         if name in ("rastrigin", "schwefel"):

@@ -11,13 +11,15 @@ from scipy.optimize import minimize_scalar
 from cauchyga.benchmarks import (
     FUNCTION_NAMES,
     SCHWEFEL_PER_DIM,
-    analytic_bounds,
-    evaluate_raw,
     evaluate_raw_batch,
     make_objective,
-    to_fitness,
     to_fitness_batch,
 )
+
+
+def raw_at(spec, x) -> float:
+    """Raw objective of one point through the batch evaluator."""
+    return float(evaluate_raw_batch(spec, [x])[0])
 
 
 def lattice_values(spec, bits: int = 5) -> np.ndarray:
@@ -40,26 +42,23 @@ def schwefel_1d_min() -> float:
 def test_origin_anchors_are_zero():
     for name in ("rastrigin", "griewangk", "ackley"):
         spec = make_objective(name, 15)
-        assert abs(evaluate_raw(spec, [0.0] * 15)) <= 1e-12
+        assert abs(raw_at(spec, [0.0] * 15)) <= 1e-12
 
 
 def test_schwefel_minimum_against_oracle():
     one_dim = schwefel_1d_min()
     assert one_dim == pytest.approx(-418.9829, abs=1e-3)
     spec = make_objective("schwefel", 15)
-    val = evaluate_raw(spec, [420.9687] * 15)
+    val = raw_at(spec, [420.9687] * 15)
     assert val == pytest.approx(15 * one_dim, abs=1e-2)
     assert val == pytest.approx(-6284.74, abs=0.05)
 
 
-def test_analytic_bounds_examples():
-    assert analytic_bounds(make_objective("rastrigin", 15))[1] == pytest.approx(
-        693.216, abs=1e-9
-    )
-    assert analytic_bounds(make_objective("ackley", 15))[1] == pytest.approx(
-        20.0 + math.e, abs=0
-    )
-    lo, hi = analytic_bounds(make_objective("schwefel", 15))
+def test_raw_bounds_examples():
+    assert make_objective("rastrigin", 15).raw_upper == pytest.approx(693.216, abs=1e-9)
+    assert make_objective("ackley", 15).raw_upper == pytest.approx(20.0 + math.e, abs=0)
+    schwefel = make_objective("schwefel", 15)
+    lo, hi = schwefel.raw_lower, schwefel.raw_upper
     assert lo == pytest.approx(-6284.7435, abs=1e-9)
     assert hi == -lo
 
@@ -73,7 +72,7 @@ def test_separable_lattice_sweep_within_bounds():
     ):
         spec = make_objective(name, 15)
         per_dim = term(lattice_values(spec))
-        lo, hi = analytic_bounds(spec)
+        lo, hi = spec.raw_lower, spec.raw_upper
         assert 15 * per_dim.min() >= lo - 1e-9
         assert 15 * per_dim.max() <= hi + 1e-9
 
@@ -82,7 +81,7 @@ def test_ackley_termwise_lattice_bound():
     spec = make_objective("ackley", 15)
     lat = lattice_values(spec)
     sq, cos = lat * lat, np.cos(2 * np.pi * lat)
-    lo, hi = analytic_bounds(spec)
+    lo, hi = spec.raw_lower, spec.raw_upper
     # worst-case assembly of the two coupled terms over lattice extremes
     f_hi = -20.0 * math.exp(-0.2 * math.sqrt(sq.max())) - math.exp(cos.min()) + 20.0 + math.e
     f_lo = -20.0 * math.exp(-0.2 * math.sqrt(sq.min())) - math.exp(cos.max()) + 20.0 + math.e
@@ -95,23 +94,22 @@ def test_griewangk_random_lattice_sweep_within_bounds():
     lat = lattice_values(spec)
     pts = lat[rng.integers(0, 32, size=(1_000_000, 15))]
     vals = evaluate_raw_batch(spec, pts)
-    lo, hi = analytic_bounds(spec)
+    lo, hi = spec.raw_lower, spec.raw_upper
     assert vals.min() >= lo and vals.max() <= hi
 
 
 def test_to_fitness_endpoints():
     for name in FUNCTION_NAMES:
         spec = make_objective(name, 15)
-        lo, hi = analytic_bounds(spec)
-        assert to_fitness(spec, hi) == 0.0
-        assert to_fitness(spec, lo) == 1.0
+        lo, hi = spec.raw_lower, spec.raw_upper
+        assert to_fitness_batch(spec, [hi, lo]).tolist() == [0.0, 1.0]
     rast = make_objective("rastrigin", 15)
-    assert to_fitness(rast, evaluate_raw(rast, [0.0] * 15)) == 1.0
+    assert to_fitness_batch(rast, [raw_at(rast, [0.0] * 15)])[0] == 1.0
 
 
 def test_to_fitness_strictly_decreasing():
     spec = make_objective("ackley", 15)
-    lo, hi = analytic_bounds(spec)
+    lo, hi = spec.raw_lower, spec.raw_upper
     raws = np.linspace(lo, hi, 101)
     fits = to_fitness_batch(spec, raws)
     assert np.all(np.diff(fits) < 0)
@@ -119,10 +117,10 @@ def test_to_fitness_strictly_decreasing():
 
 def test_to_fitness_rejects_out_of_bounds():
     spec = make_objective("rastrigin", 15)
+    with pytest.raises(ValueError, match=r"bound violation.*raw=-1\.0 outside"):
+        to_fitness_batch(spec, [0.5, -1.0])
     with pytest.raises(ValueError, match="bound violation"):
-        to_fitness(spec, -1.0)
-    with pytest.raises(ValueError, match="bound violation"):
-        to_fitness(spec, 1e6)
+        to_fitness_batch(spec, [1e6])
 
 
 def test_fitness_composition_in_unit_interval():
@@ -137,9 +135,11 @@ def test_fitness_composition_in_unit_interval():
 def test_evaluate_raw_validation():
     spec = make_objective("rastrigin", 15)
     with pytest.raises(ValueError, match="bounds"):
-        evaluate_raw(spec, [6.0] + [0.0] * 14)
+        evaluate_raw_batch(spec, [[6.0] + [0.0] * 14])
     with pytest.raises(ValueError, match="shape"):
-        evaluate_raw(spec, [0.0] * 14)
+        evaluate_raw_batch(spec, [[0.0] * 14])
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_raw_batch(spec, [0.0] * 15)  # a vector, not a batch
     with pytest.raises(ValueError, match="unknown objective"):
         make_objective("sphere", 15)
 

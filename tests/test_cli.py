@@ -102,6 +102,39 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg.generations == 100  # default fills the rest
 
 
+def test_config_file_values_take_the_field_types():
+    cfg = merge_config(
+        {},
+        {"function": "ackley", "selection": "cauchy-boltzmann", "g0": "1.5",
+         "dims": "3", "crossover_prob": "1", "output": "out"},
+    )
+    assert cfg.selection == "cauchy_boltzmann"
+    assert cfg.g0 == 1.5 and type(cfg.g0) is float
+    assert cfg.dims == 3 and type(cfg.dims) is int
+    assert cfg.crossover_prob == 1.0 and type(cfg.crossover_prob) is float
+    assert cfg.output == "out"
+    with pytest.raises(ValueError):
+        merge_config({}, {"function": "ackley", "selection": "proportionate",
+                          "pop_size": "1.5"})
+
+
+def test_config_file_booleans_fail_loudly(tmp_path, capsys):
+    base = {"function": "ackley", "selection": "proportionate"}
+    for text in ("true", "TRUE", "1", "yes", "On"):
+        assert merge_config({}, {**base, "elitism": text}).elitism is True
+    for text in ("false", "False", "0", "no", "OFF"):
+        assert merge_config({}, {**base, "elitism": text}).elitism is False
+    for text in ("ture", "", "2", "y"):
+        with pytest.raises(ValueError, match="not a boolean"):
+            merge_config({}, {**base, "elitism": text})
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("function = ackley\nselection = proportionate\nelitism = ture\n")
+    rc = main(["run", "--config", str(cfg_file), "--output", str(tmp_path)])
+    assert rc == 2
+    assert "config key elitism: not a boolean: 'ture'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_merge_rejects_unknown_keys_and_missing_required():
     with pytest.raises(ValueError, match="unknown config keys"):
         merge_config({}, {"pop_sizes": "10"})
@@ -196,6 +229,20 @@ def test_cli_schedule_subcommand(tmp_path):
     )
     assert rc == 0
     assert (tmp_path / "schedule_alpha2.csv").exists()
+
+
+def test_schedule_distinct_alphas_write_distinct_files(tmp_path):
+    alphas = (1.0000001, 1.0000002, 1.1, 1.5, 2.0, 3.0)
+    paths = [emit_schedule(a, 3, tmp_path, g0=1.0) for a in alphas]
+    assert len(set(paths)) == len(alphas)
+    # alphas whose short name reads back exactly keep it
+    assert [p.name for p in paths[2:]] == [
+        "schedule_alpha1.1.csv", "schedule_alpha1.5.csv",
+        "schedule_alpha2.csv", "schedule_alpha3.csv",
+    ]
+    for alpha, path in zip(alphas, paths):
+        meta, _, _ = read_series_csv(path)
+        assert float(meta["alpha"]) == alpha
 
 
 def test_cli_verify_subcommand_passes(tmp_path):

@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from cauchyga.annealing import cauchy_schedule, constant_schedule
-from cauchyga.benchmarks import evaluate_raw, make_objective, to_fitness
+from cauchyga.benchmarks import evaluate_raw_batch, make_objective, to_fitness_batch
 from cauchyga.engine import (
     GaConfig,
-    Genome,
-    Individual,
     aggregate,
-    decode,
+    decode_batch,
     make_population,
     multi_run,
     mutate,
@@ -31,8 +29,13 @@ from cauchyga.selection import boltzmann_apply, proportionate_apply
 RAST = make_objective("rastrigin", 15)
 
 
-def genome_of(bits) -> Genome:
-    return Genome(np.asarray(bits, dtype=np.uint8))
+def decode_one(bits, spec=RAST) -> np.ndarray:
+    """Decode a single genome through the batch decoder."""
+    return decode_batch(np.asarray([bits], dtype=np.uint8), spec, 5)[0]
+
+
+def random_bits(rng, rows: int, length: int = 75) -> np.ndarray:
+    return rng.integers(0, 2, size=(rows, length), dtype=np.uint8)
 
 
 def small_config(**kw) -> GaConfig:
@@ -50,20 +53,16 @@ def small_config(**kw) -> GaConfig:
 
 
 def test_decode_all_zero_hits_lower_bound():
-    g = genome_of([0] * 75)
-    x = decode(g, RAST, 5)
-    assert np.all(x == -5.12)
+    assert np.all(decode_one([0] * 75) == -5.12)
 
 
 def test_decode_all_one_hits_upper_bound():
-    g = genome_of([1] * 75)
-    x = decode(g, RAST, 5)
-    assert np.all(x == 5.12)
+    assert np.all(decode_one([1] * 75) == 5.12)
 
 
 def test_decode_big_endian_slice():
     bits = [1, 0, 0, 0, 0] + [0] * 70  # v = 16 in the first variable
-    x = decode(genome_of(bits), RAST, 5)
+    x = decode_one(bits)
     assert x[0] == pytest.approx(-5.12 + 16 / 31 * 10.24, abs=1e-15)
     assert x[0] == pytest.approx(0.16516, abs=1e-5)
     assert np.all(x[1:] == -5.12)
@@ -74,153 +73,153 @@ def test_decode_is_bijection_on_gene_slices():
     values = set()
     for v in range(32):
         bits = [(v >> (4 - j)) & 1 for j in range(5)]
-        values.add(float(decode(genome_of(bits), spec, 5)[0]))
+        values.add(float(decode_one(bits, spec)[0]))
     assert len(values) == 32
 
 
 def test_decode_rejects_wrong_length():
     with pytest.raises(ValueError, match="genome length"):
-        decode(genome_of([0] * 74), RAST, 5)
+        decode_one([0] * 74)
 
 
 def test_individual_fields_recompute_bit_exactly():
+    # each row recomputed on its own matches the batch it was evaluated in
     rng = np.random.default_rng(61)
-    bits = rng.integers(0, 2, size=(150, 75), dtype=np.uint8)
-    for ind in make_population(bits, RAST, 5):
-        assert np.array_equal(decode(ind.genome, RAST, 5), ind.x)
-        assert evaluate_raw(RAST, ind.x) == ind.raw
-        assert to_fitness(RAST, ind.raw) == ind.fitness
+    pop = make_population(random_bits(rng, 150), RAST, 5)
+    assert pop.bits.shape == (150, 75) and len(pop) == 150
+    for i in range(len(pop)):
+        raw = evaluate_raw_batch(RAST, decode_batch(pop.bits[i : i + 1], RAST, 5))
+        assert raw[0] == pop.raw[i]
+        assert to_fitness_batch(RAST, raw)[0] == pop.fitness[i]
 
 
 def test_select_parents_single_individual():
     rng = np.random.default_rng(67)
     pop = make_population(np.zeros((1, 75), dtype=np.uint8), RAST, 5)
-    out = select_parents(pop, "boltzmann_const", 2.0, rng, count=5)
-    assert len(out) == 5
-    assert all(o is pop[0] for o in out)
+    out = select_parents(pop.fitness, "boltzmann_const", 2.0, rng, count=5)
+    assert out.tolist() == [0] * 5
 
 
 def test_gamma_zero_boltzmann_is_uniform():
     rng = np.random.default_rng(71)
-    bits = rng.integers(0, 2, size=(10, 75), dtype=np.uint8)
-    pop = make_population(bits, RAST, 5)
-    p = selection_probabilities(pop, "boltzmann_const", 0.0)
+    pop = make_population(random_bits(rng, 10), RAST, 5)
+    p = selection_probabilities(pop.fitness, "boltzmann_const", 0.0)
     assert np.allclose(p, 0.1, atol=1e-15)
 
 
 def test_boltzmann_selection_two_individuals_hand_computed():
     # fitness gap of exactly 1 at gamma = ln 3 puts 3/4 on the fitter one
-    bits = np.zeros((2, 75), dtype=np.uint8)
-    base = make_population(bits, RAST, 5)
-    lo, hi = RAST.raw_lower, RAST.raw_upper
-    pop = [
-        Individual(genome=base[0].genome, x=base[0].x, raw=hi, fitness=0.0),
-        Individual(genome=base[1].genome, x=base[1].x, raw=lo, fitness=1.0),
-    ]
-    p = selection_probabilities(pop, "boltzmann_const", math.log(3.0))
+    fitness = np.array([0.0, 1.0])
+    p = selection_probabilities(fitness, "boltzmann_const", math.log(3.0))
     assert p[1] == pytest.approx(0.75, abs=1e-12)
     rng = np.random.default_rng(73)
-    draws = select_parents(pop, "boltzmann_const", math.log(3.0), rng, count=100_000)
-    frac = sum(1 for d in draws if d.fitness == 1.0) / 100_000
+    draws = select_parents(fitness, "boltzmann_const", math.log(3.0), rng, count=100_000)
+    frac = np.count_nonzero(fitness[draws] == 1.0) / 100_000
     assert frac == pytest.approx(0.75, abs=0.01)
 
 
 def test_boltzmann_probabilities_shift_invariant():
     rng = np.random.default_rng(79)
-    bits = rng.integers(0, 2, size=(30, 75), dtype=np.uint8)
-    pop = make_population(bits, RAST, 5)
-    shifted = [
-        Individual(genome=ind.genome, x=ind.x, raw=ind.raw,
-                   fitness=ind.fitness + 0.37)
-        for ind in pop
-    ]
-    p1 = selection_probabilities(pop, "cauchy_boltzmann", 12.0)
-    p2 = selection_probabilities(shifted, "cauchy_boltzmann", 12.0)
+    pop = make_population(random_bits(rng, 30), RAST, 5)
+    p1 = selection_probabilities(pop.fitness, "cauchy_boltzmann", 12.0)
+    p2 = selection_probabilities(pop.fitness + 0.37, "cauchy_boltzmann", 12.0)
     assert np.max(np.abs(p1 - p2)) <= 1e-12
 
 
 def test_proportionate_rejects_all_zero_fitness():
-    bits = np.zeros((3, 75), dtype=np.uint8)
-    pop = make_population(bits, RAST, 5)
-    dead = [
-        Individual(genome=ind.genome, x=ind.x, raw=ind.raw, fitness=0.0)
-        for ind in pop
-    ]
     with pytest.raises(ValueError, match="degenerate population"):
-        selection_probabilities(dead, "proportionate", 0.0)
+        selection_probabilities(np.zeros(3), "proportionate", 0.0)
+    with pytest.raises(ValueError, match="empty population"):
+        selection_probabilities(np.zeros(0), "proportionate", 0.0)
 
 
 def test_sampling_matches_operator_expectation():
     rng = np.random.default_rng(83)
-    values = rng.choice(np.round(rng.uniform(0.1, 1.0, size=8), 3), size=150)
-    bits = np.zeros((150, 75), dtype=np.uint8)
-    pop = make_population(bits, RAST, 5)
-    pop = [
-        Individual(genome=ind.genome, x=ind.x, raw=ind.raw, fitness=float(v))
-        for ind, v in zip(pop, values)
-    ]
-    phi = population_nfd(pop)
+    fitness = rng.choice(np.round(rng.uniform(0.1, 1.0, size=8), 3), size=150)
+    phi = population_nfd(fitness)
     for scheme, gamma, operator in (
         ("cauchy_boltzmann", 3.0, lambda p: boltzmann_apply(p, 3.0)),
         ("proportionate", 0.0, proportionate_apply),
     ):
-        drawn = select_parents(pop, scheme, gamma, rng, count=100_000)
-        empirical = population_nfd(drawn)
+        drawn = select_parents(fitness, scheme, gamma, rng, count=100_000)
+        empirical = population_nfd(fitness[drawn])
         assert distance(empirical, operator(phi)) <= 0.02
 
 
 def test_crossover_identical_parents_fixed():
     rng = np.random.default_rng(89)
-    a = genome_of(rng.integers(0, 2, 75))
-    ca, cb = uniform_crossover(a, Genome(a.bits.copy()), 1.0, rng)
-    assert np.array_equal(ca.bits, a.bits)
-    assert np.array_equal(cb.bits, a.bits)
+    a = random_bits(rng, 50)
+    ca, cb = uniform_crossover(a, a.copy(), 1.0, rng)
+    assert np.array_equal(ca, a)
+    assert np.array_equal(cb, a)
 
 
 def test_crossover_probability_zero_is_identity():
     rng = np.random.default_rng(97)
-    a = genome_of(rng.integers(0, 2, 75))
-    b = genome_of(rng.integers(0, 2, 75))
+    a, b = random_bits(rng, 50), random_bits(rng, 50)
     ca, cb = uniform_crossover(a, b, 0.0, rng)
-    assert np.array_equal(ca.bits, a.bits) and np.array_equal(cb.bits, b.bits)
+    assert np.array_equal(ca, a) and np.array_equal(cb, b)
 
 
 def test_crossover_preserves_positionwise_multiset():
     rng = np.random.default_rng(101)
-    for _ in range(50):
-        a = genome_of(rng.integers(0, 2, 75))
-        b = genome_of(rng.integers(0, 2, 75))
-        ca, cb = uniform_crossover(a, b, 1.0, rng)
-        assert np.array_equal(ca.bits + cb.bits, a.bits + b.bits)
+    a, b = random_bits(rng, 50), random_bits(rng, 50)
+    ca, cb = uniform_crossover(a, b, 1.0, rng)
+    assert ca.dtype == np.uint8 and cb.dtype == np.uint8
+    assert np.array_equal(ca + cb, a + b)
+    assert not np.array_equal(ca, a)  # the pairs did cross
 
 
 def test_crossover_complementary_parents_stay_complementary():
     rng = np.random.default_rng(103)
-    for _ in range(50):
-        a = genome_of(rng.integers(0, 2, 75))
-        b = genome_of(1 - a.bits)
-        ca, cb = uniform_crossover(a, b, 1.0, rng)
-        assert np.array_equal(ca.bits, 1 - cb.bits)
+    a = random_bits(rng, 50)
+    ca, cb = uniform_crossover(a, 1 - a, 1.0, rng)
+    assert np.array_equal(ca, 1 - cb)
+
+
+def test_crossover_draws_per_pair_in_row_order():
+    # one uniform per pair, then the swap mask only for a crossing pair
+    rng = np.random.default_rng(104)
+    a, b = random_bits(rng, 40), random_bits(rng, 40)
+    ca, cb = uniform_crossover(a, b, 0.6, np.random.default_rng(106))
+    replay = np.random.default_rng(106)
+    for i in range(40):
+        swap = replay.random(75) < 0.5 if replay.random() < 0.6 else np.zeros(75, bool)
+        assert np.array_equal(ca[i], np.where(swap, b[i], a[i]))
+        assert np.array_equal(cb[i], np.where(swap, a[i], b[i]))
 
 
 def test_crossover_rejects_length_mismatch():
     rng = np.random.default_rng(107)
     with pytest.raises(ValueError, match="length mismatch"):
-        uniform_crossover(genome_of([0] * 75), genome_of([0] * 70), 0.5, rng)
+        uniform_crossover(
+            np.zeros((1, 75), np.uint8), np.zeros((1, 70), np.uint8), 0.5, rng
+        )
 
 
 def test_mutate_edge_probabilities():
     rng = np.random.default_rng(109)
-    g = genome_of(rng.integers(0, 2, 75))
-    assert np.array_equal(mutate(g, 0.0, rng).bits, g.bits)
-    assert np.array_equal(mutate(g, 1.0, rng).bits, 1 - g.bits)
+    g = random_bits(rng, 20)
+    assert np.array_equal(mutate(g, 0.0, rng), g)
+    assert np.array_equal(mutate(g, 1.0, rng), 1 - g)
+    with pytest.raises(ValueError, match="mutation probability"):
+        mutate(g, 1.5, rng)
 
 
 def test_mutate_flip_count_matches_binomial_mean():
     rng = np.random.default_rng(113)
-    g = genome_of(np.zeros(75, dtype=np.uint8))
-    flips = [int(mutate(g, 0.01, rng).bits.sum()) for _ in range(100_000)]
+    flips = mutate(np.zeros((100_000, 75), dtype=np.uint8), 0.01, rng).sum(axis=1)
     assert np.mean(flips) == pytest.approx(0.75, abs=0.03)
+    assert np.var(flips) == pytest.approx(75 * 0.01 * 0.99, abs=0.03)
+
+
+def test_mutate_matrix_draw_equals_per_row_draws():
+    bits = random_bits(np.random.default_rng(114), 30)
+    rng, replay = np.random.default_rng(115), np.random.default_rng(115)
+    out = mutate(bits, 0.05, rng)
+    for i in range(30):
+        assert np.array_equal(out[i], bits[i] ^ (replay.random(75) < 0.05))
+    assert rng.random() == replay.random()  # same position in the stream
 
 
 def test_step_no_variation_point_mass_is_stationary():
@@ -232,7 +231,7 @@ def test_step_no_variation_point_mass_is_stationary():
     rng = np.random.default_rng(131)
     nxt, rec = step_generation(pop, cfg, 1, rng)
     assert rec.strength == 0.0
-    assert all(np.array_equal(a.genome.bits, b.genome.bits) for a, b in zip(pop, nxt))
+    assert np.array_equal(nxt.bits, pop.bits)
 
 
 def test_step_huge_gamma_takes_over():
@@ -244,9 +243,8 @@ def test_step_huge_gamma_takes_over():
     rng = np.random.default_rng(137)
     bits = rng.integers(0, 2, size=(20, 15), dtype=np.uint8)
     pop = make_population(bits, cfg.objective, 5)
-    best = max(pop, key=lambda ind: ind.fitness)
     nxt, _ = step_generation(pop, cfg, 1, rng)
-    assert all(ind.fitness == best.fitness for ind in nxt)
+    assert np.all(nxt.fitness == pop.fitness.max())
 
 
 def test_step_preserves_population_size():
@@ -257,6 +255,7 @@ def test_step_preserves_population_size():
         pop = make_population(bits, cfg.objective, 5)
         nxt, _ = step_generation(pop, cfg, 1, rng)
         assert len(nxt) == pop_size
+        assert nxt.bits.shape == pop.bits.shape and nxt.bits.dtype == np.uint8
 
 
 def test_run_single_generation_series():
@@ -300,6 +299,19 @@ def test_elitism_keeps_best_from_worsening():
     series = run(cfg, 0)
     gen_best = [r.gen_best_raw for r in series.records]
     assert all(b <= a + 1e-12 for a, b in zip(gen_best, gen_best[1:]))
+
+
+def test_elitism_carries_best_parent_row():
+    cfg = small_config(elitism=True, mutation_prob_per_bit=0.1)
+    rng = np.random.default_rng(141)
+    pop = make_population(random_bits(rng, 20, 15), cfg.objective, 5)
+    best = int(np.argmin(pop.raw))
+    nxt, rec = step_generation(pop, cfg, 1, rng)
+    row = np.flatnonzero((nxt.bits == pop.bits[best]).all(axis=1))
+    assert row.size >= 1
+    assert nxt.raw[row[0]] == pop.raw[best]
+    assert nxt.fitness[row[0]] == pop.fitness[best]
+    assert rec.gen_best_raw <= pop.raw[best]
 
 
 def test_config_validation():

@@ -13,7 +13,6 @@ from cauchyga.nfd import (
     distance,
     fitness_distribution_from_values,
     normalize,
-    support,
 )
 from cauchyga.verify import random_nfd
 
@@ -73,8 +72,9 @@ def test_normalize_masses_sum_to_one():
 
 
 def test_support_examples():
-    assert support(NFD({1.0: 0.5, 3.0: 0.5})) == {1.0, 3.0}
-    assert support(NFD({0.0: 1.0})) == {0.0}
+    assert NFD({1.0: 0.5, 3.0: 0.5}).support == {1.0, 3.0}
+    assert NFD({0.0: 1.0}).support == {0.0}
+    assert FitnessDistribution({2.0: 3, 5.0: 0}).support == {2.0}
 
 
 def test_support_bounded_by_population_size():
@@ -82,7 +82,7 @@ def test_support_bounded_by_population_size():
     phi = normalize(
         fitness_distribution_from_values(rng.uniform(0, 1, size=150).tolist())
     )
-    assert len(support(phi)) <= 150
+    assert len(phi.support) <= 150
 
 
 def test_nfd_validation():
