@@ -6,7 +6,8 @@ objective values and the fitness values. One generation is: selection
 indices) -> random pairing -> uniform crossover -> per-bit mutation ->
 evaluation. The realized selection strength of a generation is the L1
 distance between the population's NFD before selection and the NFD of the
-selected parent pool.
+selected parent pool; both are counted on the fitness array
+(:func:`realized_strength`), with no NFD objects built.
 
 Every random decision of a run comes from one numpy PCG64 generator seeded
 from (master_seed, run_index), so replays are bit-identical and distinct
@@ -14,17 +15,21 @@ runs are independent streams. The draws come in a fixed order: the initial
 bit matrix, then per generation the roulette draw, the pairing
 permutation, per pair one crossover uniform followed by its swap mask when
 the pair crosses, the odd leftover's partner and crossover, and one
-mutation matrix.
+mutation matrix. Crossover replays that per-pair order from one block
+draw: it reads the pair decisions off the block, then moves the generator
+exactly as far as the per-pair draws would have.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .annealing import AnnealingSchedule, constant_schedule, gamma_at
 from .benchmarks import ObjectiveSpec, evaluate_raw_batch, to_fitness_batch
+# engine.distance stays importable: callers and bench/test_bench.py look it up here
 from .nfd import NFD, distance, fitness_distribution_from_values, normalize
 
 GENERATOR_NAME = "numpy-PCG64"
@@ -73,8 +78,8 @@ class GaConfig:
     def __post_init__(self) -> None:
         if self.selection not in SELECTION_SCHEMES:
             raise ValueError(f"unknown selection scheme: {self.selection!r}")
-        if self.pop_size < 1:
-            raise ValueError("pop_size must be >= 1")
+        if self.pop_size < 2:
+            raise ValueError("pop_size must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
         if not 0.0 <= self.crossover_prob <= 1.0:
@@ -168,6 +173,32 @@ def population_nfd(fitness: np.ndarray) -> NFD:
     return normalize(fitness_distribution_from_values(np.asarray(fitness).tolist()))
 
 
+def realized_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
+    """L1 distance between the NFDs of ``fitness`` and of ``fitness[chosen]``.
+
+    Bit-identical to ``distance(population_nfd(fitness),
+    population_nfd(fitness[chosen]))``, counted on arrays instead: every
+    mass is the same correctly rounded count / size, and ``fsum`` is exactly
+    rounded, so neither term order nor zero terms change the sum. As with
+    the NFDs, 0.0 and -0.0 count as one fitness value.
+
+    Raises:
+        ValueError: On an empty population or selection, or a negative
+            fitness value.
+    """
+    fits = np.asarray(fitness, dtype=np.float64)
+    picks = np.asarray(chosen)
+    if fits.size == 0 or picks.size == 0:
+        raise ValueError("empty population")
+    negative = fits[fits < 0.0]
+    if negative.size:
+        raise ValueError(f"negative fitness: {float(negative[0])}")
+    values, inverse = np.unique(fits, return_inverse=True)
+    before = np.bincount(inverse, minlength=len(values)) / fits.size
+    after = np.bincount(inverse[picks], minlength=len(values)) / picks.size
+    return math.fsum(np.abs(before - after).tolist())
+
+
 def selection_probabilities(
     fitness: np.ndarray, selection: str, gamma_n: float
 ) -> np.ndarray:
@@ -219,25 +250,43 @@ def select_parents(
 def uniform_crossover(
     a: np.ndarray, b: np.ndarray, crossover_prob: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform crossover of row-aligned parent matrices, row i with row i.
+    """Uniform crossover of row-aligned integer (bit) matrices, row i with row i.
 
     Each pair crosses with probability crossover_prob, and then every bit
     position independently swaps between the pair with probability 1/2;
     otherwise both parents pass through unchanged. Per position the
     children's bit pair is always a permutation of the parents' pair.
     Pairs draw in row order: one uniform, then the swap mask only when
-    the pair crosses.
+    the pair crosses. That order is replayed from one block of the most
+    doubles the pairs can use; the generator then draws exactly the doubles
+    the pairs used, so it ends where per-pair draws would leave it.
 
     Raises:
         ValueError: On parent matrices of different shapes.
     """
     if a.shape != b.shape:
         raise ValueError(f"genome length mismatch: {a.shape} vs {b.shape}")
+    n, length = a.shape
+    # A restored state keeps the buffered half of a uint64 that integers()
+    # and permutation() leave behind; PCG64.advance() would clear it.
+    state = rng.bit_generator.state
+    block = rng.random(n * (length + 1))
+    decisions, crossing = [], []
+    pos = 0
+    for i in range(n):
+        decisions.append(pos)
+        pos += 1
+        if block[pos - 1] < crossover_prob:
+            crossing.append(i)
+            pos += length
+    rng.bit_generator.state = state
+    rng.random(pos)
+    # the used doubles other than the pair decisions are the swap masks
+    masks = np.delete(block[:pos], decisions).reshape(len(crossing), length)
     swap = np.zeros(a.shape, dtype=bool)
-    for i in range(a.shape[0]):
-        if rng.random() < crossover_prob:
-            swap[i] = rng.random(a.shape[1]) < 0.5
-    return np.where(swap, b, a), np.where(swap, a, b)
+    swap[crossing] = masks < 0.5
+    diff = (a ^ b) * swap
+    return a ^ diff, b ^ diff
 
 
 def mutate(
@@ -284,9 +333,7 @@ def step_generation(
         gamma_n = gamma_at(config.schedule, generation_index)
 
     chosen = select_parents(population.fitness, config.selection, gamma_n, rng)
-    strength = distance(
-        population_nfd(population.fitness), population_nfd(population.fitness[chosen])
-    )
+    strength = realized_strength(population.fitness, chosen)
 
     pool = population.bits[chosen[rng.permutation(n)]]
     pairs = n - n % 2

@@ -189,6 +189,19 @@ def test_cli_unwritable_output_fails(tmp_path):
     assert rc == 2
 
 
+def test_cli_rejects_single_individual(tmp_path, capsys):
+    rc = main(
+        [
+            "run", "--function", "ackley", "--selection", "proportionate",
+            "--pop-size", "1", "--generations", "2", "--runs", "1",
+            "--output", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    assert "error: pop_size must be >= 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_schedule_rows_hand_computed(tmp_path):
     path = emit_schedule(2.0, 3, tmp_path, g0=1.0)
     _, header, rows = read_series_csv(path)

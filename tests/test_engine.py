@@ -189,6 +189,27 @@ def test_crossover_draws_per_pair_in_row_order():
         assert np.array_equal(cb[i], np.where(swap, a[i], b[i]))
 
 
+@pytest.mark.parametrize("crossover_prob", [0.0, 0.6, 1.0])
+def test_crossover_leaves_stream_where_per_pair_draws_do(crossover_prob):
+    # permutation() leaves half a uint64 buffered for the next integer draw;
+    # the crossover must keep it, and at 1.0 it uses its whole block
+    bits = random_bits(np.random.default_rng(116), 40)
+    a, b = bits[:20], bits[20:]
+    rng, replay = np.random.default_rng(119), np.random.default_rng(119)
+    rng.permutation(21)
+    replay.permutation(21)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    ca, cb = uniform_crossover(a, b, crossover_prob, rng)
+    for i in range(20):
+        swap = np.zeros(75, bool)
+        if replay.random() < crossover_prob:
+            swap = replay.random(75) < 0.5
+        assert np.array_equal(ca[i], np.where(swap, b[i], a[i]))
+        assert np.array_equal(cb[i], np.where(swap, a[i], b[i]))
+    assert rng.integers(0, 20) == replay.integers(0, 20)
+    assert rng.random() == replay.random()
+
+
 def test_crossover_rejects_length_mismatch():
     rng = np.random.default_rng(107)
     with pytest.raises(ValueError, match="length mismatch"):
@@ -323,6 +344,13 @@ def test_config_validation():
         small_config(crossover_prob=1.5)
     with pytest.raises(ValueError, match="pop_size"):
         small_config(pop_size=0)
+
+
+def test_config_rejects_single_individual():
+    # one individual has no partner for the odd leftover's crossover
+    with pytest.raises(ValueError, match="pop_size must be >= 2"):
+        small_config(pop_size=1)
+    assert small_config(pop_size=2).pop_size == 2
 
 
 def test_cauchy_scheme_uses_schedule_gamma():
