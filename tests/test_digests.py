@@ -60,6 +60,9 @@ SERIES_DIGESTS = {
 
 VERIFY_DIGEST = "eb59e62f96958b452482ac4fe2c346d42155e3ff2dda2096eb0b484eb0fe40d6"
 
+# the same seed at the benchmark's size: 1000 cases per suite, 4093 rows
+VERIFY_DIGEST_1000 = "7423e6c50ac93fbb83eaee42c901f062f94da838f26d883748f851bb287583b9"
+
 
 def data_rows_sha256(path: Path) -> str:
     """SHA-256 of a CSV's lines that do not start with '#'."""
@@ -90,8 +93,8 @@ def series_digests(out_dir: Path) -> dict[str, str]:
     return digests
 
 
-def verify_digest(out_dir: Path) -> str:
-    run_verify(42, 100, out_dir)
+def verify_digest(out_dir: Path, cases: int = 100) -> str:
+    run_verify(42, cases, out_dir)
     return hashlib.sha256((out_dir / "verify_cases.csv").read_bytes()).hexdigest()
 
 
@@ -113,6 +116,11 @@ def test_verify_cases_match_stored_digest(tmp_path):
     assert verify_digest(tmp_path) == VERIFY_DIGEST, _why("verify_cases.csv")
 
 
+def test_verify_cases_at_bench_size_match_stored_digest(tmp_path):
+    got = verify_digest(tmp_path, cases=1000)
+    assert got == VERIFY_DIGEST_1000, _why("verify_cases.csv (1000 cases)")
+
+
 if __name__ == "__main__":
     # prints the digests of the installed package, to paste above
     import tempfile
@@ -121,3 +129,4 @@ if __name__ == "__main__":
         for key, digest in series_digests(Path(tmp)).items():
             print(f'    "{key}": "{digest}",')
         print(f'VERIFY_DIGEST = "{verify_digest(Path(tmp) / "verify")}"')
+        print(f'VERIFY_DIGEST_1000 = "{verify_digest(Path(tmp) / "verify", 1000)}"')
