@@ -12,15 +12,19 @@ Conventions used throughout the package:
     bit-identical. No epsilon bucketing.
   - Support iteration is always in ascending fitness order, so every
     summation is deterministic and reproducible.
-  - All fitness values are >= 0.
+  - All fitness values are finite and >= 0; masses are positive and finite.
   - Instances are treated as immutable after construction.
+  - An operator whose result lives on its input's support (Boltzmann
+    selection, and proportionate selection on the positive part) reuses
+    the input's validated, ascending keys through ``NFD._on_support`` and
+    checks only the new masses.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, inf
 from typing import Iterable, Iterator
 
 MASS_SUM_TOL = 1e-12
@@ -28,6 +32,20 @@ MASS_SUM_TOL = 1e-12
 
 def _ascending(entries: dict) -> dict:
     return {x: entries[x] for x in sorted(entries)}
+
+
+def _check_masses(entries: dict[float, float]) -> None:
+    """Every mass in (0, 1] (NaN fails), and the masses sum to 1."""
+    for x, m in entries.items():
+        if not 0.0 < m <= 1.0:
+            if m > 1.0:
+                raise ValueError(f"mass above 1 at fitness {x}: {m}")
+            raise ValueError(f"nonpositive mass at fitness {x}: {m}")
+    if not entries:
+        raise ValueError("empty support")
+    total = fsum(entries.values())
+    if abs(total - 1.0) > MASS_SUM_TOL:
+        raise ValueError(f"masses sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -76,8 +94,9 @@ class FitnessDistribution:
 class NFD:
     """Normalized fitness distribution: finite-support probability masses.
 
-    Maps fitness values (>= 0) to strictly positive masses that sum to 1
-    within ``MASS_SUM_TOL``. Iteration walks the support in ascending order.
+    Maps finite fitness values (>= 0) to strictly positive masses that sum
+    to 1 within ``MASS_SUM_TOL``. Iteration walks the support in ascending
+    order.
     """
 
     entries: dict[float, float]
@@ -86,20 +105,28 @@ class NFD:
         clean: dict[float, float] = {}
         for x, m in self.entries.items():
             x = float(x)
-            m = float(m)
             if x < 0.0:
                 raise ValueError(f"negative fitness: {x}")
-            if m <= 0.0:
-                raise ValueError(f"nonpositive mass at fitness {x}: {m}")
-            if m > 1.0:
-                raise ValueError(f"mass above 1 at fitness {x}: {m}")
-            clean[x] = m
-        if not clean:
-            raise ValueError("empty support")
-        total = fsum(clean.values())
-        if abs(total - 1.0) > MASS_SUM_TOL:
-            raise ValueError(f"masses sum to {total!r}, not 1")
+            if not x < inf:
+                raise ValueError(f"non-finite fitness: {x}")
+            clean[x] = float(m)
+        _check_masses(clean)
         object.__setattr__(self, "entries", _ascending(clean))
+
+    @classmethod
+    def _on_support(cls, keys: Iterable[float], masses: list[float]) -> NFD:
+        """NFD with ``masses`` on the keys of an existing NFD, in their order.
+
+        ``keys`` must come from an NFD (or be an order-preserving subset of
+        one), so they are already finite, nonnegative, distinct and
+        ascending; they are neither converted nor sorted again. Only the new
+        masses are checked, exactly as the constructor checks them.
+        """
+        entries = dict(zip(keys, masses))
+        _check_masses(entries)
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "entries", entries)
+        return phi
 
     @property
     def support(self) -> set[float]:
@@ -161,19 +188,29 @@ def normalize(rho: FitnessDistribution) -> NFD:
 def distance(phi1: NFD, phi2: NFD) -> float:
     """L1 distance between two NFDs over the union of their supports.
 
-    Sums |phi1(x) - phi2(x)| over every x in either support, visiting the
-    union in ascending order. Always in [0, 2]; equals 2 exactly when the
-    supports are disjoint.
+    Sums |phi1(x) - phi2(x)| over every x in either support. Always in
+    [0, 2]; equals 2 exactly when the supports are disjoint.
+
+    On one shared support (every operator output against its input) the
+    two ascending mass sequences are zipped; otherwise the union is walked
+    in ascending order. Both give the same terms, and ``fsum`` rounds
+    their sum exactly, so the result does not depend on the path.
     """
-    keys = sorted(phi1.support | phi2.support)
-    return fsum(abs(phi1.mass(x) - phi2.mass(x)) for x in keys)
+    a, b = phi1.entries, phi2.entries
+    if a.keys() == b.keys():
+        return fsum([abs(p - q) for p, q in zip(a.values(), b.values())])
+    get_a, get_b = a.get, b.get
+    keys = sorted(a.keys() | b.keys())
+    return fsum([abs(get_a(x, 0.0) - get_b(x, 0.0)) for x in keys])
 
 
 def renormalized(masses: dict[float, float]) -> NFD:
     """Build an NFD from positive weights, dividing out their exact sum.
 
-    Applied after every operator application so rounding drift can never
-    accumulate across repeated selections.
+    Dividing by the exact sum after every operator application keeps
+    rounding drift from accumulating across repeated selections. The
+    operators in ``selection`` normalize the same way on their input's
+    support; this form takes weights on any support.
     """
     total = fsum(masses.values())
     if total <= 0.0:

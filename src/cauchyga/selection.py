@@ -3,13 +3,30 @@
 Boltzmann selection tilts masses by exp(gamma * fitness); proportionate
 selection tilts them by the fitness value itself. Selection strength is the
 L1 distance between the distribution before and after an operator fires.
+
+Both operators build their result on the input's support, which the input
+NFD has already validated and sorted, so only the new masses are checked.
+Boltzmann weights take one ``math.exp`` per point, not a vectorized
+``np.exp``: numpy's SIMD exp can differ from libm's in the last bit, which
+would change the verification outputs. Weights are normalized by their
+``fsum``, which is exactly rounded and so independent of summation order.
 """
 
 from __future__ import annotations
 
-from math import exp, fsum
+from math import exp, fsum, inf
+from typing import Iterable
 
-from .nfd import NFD, distance, renormalized
+from .nfd import NFD, distance
+
+# smallest subnormal double: the floor of a weight that underflows to zero
+_TINY = 5e-324
+
+
+def _reweighted(keys: Iterable[float], weights: list[float]) -> NFD:
+    """NFD with masses weights / sum on ``keys``, taken in order from an NFD."""
+    total = fsum(weights)
+    return NFD._on_support(keys, [w / total for w in weights])
 
 
 def boltzmann_apply(phi: NFD, gamma: float) -> NFD:
@@ -27,22 +44,29 @@ def boltzmann_apply(phi: NFD, gamma: float) -> NFD:
     and the floor keeps the support preserved without measurably moving any
     distance.
 
+    The result reuses phi's keys as they are; only its masses are checked.
+
     Raises:
-        ValueError: If gamma is negative.
+        ValueError: If gamma is negative, NaN or infinite.
     """
     if gamma < 0.0:
         raise ValueError("inverse temperature must be nonnegative")
+    if not gamma < inf:
+        raise ValueError(f"inverse temperature must be finite, got {gamma}")
+    entries = phi.entries
     x_max = phi.max_fitness()
-    tiny = 5e-324
-    weights = {x: max(m * exp(gamma * (x - x_max)), tiny) for x, m in phi}
-    return renormalized(weights)
+    weights = [max(m * exp(gamma * (x - x_max)), _TINY) for x, m in entries.items()]
+    return _reweighted(entries.keys(), weights)
 
 
 def proportionate_apply(phi: NFD) -> NFD:
     """Apply proportionate selection: mass at x proportional to x * phi(x).
 
     Any mass sitting at fitness 0 is annihilated, so the result's support
-    can shrink by that one point.
+    can shrink by that one point and no other. A positive point whose
+    weight x * phi(x) underflows to zero (a subnormal fitness) is floored at
+    the smallest subnormal, as in ``boltzmann_apply``, so it stays in the
+    support.
 
     Raises:
         ValueError: If the mean fitness is 0 (all mass at fitness 0).
@@ -50,8 +74,9 @@ def proportionate_apply(phi: NFD) -> NFD:
     mu = phi.mean()
     if mu <= 0.0:
         raise ValueError("degenerate proportionate selection")
-    weights = {x: x * m for x, m in phi if x > 0.0}
-    return renormalized(weights)
+    positive = [(x, m) for x, m in phi.entries.items() if x > 0.0]
+    weights = [max(x * m, _TINY) for x, m in positive]
+    return _reweighted([x for x, _ in positive], weights)
 
 
 def selection_strength(phi: NFD, selected: NFD) -> float:

@@ -284,6 +284,43 @@ def test_verify_broken_tolerance_fails(tmp_path):
     assert "first failure" in report
 
 
+def _worst_margin(line: str, result) -> tuple[float, object]:
+    """The margin a suite line reports, and the case it names."""
+    margin, case_id = line.split(", worst margin ")[1].split(" at ")
+    return float(margin), next(c for c in result.cases if c.case_id == case_id)
+
+
+def test_verify_margin_negative_at_reported_case(tmp_path):
+    # a negative semigroup tolerance is a bound no case can meet
+    result = run_verify(
+        11, 50, tmp_path, tolerances=Tolerances(semigroup_tol=-1e-3)
+    )
+    line = result.suite_lines[3]
+    assert line.startswith("FAIL semigroup: 50 cases, 50 violations")
+    margin, worst = _worst_margin(line, result)
+    assert worst.case_id.startswith("semigroup-")
+    assert not worst.holds
+    assert margin == worst.rhs - worst.lhs < 0.0
+    suite = [c for c in result.cases if c.case_id.startswith("semigroup-")]
+    assert margin == min(c.rhs - c.lhs for c in suite)
+    assert line in (tmp_path / "verify_report.txt").read_text().splitlines()
+
+
+def test_verify_prints_worst_margin_per_suite(tmp_path, capsys):
+    assert main(["verify", "--cases", "20", "--seed", "5",
+                 "--output", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    result = run_verify(5, 20, tmp_path)
+    assert printed == result.suite_lines
+    for line, prefix in zip(
+        printed, ("metric-", "lemma1-", "lemma2-", "semigroup-", "cauchytail-")
+    ):
+        margin, worst = _worst_margin(line, result)
+        suite = [c for c in result.cases if c.case_id.startswith(prefix)]
+        assert worst in suite
+        assert margin == worst.margin == min(c.margin for c in suite)
+
+
 def test_verify_csv_schema(tmp_path):
     run_verify(3, 5, tmp_path)
     lines = (tmp_path / "verify_cases.csv").read_text().splitlines()

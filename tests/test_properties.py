@@ -1,8 +1,10 @@
-"""Hypothesis property tests: realized strength and the operator algebra's edges.
+"""Hypothesis property tests: fast paths, and the operator algebra's edges.
 
-``realized_strength`` must equal the NFD route bit for bit, so those tests
-compare with ``==``. The operator tests use the tolerances the rest of the
-suite uses (``Tolerances.semigroup_tol`` for the semigroup law).
+``realized_strength``, ``distance``, ``boltzmann_apply``,
+``cauchy_tail_profile`` and ``random_nfd`` each replaced a slower reference
+that is kept here; they must equal it bit for bit, so those tests compare
+with ``==``. The operator tests use the tolerances the rest of the suite
+uses (``Tolerances.semigroup_tol`` for the semigroup law).
 
 Every test runs derandomized, so tier-1 sees the same examples on every run.
 """
@@ -10,16 +12,19 @@ Every test runs derandomized, so tier-1 sees the same examples on every run.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cauchyga.annealing import cauchy_schedule
 from cauchyga.engine import population_nfd, realized_strength
 from cauchyga.nfd import NFD, distance, renormalized
 from cauchyga.selection import boltzmann_apply, proportionate_apply
-from cauchyga.verify import Tolerances
+from cauchyga.theory import cauchy_tail_profile, cumulative_operator
+from cauchyga.verify import Tolerances, random_nfd
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -131,13 +136,6 @@ def test_proportionate_drops_exactly_the_zero_point(phi, zero, weight):
     assert out.support == with_zero.support - {0.0}
 
 
-@pytest.mark.xfail(
-    raises=ValueError,
-    strict=True,
-    reason="proportionate_apply: the weight x * phi(x) of a subnormal positive "
-    "fitness underflows to 0, and NFD rejects the nonpositive mass instead "
-    "of the support keeping that point",
-)
 @PROPERTY
 @given(st.floats(min_value=5e-324, max_value=TINY, exclude_max=True), ZEROS)
 def test_proportionate_keeps_subnormal_positive_fitness(x, zero):
@@ -170,13 +168,121 @@ def test_boltzmann_semigroup_near_exp_overflow(phi, total, split):
     assert distance(two, one) <= Tolerances().semigroup_tol
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="boltzmann_apply accepts gamma = inf: inf * 0 at the top fitness "
-    "is NaN, and NFD's mass checks let the NaN masses through",
-)
 @PROPERTY
 @given(nfds())
 def test_boltzmann_infinite_gamma_fails_loudly(phi):
     with pytest.raises(ValueError):
         boltzmann_apply(phi, math.inf)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_boltzmann_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="must be finite"):
+        boltzmann_apply(NFD({0.5: 0.5, 1.0: 0.5}), gamma)
+
+
+def test_nfd_rejects_nan_mass():
+    with pytest.raises(ValueError, match="nonpositive mass"):
+        NFD({0.5: math.nan, 1.0: 0.5})
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_nfd_rejects_non_finite_fitness(x):
+    with pytest.raises(ValueError, match="non-finite fitness"):
+        NFD({x: 0.5, 1.0: 0.5})
+
+
+# --- fast paths against the references they replaced -----------------------
+
+POOL = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0, 1e-300, 5e-324])
+
+
+def reference_distance(p: NFD, q: NFD) -> float:
+    return math.fsum(abs(p.mass(x) - q.mass(x)) for x in sorted(p.support | q.support))
+
+
+@PROPERTY
+@given(nfds(values=POOL), nfds(values=POOL))
+def test_distance_equals_union_order_reference(p, q):
+    # a small pool makes equal, nested, overlapping and disjoint supports
+    assert distance(p, q) == reference_distance(p, q)
+    assert distance(q, p) == reference_distance(q, p)
+
+
+@PROPERTY
+@given(nfds(), st.floats(min_value=0.0, max_value=1e3))
+def test_distance_on_shared_support_equals_reference(phi, gamma):
+    out = boltzmann_apply(phi, gamma)
+    assert distance(phi, out) == reference_distance(phi, out)
+
+
+@PROPERTY
+@given(nfds(values=FITNESS), st.floats(min_value=0.0, max_value=1e300))
+def test_boltzmann_equals_renormalized_reference(phi, gamma):
+    x_max = max(phi.support)
+    ref = renormalized(
+        {x: max(m * math.exp(gamma * (x - x_max)), 5e-324) for x, m in phi}
+    )
+    out = boltzmann_apply(phi, gamma)
+    assert out.entries == ref.entries
+    assert list(out.entries) == list(ref.entries)
+
+
+def reference_tail_profile(phi, schedule, checkpoints, pairs_per_checkpoint):
+    """The per-pair form: both operators recomputed for every pair."""
+    profile = []
+    for ckpt in checkpoints:
+        lo, hi = ckpt, 4 * ckpt
+        s = 2
+        while s * (s - 1) // 2 < pairs_per_checkpoint and s < hi - lo + 1:
+            s += 1
+        levels = sorted({lo + round(i * (hi - lo) / (s - 1)) for i in range(s)})
+        worst = 0.0
+        for m, n in list(combinations(levels, 2))[:pairs_per_checkpoint]:
+            op_m = cumulative_operator(phi, schedule, m)
+            op_n = cumulative_operator(phi, schedule, n)
+            worst = max(worst, distance(op_n, op_m))
+        profile.append((ckpt, worst))
+    return profile
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    nfds(),
+    st.sampled_from([0.1, 1.0, 10.0]),
+    st.sampled_from([1.1, 1.5, 2.0]),
+    st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True),
+    st.integers(1, 12),
+)
+def test_tail_profile_equals_per_pair_recomputation(phi, g0, alpha, ckpts, pairs):
+    checkpoints = sorted(ckpts)
+    got = cauchy_tail_profile(phi, cauchy_schedule(g0, alpha), checkpoints, pairs)
+    ref = reference_tail_profile(phi, cauchy_schedule(g0, alpha), checkpoints, pairs)
+    assert got == ref
+
+
+def reference_random_nfd(rng, max_support=20, value_low=0.0, value_high=1.0):
+    """The np.unique form random_nfd replaced."""
+    while True:
+        k = int(rng.integers(1, max_support + 1))
+        values = np.unique(rng.uniform(value_low, value_high, size=k))
+        masses = rng.dirichlet(np.ones(len(values)))
+        if masses.min() > 0.0:
+            return NFD(dict(zip(values.tolist(), masses.tolist())))
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**63),
+    st.integers(1, 40),
+    st.sampled_from([(0.0, 1.0), (0.0, 1e-300), (0.0, 5e-323), (2.0, 2.0)]),
+)
+def test_random_nfd_equals_np_unique_reference(seed, max_support, bounds):
+    # tiny and empty value ranges force duplicate draws
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        got = random_nfd(ours, max_support, *bounds)
+        ref = reference_random_nfd(theirs, max_support, *bounds)
+        assert got.entries == ref.entries
+        assert list(got.entries) == list(ref.entries)
+    assert ours.random() == theirs.random()
