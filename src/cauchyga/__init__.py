@@ -68,6 +68,7 @@ from .theory import (
     cumulative_operator,
     lemma1_check,
     lemma2_bound_check,
+    tail_bound,
 )
 from .verify import Tolerances, VerifyResult, random_nfd, run_verify
 

@@ -16,6 +16,7 @@ Public fields are never mutated after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +43,13 @@ class AnnealingSchedule:
 
     def __post_init__(self) -> None:
         if self.kind == CONSTANT:
+            _check_finite(self.gamma_const)
             if self.gamma_const < 0.0:
                 raise ValueError("inverse temperature must be nonnegative")
         elif self.kind == CAUCHY:
-            if self.alpha <= 1.0:
+            if not self.alpha > 1.0:
                 raise ValueError("alpha must exceed 1")
+            _check_finite(self.g0)
             if self.g0 < 0.0:
                 raise ValueError("g0 must be nonnegative")
         else:
@@ -64,6 +67,11 @@ class AnnealingSchedule:
         seeded = np.concatenate([self._prefix[-1:], ks ** -self.alpha])
         ext = np.cumsum(seeded)[1:]
         self._prefix = np.concatenate([self._prefix, ext])
+
+
+def _check_finite(gamma: float) -> None:
+    if not math.isfinite(gamma):
+        raise ValueError("inverse temperature must be finite")
 
 
 def constant_schedule(gamma: float) -> AnnealingSchedule:
@@ -118,12 +126,14 @@ def calibrate_g0(alpha: float, horizon: int, gamma_target: float) -> float:
     round-trips to gamma_target.
 
     Raises:
-        ValueError: If alpha <= 1 or horizon < 1.
+        ValueError: If alpha <= 1, horizon < 1 or gamma_target is not
+            finite.
     """
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise ValueError("alpha must exceed 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    _check_finite(gamma_target)
     ks = np.arange(1, horizon + 1, dtype=np.float64)
     partial = float(np.cumsum(ks ** -alpha)[-1])
     return gamma_target / partial

@@ -69,38 +69,59 @@ def make_objective(name: str, dims: int = 15) -> ObjectiveSpec:
     )
 
 
+def _check_box(spec: ObjectiveSpec, xs: np.ndarray) -> None:
+    # written as "not inside" so a NaN component fails too
+    if not ((spec.lower <= xs).all() and (xs <= spec.upper).all()):
+        raise ValueError("component outside objective bounds")
+
+
+def _terms(spec: ObjectiveSpec, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Elementwise terms of the objective on a (n, dims) array of points.
+
+    Each term's value at a point depends only on that component and its
+    column, so terms computed once on a lattice grid and gathered per row
+    are the same values as terms computed on the rows themselves.
+    """
+    if spec.name == "rastrigin":
+        return (xs * xs - RASTRIGIN_A * np.cos(2.0 * np.pi * xs),)
+    if spec.name == "griewangk":
+        idx = np.sqrt(np.arange(1, spec.dims + 1, dtype=np.float64))
+        return xs * xs, np.cos(xs / idx)
+    if spec.name == "ackley":
+        return xs * xs, np.cos(2.0 * np.pi * xs)
+    # schwefel
+    return (-xs * np.sin(np.sqrt(np.abs(xs))),)
+
+
+def _reduce(spec: ObjectiveSpec, terms: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Raw values from the (n, dims) term arrays of :func:`_terms`, row by row."""
+    if spec.name == "rastrigin":
+        return spec.dims * RASTRIGIN_A + np.sum(terms[0], axis=1)
+    if spec.name == "griewangk":
+        sq, cos = terms
+        return np.sum(sq, axis=1) / 4000.0 - np.prod(cos, axis=1) + 1.0
+    if spec.name == "ackley":
+        sq, cos = terms
+        rms = np.sqrt(np.mean(sq, axis=1))
+        mean_cos = np.mean(cos, axis=1)
+        return -20.0 * np.exp(-0.2 * rms) - np.exp(mean_cos) + 20.0 + math.e
+    # schwefel
+    return np.sum(terms[0], axis=1)
+
+
 def evaluate_raw_batch(spec: ObjectiveSpec, xs: np.ndarray) -> np.ndarray:
     """Raw objective values for a (n, dims) batch of in-box points.
 
     Raises:
-        ValueError: On wrong width or any out-of-box component.
+        ValueError: On wrong width or any out-of-box (or NaN) component.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != spec.dims:
         raise ValueError(
             f"expected shape (n, {spec.dims}), got {xs.shape}"
         )
-    if np.any(xs < spec.lower) or np.any(xs > spec.upper):
-        raise ValueError("component outside objective bounds")
-
-    if spec.name == "rastrigin":
-        a = RASTRIGIN_A
-        return spec.dims * a + np.sum(
-            xs * xs - a * np.cos(2.0 * np.pi * xs), axis=1
-        )
-    if spec.name == "griewangk":
-        idx = np.sqrt(np.arange(1, spec.dims + 1, dtype=np.float64))
-        return (
-            np.sum(xs * xs, axis=1) / 4000.0
-            - np.prod(np.cos(xs / idx), axis=1)
-            + 1.0
-        )
-    if spec.name == "ackley":
-        rms = np.sqrt(np.mean(xs * xs, axis=1))
-        mean_cos = np.mean(np.cos(2.0 * np.pi * xs), axis=1)
-        return -20.0 * np.exp(-0.2 * rms) - np.exp(mean_cos) + 20.0 + math.e
-    # schwefel
-    return np.sum(-xs * np.sin(np.sqrt(np.abs(xs))), axis=1)
+    _check_box(spec, xs)
+    return _reduce(spec, _terms(spec, xs))
 
 
 def to_fitness_batch(spec: ObjectiveSpec, raws: np.ndarray) -> np.ndarray:
@@ -108,14 +129,14 @@ def to_fitness_batch(spec: ObjectiveSpec, raws: np.ndarray) -> np.ndarray:
 
     Raises:
         ValueError: If any raw value falls outside the precomputed [L, U]
-            bounds.
+            bounds, or is NaN.
     """
     raws = np.asarray(raws, dtype=np.float64)
     lo, hi = spec.raw_lower, spec.raw_upper
-    outside = raws[(raws < lo) | (raws > hi)]
-    if outside.size:
+    inside = (lo <= raws) & (raws <= hi)
+    if not inside.all():
         raise ValueError(
             f"bound violation: recompute bounds "
-            f"(raw={float(outside[0])!r} outside [{lo}, {hi}])"
+            f"(raw={float(raws[~inside][0])!r} outside [{lo}, {hi}])"
         )
     return (hi - raws) / (hi - lo)

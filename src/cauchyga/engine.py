@@ -9,32 +9,45 @@ distance between the population's NFD before selection and the NFD of the
 selected parent pool; both are counted on the fitness array
 (:func:`realized_strength`), with no NFD objects built.
 
+A genome decodes onto a fixed lattice of 2**bits_per_var levels per
+variable (bits_per_var in [1, 16]). The lattice points and the objective's
+elementwise terms at them are computed once per (objective, bits_per_var)
+and cached (terms up to 2**20 table entries, levels x dims); a generation
+gathers its genomes' terms from those tables and reduces them row by row,
+the same values as evaluating the decoded points.
+
 Every random decision of a run comes from one numpy PCG64 generator seeded
 from (master_seed, run_index), so replays are bit-identical and distinct
 runs are independent streams. The draws come in a fixed order: the initial
 bit matrix, then per generation the roulette draw, the pairing
 permutation, per pair one crossover uniform followed by its swap mask when
 the pair crosses, the odd leftover's partner and crossover, and one
-mutation matrix. Crossover replays that per-pair order from one block
-draw: it reads the pair decisions off the block, then moves the generator
-exactly as far as the per-pair draws would have.
+mutation matrix. The roulette draws one double per parent and looks it up
+in the cumulative probabilities, as ``Generator.choice`` does. Crossover
+replays the per-pair order from one block draw: it reads the pair
+decisions off the block, then rewinds the generator and advances it exactly
+as far as the per-pair draws would have. The order and number of draws is
+the same as with one call per pair, so every output byte is too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .annealing import AnnealingSchedule, constant_schedule, gamma_at
-from .benchmarks import ObjectiveSpec, evaluate_raw_batch, to_fitness_batch
+from .benchmarks import ObjectiveSpec, _check_box, _reduce, _terms, to_fitness_batch
 # engine.distance stays importable: callers and bench/test_bench.py look it up here
 from .nfd import NFD, distance, fitness_distribution_from_values, normalize
 
 GENERATOR_NAME = "numpy-PCG64"
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _U64 = 0xFFFFFFFFFFFFFFFF
+MAX_BITS_PER_VAR = 16  # a lattice table has at most 2**16 rows
+_MAX_TABLE = 1 << 20  # entries (levels * dims) per cached term table: 8 MB
 
 PROPORTIONATE = "proportionate"
 BOLTZMANN_CONST = "boltzmann_const"
@@ -88,8 +101,8 @@ class GaConfig:
             raise ValueError("mutation_prob_per_bit must be in [0, 0.1]")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.bits_per_var < 1:
-            raise ValueError("bits_per_var must be >= 1")
+        if not 1 <= self.bits_per_var <= MAX_BITS_PER_VAR:
+            raise ValueError(f"bits_per_var must be in [1, {MAX_BITS_PER_VAR}]")
 
     @property
     def genome_length(self) -> int:
@@ -136,6 +149,45 @@ class AggregatedSeries:
     strength_std: np.ndarray
 
 
+def _genes(bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> np.ndarray:
+    """Lattice level of every gene, (n, dims); each slice is read big-endian."""
+    n = bits.shape[0]
+    if bits.shape[1] != spec.dims * bits_per_var:
+        raise ValueError(
+            f"genome length {bits.shape[1]} != dims*bits_per_var "
+            f"{spec.dims * bits_per_var}"
+        )
+    weights = 1 << np.arange(bits_per_var - 1, -1, -1, dtype=np.intp)
+    return bits.reshape(n, spec.dims, bits_per_var) @ weights
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice(
+    spec: ObjectiveSpec, bits_per_var: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+    """The lattice points and the flat (levels, dims) objective-term tables.
+
+    Level v sits at lower + v / (levels - 1) * (upper - lower), so v = 0
+    hits the lower bound and v = levels - 1 the upper bound exactly. The
+    terms are the objective's elementwise terms on the (levels, dims) grid
+    of those points; None when the grid has more than ``_MAX_TABLE``
+    entries.
+    """
+    if not 1 <= bits_per_var <= MAX_BITS_PER_VAR:
+        raise ValueError(f"bits_per_var must be in [1, {MAX_BITS_PER_VAR}]")
+    levels = 2**bits_per_var
+    v = np.arange(levels, dtype=np.float64)
+    points = spec.lower + v / float(levels - 1) * (spec.upper - spec.lower)
+    _check_box(spec, points)
+    points.flags.writeable = False
+    if levels * spec.dims > _MAX_TABLE:
+        return points, None
+    terms = _terms(spec, np.repeat(points[:, None], spec.dims, axis=1))
+    for table in terms:
+        table.flags.writeable = False
+    return points, tuple(t.ravel() for t in terms)
+
+
 def decode_batch(
     bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int
 ) -> np.ndarray:
@@ -143,18 +195,14 @@ def decode_batch(
 
     Each gene slice is read big-endian as an unsigned integer v and mapped
     linearly so v = 0 hits the lower bound and v = 2**bits_per_var - 1 hits
-    the upper bound exactly.
+    the upper bound exactly (a gather from the cached lattice points).
+
+    Raises:
+        ValueError: On a genome length other than dims * bits_per_var, or
+            bits_per_var outside [1, 16].
     """
-    n = bits.shape[0]
-    if bits.shape[1] != spec.dims * bits_per_var:
-        raise ValueError(
-            f"genome length {bits.shape[1]} != dims*bits_per_var "
-            f"{spec.dims * bits_per_var}"
-        )
-    weights = 2 ** np.arange(bits_per_var - 1, -1, -1, dtype=np.float64)
-    v = bits.reshape(n, spec.dims, bits_per_var).astype(np.float64) @ weights
-    denom = float(2**bits_per_var - 1)
-    return spec.lower + v / denom * (spec.upper - spec.lower)
+    points, _ = _lattice(spec, bits_per_var)
+    return points[_genes(bits, spec, bits_per_var)]
 
 
 def make_population(
@@ -162,9 +210,20 @@ def make_population(
 ) -> Population:
     """Decode, evaluate and map to fitness every row of a bit matrix.
 
-    The population holds ``bits`` itself, not a copy.
+    The terms of each row are gathered from the cached lattice tables (or,
+    past the table size limit, computed on the decoded points) and reduced
+    row by row: bit for bit what ``evaluate_raw_batch(spec,
+    decode_batch(bits, ...))`` returns. The population holds ``bits``
+    itself, not a copy.
     """
-    raw = evaluate_raw_batch(spec, decode_batch(bits, spec, bits_per_var))
+    points, tables = _lattice(spec, bits_per_var)
+    genes = _genes(bits, spec, bits_per_var)
+    if tables is None:
+        terms = _terms(spec, points[genes])
+    else:
+        index = genes * spec.dims + np.arange(spec.dims)
+        terms = tuple(t[index] for t in tables)
+    raw = _reduce(spec, terms)
     return Population(bits=bits, raw=raw, fitness=to_fitness_batch(spec, raw))
 
 
@@ -177,14 +236,15 @@ def realized_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
     """L1 distance between the NFDs of ``fitness`` and of ``fitness[chosen]``.
 
     Bit-identical to ``distance(population_nfd(fitness),
-    population_nfd(fitness[chosen]))``, counted on arrays instead: every
+    population_nfd(fitness[chosen]))``, counted on arrays instead (the
+    distinct values come from one sort and a neighbour comparison): every
     mass is the same correctly rounded count / size, and ``fsum`` is exactly
     rounded, so neither term order nor zero terms change the sum. As with
     the NFDs, 0.0 and -0.0 count as one fitness value.
 
     Raises:
-        ValueError: On an empty population or selection, or a negative
-            fitness value.
+        ValueError: On an empty population or selection, or a negative or
+            non-finite fitness value.
     """
     fits = np.asarray(fitness, dtype=np.float64)
     picks = np.asarray(chosen)
@@ -193,9 +253,20 @@ def realized_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
     negative = fits[fits < 0.0]
     if negative.size:
         raise ValueError(f"negative fitness: {float(negative[0])}")
-    values, inverse = np.unique(fits, return_inverse=True)
-    before = np.bincount(inverse, minlength=len(values)) / fits.size
-    after = np.bincount(inverse[picks], minlength=len(values)) / picks.size
+    finite = np.isfinite(fits)
+    if not finite.all():
+        raise ValueError(f"non-finite fitness: {float(fits[~finite][0])}")
+    order = fits.argsort(kind="stable")
+    ordered = fits[order]
+    new_value = np.empty(fits.size, dtype=bool)
+    new_value[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_value[1:])
+    rank = new_value.cumsum() - 1  # distinct-value index of each sorted entry
+    inverse = np.empty_like(rank)
+    inverse[order] = rank
+    values = int(rank[-1]) + 1
+    before = np.bincount(inverse, minlength=values) / fits.size
+    after = np.bincount(inverse[picks], minlength=values) / picks.size
     return math.fsum(np.abs(before - after).tolist())
 
 
@@ -212,7 +283,8 @@ def selection_probabilities(
 
     Raises:
         ValueError: On an empty population, an unknown scheme, a negative
-            gamma_n, or all-zero fitness under proportionate selection.
+            or non-finite gamma_n, or all-zero fitness under proportionate
+            selection.
     """
     fits = np.asarray(fitness, dtype=np.float64)
     if fits.size == 0:
@@ -223,6 +295,8 @@ def selection_probabilities(
             raise ValueError("degenerate population")
         return fits / total
     if selection in (BOLTZMANN_CONST, CAUCHY_BOLTZMANN):
+        if not math.isfinite(gamma_n):
+            raise ValueError("inverse temperature must be finite")
         if gamma_n < 0.0:
             raise ValueError("inverse temperature must be nonnegative")
         w = np.exp(gamma_n * (fits - fits.max()))
@@ -240,11 +314,25 @@ def select_parents(
     """Indices of parents drawn i.i.d. with replacement by roulette.
 
     Multinomial roulette: ``count`` draws (population size by default) from
-    the categorical distribution of :func:`selection_probabilities`.
+    the categorical distribution of :func:`selection_probabilities`. Each
+    draw is one double looked up in the normalized cumulative sums, the
+    algorithm of ``rng.choice(len(p), count, p=p)``: the same doubles drawn
+    and the same indices.
+
+    Raises:
+        ValueError: As :func:`selection_probabilities`, or if a probability
+            is negative or their sum is not finite and positive.
     """
     p = selection_probabilities(fitness, selection, gamma_n)
     k = len(p) if count is None else count
-    return rng.choice(len(p), size=k, replace=True, p=p)
+    cdf = p.cumsum()
+    total = float(cdf[-1])
+    if not (math.isfinite(total) and total > 0.0) or (p < 0.0).any():
+        raise ValueError(
+            "selection probabilities must be nonnegative with a finite positive sum"
+        )
+    cdf /= total
+    return cdf.searchsorted(rng.random(k), side="right")
 
 
 def uniform_crossover(
@@ -258,8 +346,9 @@ def uniform_crossover(
     children's bit pair is always a permutation of the parents' pair.
     Pairs draw in row order: one uniform, then the swap mask only when
     the pair crosses. That order is replayed from one block of the most
-    doubles the pairs can use; the generator then draws exactly the doubles
-    the pairs used, so it ends where per-pair draws would leave it.
+    doubles the pairs can use; the generator is then rewound and advanced
+    past exactly the doubles the pairs used, so it ends where per-pair
+    draws would leave it. ``rng`` must be PCG64-based, as every run's is.
 
     Raises:
         ValueError: On parent matrices of different shapes.
@@ -267,24 +356,31 @@ def uniform_crossover(
     if a.shape != b.shape:
         raise ValueError(f"genome length mismatch: {a.shape} vs {b.shape}")
     n, length = a.shape
-    # A restored state keeps the buffered half of a uint64 that integers()
-    # and permutation() leave behind; PCG64.advance() would clear it.
-    state = rng.bit_generator.state
+    bitgen = rng.bit_generator
+    state = bitgen.state
     block = rng.random(n * (length + 1))
-    decisions, crossing = [], []
+    u = memoryview(block)
+    crossing, starts = [], []  # crossing rows and where their swap masks start
     pos = 0
     for i in range(n):
-        decisions.append(pos)
         pos += 1
-        if block[pos - 1] < crossover_prob:
+        if u[pos - 1] < crossover_prob:
             crossing.append(i)
+            starts.append(pos)
             pos += length
-    rng.bit_generator.state = state
-    rng.random(pos)
-    # the used doubles other than the pair decisions are the swap masks
-    masks = np.delete(block[:pos], decisions).reshape(len(crossing), length)
+    # Rewind to just past the doubles used (each double is one 64-bit draw).
+    # advance() drops the buffered half of a uint64 that integers() and
+    # permutation() leave behind, so it is put back.
+    bitgen.state = state
+    bitgen.advance(pos)
+    if state["has_uint32"]:
+        moved = bitgen.state
+        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
+        bitgen.state = moved
     swap = np.zeros(a.shape, dtype=bool)
-    swap[crossing] = masks < 0.5
+    if crossing:
+        masks = block[np.add.outer(starts, np.arange(length))]
+        swap[crossing] = masks < 0.5
     diff = (a ^ b) * swap
     return a ^ diff, b ^ diff
 

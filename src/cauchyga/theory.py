@@ -68,35 +68,45 @@ def lemma1_check(phi: NFD, gamma1: float, gamma2: float) -> BoundCheck:
     return BoundCheck(lhs, rhs, lhs <= rhs + 1e-9)
 
 
+def tail_bound(phi: NFD, schedule: AnnealingSchedule, m: int, n: int) -> float:
+    """Right-hand side of the tail bound between generations m and n.
+
+    The sum over the support of exp(x * tail) - 1, where tail is the
+    schedule increment sum over generations m+1 .. n. A term whose exponent
+    would overflow makes the bound +inf.
+
+    The derivation needs nonnegative fitness, which every NFD has.
+
+    Raises:
+        ValueError: If n <= m, m < 1, or the schedule is not of the Cauchy
+            kind.
+    """
+    if m < 1 or n <= m:
+        raise ValueError(f"need n > m >= 1, got m={m}, n={n}")
+    tail = tail_sum(schedule, m, n)
+    rhs = 0.0
+    for x, _ in phi:
+        if x * tail > _EXP_OVERFLOW:
+            return math.inf
+        rhs += math.expm1(x * tail)
+    return rhs
+
+
 def lemma2_bound_check(
     phi: NFD, schedule: AnnealingSchedule, m: int, n: int
 ) -> BoundCheck:
     """Check the tail bound on the distance between generations m and n.
 
-    lhs is d(op_n(phi), op_m(phi)); rhs is the sum over the support of
-    exp(x * tail) - 1 where tail is the schedule increment sum over
-    generations m+1 .. n. A term whose exponent would overflow makes rhs
-    +inf, which satisfies the bound vacuously.
+    lhs is d(op_n(phi), op_m(phi)); rhs is :func:`tail_bound`. An infinite
+    rhs satisfies the bound vacuously.
 
     Raises:
-        ValueError: If n <= m, m < 1, or the support has a negative value
-            (the bound's derivation needs nonnegative fitness).
+        ValueError: As :func:`tail_bound`.
     """
-    if m < 1 or n <= m:
-        raise ValueError(f"need n > m >= 1, got m={m}, n={n}")
-    for x in phi.support:
-        if x < 0.0:
-            raise ValueError(f"negative support value: {x}")
+    rhs = tail_bound(phi, schedule, m, n)
     lhs = distance(
         cumulative_operator(phi, schedule, n), cumulative_operator(phi, schedule, m)
     )
-    tail = tail_sum(schedule, m, n)
-    rhs = 0.0
-    for x, _ in phi:
-        if x * tail > _EXP_OVERFLOW:
-            rhs = math.inf
-            break
-        rhs += math.expm1(x * tail)
     return BoundCheck(lhs, rhs, lhs <= rhs + 1e-9)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .annealing import cauchy_schedule
 from .nfd import NFD, distance
 from .selection import boltzmann_apply
-from .theory import cauchy_tail_profile, lemma1_check, lemma2_bound_check
+from .theory import cauchy_tail_profile, lemma1_check, lemma2_bound_check, tail_bound
 
 LEMMA_ALPHAS = (1.1, 1.5, 2.0)
 LEMMA_G0S = (0.1, 1.0, 10.0)
@@ -227,8 +227,7 @@ def cauchy_tail_suite(
                 worst_lhs = 0.0
                 worst_rhs = 2.0
                 for ckpt, val in profile:
-                    bound = lemma2_bound_check(phi, schedule, ckpt, 4 * ckpt)
-                    cap = min(2.0, bound.rhs)
+                    cap = min(2.0, tail_bound(phi, schedule, ckpt, 4 * ckpt))
                     if val > cap + tol.lemma_slack:
                         problems.append(f"window {ckpt}..{4 * ckpt} above bound")
                     if val > worst_lhs:

@@ -169,3 +169,20 @@ def test_tail_threshold_exists_analytically_for_slow_alpha():
     assert bound <= eps * (1.0 + 1e-9)
     # far beyond any horizon this implementation will ever sum directly
     assert n_star > 10**30
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_schedules_reject_non_finite_inverse_temperature(bad):
+    with pytest.raises(ValueError, match="inverse temperature must be finite"):
+        constant_schedule(bad)
+    with pytest.raises(ValueError, match="inverse temperature must be finite"):
+        cauchy_schedule(bad, 2.0)
+    with pytest.raises(ValueError, match="inverse temperature must be finite"):
+        calibrate_g0(2.0, 100, bad)
+
+
+def test_nan_alpha_does_not_exceed_1():
+    with pytest.raises(ValueError, match="alpha must exceed 1"):
+        cauchy_schedule(1.0, math.nan)
+    with pytest.raises(ValueError, match="alpha must exceed 1"):
+        calibrate_g0(math.nan, 100, 300.0)

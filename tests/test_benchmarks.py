@@ -147,3 +147,44 @@ def test_evaluate_raw_validation():
 def test_schwefel_bound_constant_is_conservative():
     one_dim = schwefel_1d_min()
     assert SCHWEFEL_PER_DIM > -one_dim  # strictly wider than attainable
+
+
+def formula_reference(spec, xs) -> np.ndarray:
+    """Each objective written out in one expression, as a reference."""
+    if spec.name == "rastrigin":
+        return spec.dims * 10.0 + np.sum(xs * xs - 10.0 * np.cos(2.0 * np.pi * xs), axis=1)
+    if spec.name == "griewangk":
+        idx = np.sqrt(np.arange(1, spec.dims + 1, dtype=np.float64))
+        return np.sum(xs * xs, axis=1) / 4000.0 - np.prod(np.cos(xs / idx), axis=1) + 1.0
+    if spec.name == "ackley":
+        rms = np.sqrt(np.mean(xs * xs, axis=1))
+        mean_cos = np.mean(np.cos(2.0 * np.pi * xs), axis=1)
+        return -20.0 * np.exp(-0.2 * rms) - np.exp(mean_cos) + 20.0 + math.e
+    return np.sum(-xs * np.sin(np.sqrt(np.abs(xs))), axis=1)
+
+
+@pytest.mark.parametrize("name", FUNCTION_NAMES)
+def test_terms_and_reduction_equal_the_formula(name):
+    rng = np.random.default_rng(71)
+    for dims in (1, 2, 15):
+        spec = make_objective(name, dims)
+        xs = rng.uniform(spec.lower, spec.upper, size=(300, dims))
+        got = evaluate_raw_batch(spec, xs)
+        assert got.tobytes() == formula_reference(spec, xs).tobytes()
+
+
+@pytest.mark.parametrize("name", FUNCTION_NAMES)
+def test_evaluate_raw_rejects_nan_component(name):
+    spec = make_objective(name, 3)
+    with pytest.raises(ValueError, match="component outside objective bounds"):
+        evaluate_raw_batch(spec, [[math.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="component outside objective bounds"):
+        evaluate_raw_batch(spec, [[0.0, 0.0, 0.0], [0.0, 0.0, math.nan]])
+
+
+def test_to_fitness_rejects_nan():
+    spec = make_objective("rastrigin", 3)
+    with pytest.raises(ValueError, match=r"bound violation.*raw=nan outside"):
+        to_fitness_batch(spec, [1.0, math.nan])
+    with pytest.raises(ValueError, match="bound violation"):
+        to_fitness_batch(spec, [math.nan])

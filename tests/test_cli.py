@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from cauchyga import engine
 from cauchyga.annealing import calibrate_g0
 from cauchyga.cli import (
     CliConfig,
@@ -200,6 +201,44 @@ def test_cli_rejects_single_individual(tmp_path, capsys):
     assert rc == 2
     assert "error: pop_size must be >= 2" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--selection", "boltzmann-const", "--gamma", "nan"],
+        ["--selection", "boltzmann-const", "--gamma", "inf"],
+        ["--selection", "cauchy-boltzmann", "--gamma-target", "inf"],
+        ["--selection", "cauchy-boltzmann", "--g0", "nan"],
+    ],
+)
+def test_cli_rejects_non_finite_gamma(tmp_path, capsys, flags):
+    rc = main(
+        ["run", "--function", "ackley", *flags, "--pop-size", "10",
+         "--generations", "2", "--runs", "1", "--output", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "error: inverse temperature must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_rejects_bits_per_var_above_16(tmp_path, capsys):
+    rc = main(
+        ["run", "--function", "ackley", "--selection", "proportionate",
+         "--bits-per-var", "17", "--pop-size", "10", "--generations", "2",
+         "--runs", "1", "--output", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "error: bits_per_var must be in [1, 16]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_experiment_bytes_do_not_depend_on_the_lattice_cache(tmp_path):
+    engine._lattice.cache_clear()
+    cold = run_experiment(tiny_cfg(tmp_path / "cold", function="schwefel"))[0]
+    warm = run_experiment(tiny_cfg(tmp_path / "warm", function="schwefel"))[0]
+    assert engine._lattice.cache_info().hits > 0
+    assert cold.read_bytes() == warm.read_bytes()
 
 
 def test_schedule_rows_hand_computed(tmp_path):

@@ -7,8 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from cauchyga import engine
 from cauchyga.annealing import cauchy_schedule, constant_schedule
-from cauchyga.benchmarks import evaluate_raw_batch, make_objective, to_fitness_batch
+from cauchyga.benchmarks import (
+    FUNCTION_NAMES,
+    evaluate_raw_batch,
+    make_objective,
+    to_fitness_batch,
+)
 from cauchyga.engine import (
     GaConfig,
     aggregate,
@@ -367,3 +373,127 @@ def test_proportionate_records_zero_gamma():
     cfg = small_config(selection="proportionate", generations=2)
     series = run(cfg, 0)
     assert all(r.gamma == 0.0 for r in series.records)
+
+
+def reference_decode(bits, spec, bits_per_var) -> np.ndarray:
+    """The lattice mapping written out: big-endian gene value, then affine."""
+    n = bits.shape[0]
+    weights = 2 ** np.arange(bits_per_var - 1, -1, -1, dtype=np.float64)
+    v = bits.reshape(n, spec.dims, bits_per_var).astype(np.float64) @ weights
+    return spec.lower + v / float(2**bits_per_var - 1) * (spec.upper - spec.lower)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 15])
+@pytest.mark.parametrize("bits_per_var", [1, 2, 5, 8, 16])
+@pytest.mark.parametrize("name", FUNCTION_NAMES)
+def test_lattice_evaluation_equals_decoded_evaluation(name, bits_per_var, dims):
+    spec = make_objective(name, dims)
+    rng = np.random.default_rng(7 * bits_per_var + dims)
+    bits = random_bits(rng, 300, dims * bits_per_var)
+    bits[0], bits[1] = 0, 1  # both ends of the box
+    if bits_per_var <= 8:  # plus one row per level, every gene at that level
+        levels = np.arange(2**bits_per_var)[:, None] >> np.arange(bits_per_var)[::-1]
+        bits = np.vstack([bits, np.tile(levels & 1, dims).astype(np.uint8)])
+    points = decode_batch(bits, spec, bits_per_var)
+    assert points.tobytes() == reference_decode(bits, spec, bits_per_var).tobytes()
+    pop = make_population(bits, spec, bits_per_var)
+    raw = evaluate_raw_batch(spec, points)
+    assert pop.raw.tobytes() == raw.tobytes()
+    assert pop.fitness.tobytes() == to_fitness_batch(spec, raw).tobytes()
+    if bits_per_var == 16:
+        engine._lattice.cache_clear()  # drop the large tables
+
+
+@pytest.mark.parametrize("name", FUNCTION_NAMES)
+def test_population_past_the_table_limit_evaluates_decoded_points(name):
+    spec = make_objective(name, 17)  # 2**16 levels x 17 dims > 2**20 entries
+    assert engine._lattice(spec, 16)[1] is None
+    bits = random_bits(np.random.default_rng(151), 40, 17 * 16)
+    pop = make_population(bits, spec, 16)
+    raw = evaluate_raw_batch(spec, decode_batch(bits, spec, 16))
+    assert pop.raw.tobytes() == raw.tobytes()
+
+
+def test_lattice_tables_are_read_only():
+    points, tables = engine._lattice(RAST, 5)
+    for table in (points, *tables):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    decoded = decode_batch(np.zeros((1, 75), np.uint8), RAST, 5)
+    decoded[0, 0] = 1.0  # a decoded batch is the caller's own array
+    assert points[0] == -5.12
+
+
+@pytest.mark.parametrize("bits_per_var", [0, 17])
+def test_config_and_decode_reject_bits_per_var_outside_1_to_16(bits_per_var):
+    with pytest.raises(ValueError, match=r"bits_per_var must be in \[1, 16\]"):
+        small_config(bits_per_var=bits_per_var)
+    with pytest.raises(ValueError, match=r"bits_per_var must be in \[1, 16\]"):
+        decode_batch(np.zeros((1, 3 * bits_per_var), np.uint8),
+                     make_objective("rastrigin", 3), bits_per_var)
+    assert small_config(bits_per_var=16).genome_length == 48
+
+
+@pytest.mark.parametrize("count", [None, 7, 1000])
+@pytest.mark.parametrize(
+    "selection,gamma", [("proportionate", 0.0), ("boltzmann_const", 300.0)]
+)
+def test_roulette_matches_generator_choice(selection, gamma, count):
+    fitness = np.random.default_rng(131).random(150)
+    zero_rows = np.arange(0, 150, 7)
+    if selection == "proportionate":
+        fitness[zero_rows] = 0.0
+    p = selection_probabilities(fitness, selection, gamma)
+    ours, reference = np.random.default_rng(137), np.random.default_rng(137)
+    got = select_parents(fitness, selection, gamma, ours, count=count)
+    want = reference.choice(150, size=150 if count is None else count, replace=True, p=p)
+    assert got.tolist() == want.tolist()
+    assert ours.random() == reference.random()
+    if selection == "proportionate":
+        assert not np.isin(got, zero_rows).any()
+
+
+class FixedDraws:
+    """Stands in for a generator whose next doubles are known."""
+
+    def __init__(self, doubles):
+        self.doubles = np.asarray(doubles, dtype=np.float64)
+
+    def random(self, size):
+        assert size == len(self.doubles)
+        return self.doubles
+
+
+def test_roulette_double_on_a_cumulative_sum_picks_the_next_row():
+    # as in Generator.choice, so a zero-probability row is never drawn,
+    # not even by the double 0.0
+    fitness = np.array([0.0, 0.5, 0.5])
+    got = select_parents(fitness, "proportionate", 0.0, FixedDraws([0.0, 0.5, 0.75]))
+    assert got.tolist() == [1, 2, 2]
+
+
+def test_roulette_rejects_nan_or_negative_probabilities():
+    rng = np.random.default_rng(139)
+    message = "selection probabilities must be nonnegative"
+    with pytest.raises(ValueError, match=message):
+        select_parents(np.array([0.5, math.nan]), "proportionate", 0.0, rng)
+    with pytest.raises(ValueError, match=message):
+        select_parents(np.array([1.0, -0.5]), "proportionate", 0.0, rng)
+    with pytest.raises(ValueError, match=message):
+        select_parents(np.array([0.5, math.nan]), "boltzmann_const", 2.0, rng)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="inverse temperature must be finite"):
+            select_parents(np.array([0.5, 0.25]), "boltzmann_const", gamma, rng)
+
+
+def test_crossover_leaves_stream_where_per_pair_draws_do_from_fresh_state():
+    bits = random_bits(np.random.default_rng(141), 40)
+    rng, replay = np.random.default_rng(143), np.random.default_rng(143)
+    assert rng.bit_generator.state["has_uint32"] == 0
+    uniform_crossover(bits[:20], bits[20:], 0.6, rng)
+    for _ in range(20):
+        if replay.random() < 0.6:
+            replay.random(75)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert rng.integers(0, 2**40) == replay.integers(0, 2**40)
+

@@ -96,6 +96,16 @@ def test_realized_strength_rejects_negative_fitness(case, negative, data):
         realized_strength(fitness, chosen)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_realized_strength_rejects_non_finite_fitness(bad):
+    fitness = np.array([0.5, bad, bad])
+    chosen = np.array([0, 0, 1])
+    with pytest.raises(ValueError, match="non-finite fitness"):
+        nfd_strength(fitness, chosen)
+    with pytest.raises(ValueError, match="non-finite fitness"):
+        realized_strength(fitness, chosen)
+
+
 def test_realized_strength_rejects_empty_population():
     empty = np.array([], dtype=np.float64)
     none = np.array([], dtype=np.intp)

@@ -15,6 +15,7 @@ from cauchyga.theory import (
     cumulative_operator,
     lemma1_check,
     lemma2_bound_check,
+    tail_bound,
 )
 from cauchyga.verify import random_nfd
 
@@ -124,6 +125,22 @@ def test_lemma2_random_suite_holds():
         m = int(rng.integers(1, 50))
         n = int(rng.integers(m + 1, 51))
         assert lemma2_bound_check(phi, cauchy_schedule(g0, alpha), m, n).holds
+
+
+def test_tail_bound_is_the_lemma2_rhs():
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        phi = random_nfd(rng)
+        s = cauchy_schedule(float(rng.choice([0.1, 1.0, 10.0])), float(rng.choice([1.1, 2.0])))
+        m = int(rng.integers(1, 50))
+        n = int(rng.integers(m + 1, 51))
+        assert tail_bound(phi, s, m, n) == lemma2_bound_check(phi, s, m, n).rhs
+    big = NFD({0.0: 0.5, 2000.0: 0.5})
+    assert math.isinf(tail_bound(big, cauchy_schedule(10.0, 1.1), 1, 40))
+    with pytest.raises(ValueError, match="need n > m >= 1"):
+        tail_bound(big, cauchy_schedule(1.0, 2.0), 0, 4)
+    with pytest.raises(ValueError, match="tail sum undefined for constant"):
+        tail_bound(big, constant_schedule(1.0), 1, 4)
 
 
 def test_profile_point_mass_all_zero():
