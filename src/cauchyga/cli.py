@@ -27,7 +27,7 @@ import numpy as np
 from . import engine
 from .annealing import calibrate_g0, cauchy_schedule, constant_schedule, gamma_at
 from .benchmarks import FUNCTION_NAMES, make_objective
-from .engine import GENERATOR_NAME, GaConfig, multi_run
+from .engine import GENERATOR_NAME, STREAM_VERSION, GaConfig, multi_run
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -217,6 +217,7 @@ def _metadata(cfg: CliConfig, g0_effective: float | None) -> dict[str, str]:
         "mutation_prob_per_bit": fmt(cfg.mutation_prob),
         "elitism": fmt(cfg.elitism),
         "generator": f"{GENERATOR_NAME} (numpy {np.__version__})",
+        "stream_version": fmt(STREAM_VERSION),
     }
     return meta
 

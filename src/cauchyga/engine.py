@@ -18,16 +18,13 @@ the same values as evaluating the decoded points.
 
 Every random decision of a run comes from one numpy PCG64 generator seeded
 from (master_seed, run_index), so replays are bit-identical and distinct
-runs are independent streams. The draws come in a fixed order: the initial
-bit matrix, then per generation the roulette draw, the pairing
-permutation, per pair one crossover uniform followed by its swap mask when
-the pair crosses, the odd leftover's partner and crossover, and one
-mutation matrix. The roulette draws one double per parent and looks it up
-in the cumulative probabilities, as ``Generator.choice`` does. Crossover
-replays the per-pair order from one block draw: it reads the pair
-decisions off the block, then rewinds the generator and advances it exactly
-as far as the per-pair draws would have. The order and number of draws is
-the same as with one call per pair, so every output byte is too.
+runs are independent streams. The draws come in a fixed order, numbered
+by ``STREAM_VERSION``: the initial bit matrix, then per generation the
+roulette doubles (one per parent, looked up in the cumulative
+probabilities as ``Generator.choice`` does), the pairing permutation, the
+crossover decisions (one double per pair), the swap-mask bytes (ceil(L /
+8) per pair), the odd leftover's partner index followed by its own
+decision and mask bytes, the mutation flip count and the flip positions.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from .benchmarks import ObjectiveSpec, _check_box, _reduce, _terms, to_fitness_b
 from .nfd import NFD, distance, fitness_distribution_from_values, normalize
 
 GENERATOR_NAME = "numpy-PCG64"
+STREAM_VERSION = 2  # the draw order of the module docstring; bumped when it changes
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _U64 = 0xFFFFFFFFFFFFFFFF
 MAX_BITS_PER_VAR = 16  # a lattice table has at most 2**16 rows
@@ -198,10 +196,13 @@ def decode_batch(
     the upper bound exactly (a gather from the cached lattice points).
 
     Raises:
-        ValueError: On a genome length other than dims * bits_per_var, or
-            bits_per_var outside [1, 16].
+        ValueError: On a genome length other than dims * bits_per_var,
+            bits_per_var outside [1, 16], or a bit other than 0 or 1.
     """
     points, _ = _lattice(spec, bits_per_var)
+    bits = np.asarray(bits)
+    if ((bits != 0) & (bits != 1)).any():
+        raise ValueError("bits must be 0 or 1")
     return points[_genes(bits, spec, bits_per_var)]
 
 
@@ -344,11 +345,9 @@ def uniform_crossover(
     position independently swaps between the pair with probability 1/2;
     otherwise both parents pass through unchanged. Per position the
     children's bit pair is always a permutation of the parents' pair.
-    Pairs draw in row order: one uniform, then the swap mask only when
-    the pair crosses. That order is replayed from one block of the most
-    doubles the pairs can use; the generator is then rewound and advanced
-    past exactly the doubles the pairs used, so it ends where per-pair
-    draws would leave it. ``rng`` must be PCG64-based, as every run's is.
+    The draws are one double per pair (the pair crosses when it is below
+    crossover_prob), then a swap mask for every pair, crossing or not:
+    ceil(L / 8) random bytes per row, unpacked to exact fair bits.
 
     Raises:
         ValueError: On parent matrices of different shapes.
@@ -356,31 +355,10 @@ def uniform_crossover(
     if a.shape != b.shape:
         raise ValueError(f"genome length mismatch: {a.shape} vs {b.shape}")
     n, length = a.shape
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    block = rng.random(n * (length + 1))
-    u = memoryview(block)
-    crossing, starts = [], []  # crossing rows and where their swap masks start
-    pos = 0
-    for i in range(n):
-        pos += 1
-        if u[pos - 1] < crossover_prob:
-            crossing.append(i)
-            starts.append(pos)
-            pos += length
-    # Rewind to just past the doubles used (each double is one 64-bit draw).
-    # advance() drops the buffered half of a uint64 that integers() and
-    # permutation() leave behind, so it is put back.
-    bitgen.state = state
-    bitgen.advance(pos)
-    if state["has_uint32"]:
-        moved = bitgen.state
-        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
-        bitgen.state = moved
-    swap = np.zeros(a.shape, dtype=bool)
-    if crossing:
-        masks = block[np.add.outer(starts, np.arange(length))]
-        swap[crossing] = masks < 0.5
+    crosses = rng.random(n) < crossover_prob
+    mask = rng.integers(0, 256, (n, (length + 7) // 8), dtype=np.uint8)
+    swap = np.unpackbits(mask, axis=1, count=length)
+    swap &= crosses[:, None]
     diff = (a ^ b) * swap
     return a ^ diff, b ^ diff
 
@@ -390,12 +368,17 @@ def mutate(
 ) -> np.ndarray:
     """Flip each bit independently with the given probability.
 
-    The flip mask is one draw of the matrix's shape, which fills row by row:
-    the same doubles as one mask per row drawn in turn.
+    Draws the flip count k ~ Binomial(bits.size, p), then k distinct flat
+    positions uniformly without replacement, and flips those in a copy:
+    exactly the law of one Bernoulli(p) draw per bit. ``bits`` itself is
+    not modified.
     """
     if not 0.0 <= mutation_prob_per_bit <= 1.0:
         raise ValueError("mutation probability must be in [0, 1]")
-    return bits ^ (rng.random(bits.shape) < mutation_prob_per_bit)
+    out = bits.copy()
+    count = rng.binomial(bits.size, mutation_prob_per_bit)
+    out.reshape(-1)[rng.choice(bits.size, count, replace=False)] ^= 1
+    return out
 
 
 def step_generation(

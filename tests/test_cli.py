@@ -44,6 +44,11 @@ def test_run_writes_expected_schema(tmp_path):
     assert [r[0] for r in rows] == ["1", "2", "3"]
 
 
+def test_metadata_carries_stream_version(tmp_path):
+    meta, _, _ = read_series_csv(run_experiment(tiny_cfg(tmp_path))[0])
+    assert meta["stream_version"] == str(engine.STREAM_VERSION) == "2"
+
+
 def test_run_single_row_csv(tmp_path):
     cfg = tiny_cfg(tmp_path, generations=1, runs=1)
     paths = run_experiment(cfg)

@@ -6,8 +6,11 @@ These tests compare against SHA-256 digests recorded once and kept in this
 file. Only data rows are hashed: the ``#`` metadata lines carry the numpy
 version, which is not part of the stream.
 
-The digests were made with numpy 2.4.6 (PCG64). A change that means to
-alter the numbers updates them here and says so in CHANGES.md.
+The series digests were made with stream version 2 (the draw order that
+``engine.STREAM_VERSION`` numbers) on numpy 2.4.6 (PCG64); the verify
+digests do not depend on the GA stream. A change that means to alter the
+numbers bumps the stream version where it changes the draws, updates the
+digests here and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import numpy as np
 
 from cauchyga.benchmarks import FUNCTION_NAMES
 from cauchyga.cli import CliConfig, run_experiment
-from cauchyga.engine import SELECTION_SCHEMES
+from cauchyga.engine import SELECTION_SCHEMES, STREAM_VERSION
 from cauchyga.verify import run_verify
 
 DIGEST_NUMPY = "2.4.6"
+DIGEST_STREAM = 2
 
 # (pop_size, elitism, crossover_prob): the odd pool exercises the leftover
 # pairing, the even one elitism and always-on crossover
@@ -32,30 +36,30 @@ GRID = {
 }
 
 SERIES_DIGESTS = {
-    "pop21/rastrigin/proportionate": "9df9b2d950923f0611d332f151e6c2c3d8c05ac486be29551843c94fee2e5f44",
-    "pop21/rastrigin/boltzmann_const": "67c5f03edaaab6b30dcee269aba57b9c8f5ce067aecc07ca045060dfba4376de",
-    "pop21/rastrigin/cauchy_boltzmann": "415dc64ccad3385102dba5856986d1d23e8c68baa707b9e2ddf488892ecb171a",
-    "pop21/griewangk/proportionate": "2fb2cc4587fe46ea99500a7f3188a19977dc114764af595ea642715cbc8669fe",
-    "pop21/griewangk/boltzmann_const": "2c1830676aeeecd3fb854918b400554dc77093a159ba5750473afd4576708d56",
-    "pop21/griewangk/cauchy_boltzmann": "e667c287055125dbfa92953cca82ef5dd21bf755bdb0c7b0275903beb0ff431e",
-    "pop21/ackley/proportionate": "e7a730dce32ddbebfd9586894cd60b0a227c3b6fc88031f31c4bdccb1d29a54a",
-    "pop21/ackley/boltzmann_const": "a3c6125511d2786f7b0551e29b7a16d6c1d207e74c51d11b9c0427be4d5114fa",
-    "pop21/ackley/cauchy_boltzmann": "f63796603e7cd793cc890495368b6eddd05740fe052a600f5c34e88cf4be5a23",
-    "pop21/schwefel/proportionate": "f3190ce57eafc391ed41f722bf7e3ec4d3de4f86977cedb1f83c392493abfbf5",
-    "pop21/schwefel/boltzmann_const": "72ea2424a8b781b72b45caf418d4781393dcd1bbed80b2acb9b4c05ded8105dc",
-    "pop21/schwefel/cauchy_boltzmann": "1aaa167651d02db49d83ede67ddb30e8216b2605e4a7b96417ee220a4a8806f5",
-    "pop20-elite/rastrigin/proportionate": "47b396d24b4b71a2b8a23db1c45d30dbbc4ed7d6ce2e7ece5eb4b867237b7daf",
-    "pop20-elite/rastrigin/boltzmann_const": "ecf82b6a94b9064ed4adddd33476cfb786eb25fb839b20d24cc95bfafe6972b3",
-    "pop20-elite/rastrigin/cauchy_boltzmann": "ef97623f971513b1e665bdac588a0947d9afa0119dc3b68657d979d0fe51ab2f",
-    "pop20-elite/griewangk/proportionate": "e02169b18e1dfd23b4d5af1f238bc6d0265f873dc247278ec2e8e778bf66d07e",
-    "pop20-elite/griewangk/boltzmann_const": "15a66317e79af0f5cd8a036153163081242626d0dba608a5d8f8a42634f784a4",
-    "pop20-elite/griewangk/cauchy_boltzmann": "56e25674076f761a1ec4ed7385519aef19c850df4d3717345e63abb126218508",
-    "pop20-elite/ackley/proportionate": "a7ab0c7b41e504b1021c95f176ecfde0a4ef13872f476a1a2a5e1109a586e491",
-    "pop20-elite/ackley/boltzmann_const": "4bc73f5b57b0a44f7f629c17044626077f408409334e3b8851a6e2b0b8ae6e1b",
-    "pop20-elite/ackley/cauchy_boltzmann": "e2d1ee2fc7c56acdcd491f6b19784b81597c6e629d25febc5f849b1540836654",
-    "pop20-elite/schwefel/proportionate": "ee58233dd0ca947e067c7a61b43c4e77d00f9cb751895ab4a0615c948091567e",
-    "pop20-elite/schwefel/boltzmann_const": "6601c464cbac1a07b9f26bfd3aa8aaa46bbb2e5410a0f6e7b488a8ab23bab031",
-    "pop20-elite/schwefel/cauchy_boltzmann": "99b59fe4b529869cdecfd81a589cdf7fbfc2aa50e0d03d15a41718754e014cb1",
+    "pop21/rastrigin/proportionate": "054913486e2b3f99edc3c0bd037fe26a9110e0d08c55fbdf4186fc8f675ef6bb",
+    "pop21/rastrigin/boltzmann_const": "46016396f97da66be6316d776fcec0d06a5577ee06c35fbec684251452a87d72",
+    "pop21/rastrigin/cauchy_boltzmann": "9be7d8eae415d068538daafea51edcb4110ff3e9e8c663ed091b30c80569d401",
+    "pop21/griewangk/proportionate": "ab121ec9552760fb18ede59db6ec67644da15c55eb70d0cf035318f32d5db2ae",
+    "pop21/griewangk/boltzmann_const": "8c1033fa603529fe6c843f90279bcd161767c4656e9746ddc5bfe5c242613a78",
+    "pop21/griewangk/cauchy_boltzmann": "27b67059cfbdb1dafa4c76bd8ba7b70b08d1e0c06aa8a029ce10af34226eca40",
+    "pop21/ackley/proportionate": "b58268eccebda5a38bcc05789e651517afd749221713be4b163847bdbd6351be",
+    "pop21/ackley/boltzmann_const": "398e3f60b1671a092c9da921344630756216bd23d7734573d1a2a1f189a139aa",
+    "pop21/ackley/cauchy_boltzmann": "1637160ddf1091147b09f7eafc8ea42999b59d414c438e74bbe609dbf4be508c",
+    "pop21/schwefel/proportionate": "ea5761f4691335d0cbaf24332290faaff3fc952751579d8c0deaabbf9d794006",
+    "pop21/schwefel/boltzmann_const": "da38c6b455c43f6e5acb8ef75780d2c76eefcfc029ce0ee45c0846e769d8c89e",
+    "pop21/schwefel/cauchy_boltzmann": "8c27ae83f3948ca61120a461791f347b97bd4596d41e45fd0e1c9aa437dd23ff",
+    "pop20-elite/rastrigin/proportionate": "7215887a7efdeb95c3e0e7b7dc00e3e80fc019930dbbd140ae2d53cf7a74d278",
+    "pop20-elite/rastrigin/boltzmann_const": "ae361be6735e1fd0dfd4e4d5d78c3e2dce7bd5bba96231843061c0e5d251c13c",
+    "pop20-elite/rastrigin/cauchy_boltzmann": "6a3c994fae8948970faf2efc67acb06f87747360ac521698f02642f60c0b9e21",
+    "pop20-elite/griewangk/proportionate": "7c84918b7a096ed303b5128115c0c28707e6ac3f66a02f7d4c29a17ed3954cae",
+    "pop20-elite/griewangk/boltzmann_const": "420bc901c6b98494dc8673552569b0947dbc5f2302dafd96048028e4b8895820",
+    "pop20-elite/griewangk/cauchy_boltzmann": "bcdd6238a6a730a26d240d9df11d8adb5956170f99bd8653808b60676fe7dd47",
+    "pop20-elite/ackley/proportionate": "210037afd5215abcad7ae4e057c23eff08f697250b0189a58310f4e11d40501e",
+    "pop20-elite/ackley/boltzmann_const": "a01620da28f9bf8eae56cab15235b33d70bcb84769441c0cf036802a7574b5f2",
+    "pop20-elite/ackley/cauchy_boltzmann": "e1699ddb5671c76fcb0389b45b50df0395c8ee174c9e6e7616b10066424a2865",
+    "pop20-elite/schwefel/proportionate": "4e9bfc76b9cfbab3473146c3479a77e3f9af2a51ea89c9a365141c398570ecbe",
+    "pop20-elite/schwefel/boltzmann_const": "3e86685e5506d5d50165bfa52f6d4f93fcae6c1dd4c71b50c959902930e391cc",
+    "pop20-elite/schwefel/cauchy_boltzmann": "afecd23fd03b786fe447b6bee69d95b6e4d97711af4ab710e652bf5e26b26c7d",
 }
 
 VERIFY_DIGEST = "eb59e62f96958b452482ac4fe2c346d42155e3ff2dda2096eb0b484eb0fe40d6"
@@ -100,8 +104,9 @@ def verify_digest(out_dir: Path, cases: int = 100) -> str:
 
 def _why(what: str) -> str:
     return (
-        f"{what} differs from the stored digest (made with numpy "
-        f"{DIGEST_NUMPY}; running numpy {np.__version__})"
+        f"{what} differs from the stored digest (made with stream version "
+        f"{DIGEST_STREAM} on numpy {DIGEST_NUMPY}; running stream version "
+        f"{STREAM_VERSION} on numpy {np.__version__})"
     )
 
 

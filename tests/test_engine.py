@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from cauchyga import engine
 from cauchyga.annealing import cauchy_schedule, constant_schedule
@@ -86,6 +87,14 @@ def test_decode_is_bijection_on_gene_slices():
 def test_decode_rejects_wrong_length():
     with pytest.raises(ValueError, match="genome length"):
         decode_one([0] * 74)
+
+
+def test_decode_rejects_bits_other_than_0_or_1():
+    # the first was read as level 2, the second indexed past the lattice
+    spec = make_objective("rastrigin", 1)
+    for row in ([0, 0, 0, 0, 2], [2, 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            decode_batch(np.array([row], np.uint8), spec, 5)
 
 
 def test_individual_fields_recompute_bit_exactly():
@@ -183,45 +192,41 @@ def test_crossover_complementary_parents_stay_complementary():
     assert np.array_equal(ca, 1 - cb)
 
 
-def test_crossover_draws_per_pair_in_row_order():
-    # one uniform per pair, then the swap mask only for a crossing pair
-    rng = np.random.default_rng(104)
-    a, b = random_bits(rng, 40), random_bits(rng, 40)
-    ca, cb = uniform_crossover(a, b, 0.6, np.random.default_rng(106))
-    replay = np.random.default_rng(106)
-    for i in range(40):
-        swap = replay.random(75) < 0.5 if replay.random() < 0.6 else np.zeros(75, bool)
-        assert np.array_equal(ca[i], np.where(swap, b[i], a[i]))
-        assert np.array_equal(cb[i], np.where(swap, a[i], b[i]))
-
-
-@pytest.mark.parametrize("crossover_prob", [0.0, 0.6, 1.0])
-def test_crossover_leaves_stream_where_per_pair_draws_do(crossover_prob):
-    # permutation() leaves half a uint64 buffered for the next integer draw;
-    # the crossover must keep it, and at 1.0 it uses its whole block
-    bits = random_bits(np.random.default_rng(116), 40)
-    a, b = bits[:20], bits[20:]
-    rng, replay = np.random.default_rng(119), np.random.default_rng(119)
-    rng.permutation(21)
-    replay.permutation(21)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    ca, cb = uniform_crossover(a, b, crossover_prob, rng)
-    for i in range(20):
-        swap = np.zeros(75, bool)
-        if replay.random() < crossover_prob:
-            swap = replay.random(75) < 0.5
-        assert np.array_equal(ca[i], np.where(swap, b[i], a[i]))
-        assert np.array_equal(cb[i], np.where(swap, a[i], b[i]))
-    assert rng.integers(0, 20) == replay.integers(0, 20)
-    assert rng.random() == replay.random()
-
-
 def test_crossover_rejects_length_mismatch():
     rng = np.random.default_rng(107)
     with pytest.raises(ValueError, match="length mismatch"):
         uniform_crossover(
             np.zeros((1, 75), np.uint8), np.zeros((1, 70), np.uint8), 0.5, rng
         )
+
+
+@pytest.mark.parametrize("crossover_prob", [0.25, 0.8])
+def test_crossover_rate_and_fair_swaps(crossover_prob):
+    # complementary parents make every swap visible: child a holds a 1
+    # exactly where its pair swapped; the bounds are binomial standard
+    # deviations (4 for the two fractions, 5 for the worst of 75 loci)
+    n, length = 20_000, 75
+    a = np.zeros((n, length), np.uint8)
+    ca, _ = uniform_crossover(a, 1 - a, crossover_prob, np.random.default_rng(151))
+    crossing = ca.any(axis=1)  # a crossing row swaps nothing with chance 2**-75
+    m = int(crossing.sum())
+    sd = math.sqrt(crossover_prob * (1 - crossover_prob) / n)
+    assert abs(m / n - crossover_prob) <= 4 * sd
+    swaps = ca[crossing].sum(axis=0)
+    assert abs(swaps.sum() / (m * length) - 0.5) <= 4 * math.sqrt(0.25 / (m * length))
+    assert np.abs(swaps - m / 2).max() <= 5 * math.sqrt(m / 4)
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.Philox, np.random.MT19937, np.random.SFC64]
+)
+def test_crossover_keeps_positionwise_law_on_any_bit_generator(bit_generator):
+    rng = np.random.Generator(bit_generator(167))
+    a, b = random_bits(rng, 50), random_bits(rng, 50)
+    ca, cb = uniform_crossover(a, b, 0.7, rng)
+    assert np.array_equal(np.minimum(ca, cb), np.minimum(a, b))
+    assert np.array_equal(np.maximum(ca, cb), np.maximum(a, b))
+    assert not np.array_equal(ca, a)  # the pairs did cross
 
 
 def test_mutate_edge_probabilities():
@@ -240,13 +245,23 @@ def test_mutate_flip_count_matches_binomial_mean():
     assert np.var(flips) == pytest.approx(75 * 0.01 * 0.99, abs=0.03)
 
 
-def test_mutate_matrix_draw_equals_per_row_draws():
-    bits = random_bits(np.random.default_rng(114), 30)
-    rng, replay = np.random.default_rng(115), np.random.default_rng(115)
-    out = mutate(bits, 0.05, rng)
-    for i in range(30):
-        assert np.array_equal(out[i], bits[i] ^ (replay.random(75) < 0.05))
-    assert rng.random() == replay.random()  # same position in the stream
+def test_mutate_flip_positions_are_uniform():
+    # chi-square goodness of fit of the flip counts per locus and per block
+    # of 100 rows against the uniform law, each at the 0.1% level
+    flips = mutate(np.zeros((20_000, 75), np.uint8), 0.01, np.random.default_rng(157))
+    for counts in (flips.sum(axis=0), flips.reshape(200, -1).sum(axis=1)):
+        expected = counts.sum() / counts.size
+        stat = float(((counts - expected) ** 2).sum() / expected)
+        assert chi2.sf(stat, counts.size - 1) > 1e-3
+
+
+@pytest.mark.parametrize("mutation_prob", [0.05, 1.0])
+def test_mutate_leaves_its_input_unchanged(mutation_prob):
+    bits = random_bits(np.random.default_rng(161), 30)
+    kept = bits.copy()
+    out = mutate(bits, mutation_prob, np.random.default_rng(163))
+    assert np.array_equal(bits, kept)
+    assert not np.array_equal(out, kept)
 
 
 def test_step_no_variation_point_mass_is_stationary():
@@ -484,16 +499,3 @@ def test_roulette_rejects_nan_or_negative_probabilities():
     for gamma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="inverse temperature must be finite"):
             select_parents(np.array([0.5, 0.25]), "boltzmann_const", gamma, rng)
-
-
-def test_crossover_leaves_stream_where_per_pair_draws_do_from_fresh_state():
-    bits = random_bits(np.random.default_rng(141), 40)
-    rng, replay = np.random.default_rng(143), np.random.default_rng(143)
-    assert rng.bit_generator.state["has_uint32"] == 0
-    uniform_crossover(bits[:20], bits[20:], 0.6, rng)
-    for _ in range(20):
-        if replay.random() < 0.6:
-            replay.random(75)
-    assert rng.bit_generator.state == replay.bit_generator.state
-    assert rng.integers(0, 2**40) == replay.integers(0, 2**40)
-
