@@ -118,9 +118,10 @@ class NFD:
         """NFD with ``masses`` on the keys of an existing NFD, in their order.
 
         ``keys`` must come from an NFD (or be an order-preserving subset of
-        one), so they are already finite, nonnegative, distinct and
-        ascending; they are neither converted nor sorted again. Only the new
-        masses are checked, exactly as the constructor checks them.
+        one), or be floats the caller has checked the same way, so they are
+        already finite, nonnegative, distinct and ascending; they are
+        neither converted nor sorted again. Only the new masses are
+        checked, exactly as the constructor checks them.
         """
         entries = dict(zip(keys, masses))
         _check_masses(entries)
@@ -192,27 +193,19 @@ def distance(phi1: NFD, phi2: NFD) -> float:
     [0, 2]; equals 2 exactly when the supports are disjoint.
 
     On one shared support (every operator output against its input) the
-    two ascending mass sequences are zipped; otherwise the union is walked
-    in ascending order. Both give the same terms, and ``fsum`` rounds
-    their sum exactly, so the result does not depend on the path.
+    two ascending mass sequences are zipped. Otherwise the terms are
+    |phi1(x) - phi2(x)| over the shared keys, then the masses only phi1
+    has, then the masses only phi2 has; disjoint supports have no shared
+    terms. No path sorts the union: ``fsum`` rounds the exact sum of its
+    terms, so the result does not depend on their order.
     """
     a, b = phi1.entries, phi2.entries
     if a.keys() == b.keys():
         return fsum([abs(p - q) for p, q in zip(a.values(), b.values())])
-    get_a, get_b = a.get, b.get
-    keys = sorted(a.keys() | b.keys())
-    return fsum([abs(get_a(x, 0.0) - get_b(x, 0.0)) for x in keys])
-
-
-def renormalized(masses: dict[float, float]) -> NFD:
-    """Build an NFD from positive weights, dividing out their exact sum.
-
-    Dividing by the exact sum after every operator application keeps
-    rounding drift from accumulating across repeated selections. The
-    operators in ``selection`` normalize the same way on their input's
-    support; this form takes weights on any support.
-    """
-    total = fsum(masses.values())
-    if total <= 0.0:
-        raise ValueError("weights must have positive sum")
-    return NFD({x: m / total for x, m in masses.items()})
+    shared = a.keys() & b.keys()
+    if not shared:
+        return fsum([*a.values(), *b.values()])
+    terms = [abs(a[x] - b[x]) for x in shared]
+    terms += [a[x] for x in a.keys() - shared]
+    terms += [b[x] for x in b.keys() - shared]
+    return fsum(terms)

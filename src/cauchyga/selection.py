@@ -55,7 +55,10 @@ def boltzmann_apply(phi: NFD, gamma: float) -> NFD:
         raise ValueError(f"inverse temperature must be finite, got {gamma}")
     entries = phi.entries
     x_max = phi.max_fitness()
-    weights = [max(m * exp(gamma * (x - x_max)), _TINY) for x, m in entries.items()]
+    weights = [
+        w if (w := m * exp(gamma * (x - x_max))) > _TINY else _TINY
+        for x, m in entries.items()
+    ]
     return _reweighted(entries.keys(), weights)
 
 

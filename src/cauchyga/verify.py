@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -87,16 +88,37 @@ def random_nfd(
 ) -> NFD:
     """Random NFD: support size 1..max_support, uniform values, Dirichlet masses.
 
-    Only the draws go through numpy; deduplicating and sorting the values
-    and the positivity check run on Python floats, which is cheaper at
-    these sizes and draws the same numbers.
+    The masses are standard exponentials times ``1.0 / acc``, where ``acc``
+    adds them one by one in order. That is how numpy's ``dirichlet``
+    computes shape 1 (its shape-1 gamma is the standard exponential), so
+    they are the doubles ``rng.dirichlet(np.ones(k))`` gives from the same
+    stream position, without its per-call cost. The sorted, distinct values
+    become the support unchecked, so the range is checked before any draw.
+
+    Raises:
+        ValueError: Unless 0 <= value_low <= value_high < inf.
     """
+    if not 0.0 <= value_low <= value_high < inf:
+        raise ValueError(
+            f"value range must satisfy 0 <= low <= high < inf, "
+            f"got [{value_low!r}, {value_high!r}]"
+        )
     while True:
         k = int(rng.integers(1, max_support + 1))
         values = sorted(set(rng.uniform(value_low, value_high, size=k).tolist()))
-        masses = rng.dirichlet(np.ones(len(values))).tolist()
+        draws = rng.standard_exponential(len(values)).tolist()
+        acc = 0.0  # in order, as dirichlet adds; sum() compensates from Python 3.12
+        for e in draws:
+            acc += e
+        scale = 1.0 / acc
+        masses = [e * scale for e in draws]
         if min(masses) > 0.0:
-            return NFD(dict(zip(values, masses)))
+            return NFD._on_support(values, masses)
+
+
+def choice(rng: np.random.Generator, options: tuple[float, ...]) -> float:
+    """``rng.choice(options)``: the same index draw, without the array."""
+    return options[int(rng.integers(0, len(options)))]
 
 
 def metric_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> list[CaseResult]:
@@ -160,8 +182,8 @@ def lemma2_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> list[
     out = []
     for i in range(cases):
         phi = random_nfd(rng)  # support in [0, 1] keeps the bound informative
-        alpha = float(rng.choice(LEMMA_ALPHAS))
-        g0 = float(rng.choice(LEMMA_G0S))
+        alpha = choice(rng, LEMMA_ALPHAS)
+        g0 = choice(rng, LEMMA_G0S)
         m = int(rng.integers(1, 50))
         n = int(rng.integers(m + 1, 51))
         chk = lemma2_bound_check(phi, schedules[g0, alpha], m, n)

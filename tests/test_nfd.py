@@ -117,6 +117,12 @@ def test_distance_hand_computed():
     assert d == pytest.approx(0.5, abs=1e-15)
 
 
+def test_distance_on_partly_shared_supports_hand_computed():
+    # 0.5 only in the first, |0.5 - 0.25| shared, 0.75 only in the second
+    p, q = NFD({0.1: 0.5, 0.2: 0.5}), NFD({0.2: 0.25, 0.3: 0.75})
+    assert distance(p, q) == distance(q, p) == 1.5
+
+
 def test_metric_axioms_on_random_triples():
     rng = np.random.default_rng(17)
     for _ in range(500):

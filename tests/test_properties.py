@@ -1,10 +1,11 @@
 """Hypothesis property tests: fast paths, and the operator algebra's edges.
 
 ``realized_strength``, ``distance``, ``boltzmann_apply``,
-``cauchy_tail_profile`` and ``random_nfd`` each replaced a slower reference
-that is kept here; they must equal it bit for bit, so those tests compare
-with ``==``. The operator tests use the tolerances the rest of the suite
-uses (``Tolerances.semigroup_tol`` for the semigroup law).
+``cauchy_tail_profile``, ``random_nfd`` and the lemma-2 ``choice`` each
+replaced a slower reference that is kept here; they must equal it bit for
+bit, so those tests compare with ``==``. The operator tests use the
+tolerances the rest of the suite uses (``Tolerances.semigroup_tol`` for the
+semigroup law).
 
 Every test runs derandomized, so tier-1 sees the same examples on every run.
 """
@@ -21,10 +22,10 @@ from hypothesis import strategies as st
 
 from cauchyga.annealing import cauchy_schedule
 from cauchyga.engine import population_nfd, realized_strength
-from cauchyga.nfd import NFD, distance, renormalized
+from cauchyga.nfd import NFD, distance
 from cauchyga.selection import boltzmann_apply, proportionate_apply
 from cauchyga.theory import cauchy_tail_profile, cumulative_operator
-from cauchyga.verify import Tolerances, random_nfd
+from cauchyga.verify import LEMMA_ALPHAS, LEMMA_G0S, Tolerances, choice, random_nfd
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -114,6 +115,18 @@ def test_realized_strength_rejects_empty_population():
             nfd_strength(fitness, chosen)
         with pytest.raises(ValueError, match="empty population"):
             realized_strength(fitness, chosen)
+
+
+def renormalized(masses: dict[float, float]) -> NFD:
+    """NFD from positive weights on any support, divided by their exact sum.
+
+    The reference for the operators in ``selection``, which normalize the
+    same way on their input's support.
+    """
+    total = math.fsum(masses.values())
+    if total <= 0.0:
+        raise ValueError("weights must have positive sum")
+    return NFD({x: m / total for x, m in masses.items()})
 
 
 @st.composite
@@ -219,6 +232,28 @@ def test_distance_equals_union_order_reference(p, q):
     assert distance(q, p) == reference_distance(q, p)
 
 
+@st.composite
+def pooled_pairs(draw):
+    """Two NFDs on one drawn pool of values: one point shared, one not."""
+    pool = draw(
+        st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=3, max_size=8,
+                 unique=True)
+    )
+    shared, own, rest = pool[0], pool[1], st.sampled_from(pool[2:])
+    weight = st.floats(min_value=1e-6, max_value=1.0)
+    p = {shared: draw(weight), own: draw(weight), **dict(draw(nfds(values=rest)))}
+    q = {shared: draw(weight), **dict(draw(nfds(values=rest)))}
+    return renormalized(p), renormalized(q)
+
+
+@PROPERTY
+@given(pooled_pairs())
+def test_distance_on_partly_shared_supports_equals_reference(pair):
+    p, q = pair
+    assert distance(p, q) == reference_distance(p, q)
+    assert distance(q, p) == reference_distance(q, p)
+
+
 @PROPERTY
 @given(nfds(), st.floats(min_value=0.0, max_value=1e3))
 def test_distance_on_shared_support_equals_reference(phi, gamma):
@@ -296,3 +331,24 @@ def test_random_nfd_equals_np_unique_reference(seed, max_support, bounds):
         assert got.entries == ref.entries
         assert list(got.entries) == list(ref.entries)
     assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize(
+    "low,high", [(-1.0, 1.0), (1.0, 0.5), (0.0, math.inf), (math.nan, 1.0)]
+)
+def test_random_nfd_rejects_bad_value_range(low, high):
+    # the support is built from the drawn values unchecked, so the range is
+    # checked, and before anything is drawn
+    rng = np.random.default_rng(163)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="value range"):
+        random_nfd(rng, 5, low, high)
+    assert rng.bit_generator.state == before
+
+
+def test_choice_matches_generator_choice():
+    ours, reference = np.random.default_rng(167), np.random.default_rng(167)
+    for _ in range(10_000):
+        assert choice(ours, LEMMA_ALPHAS) == float(reference.choice(LEMMA_ALPHAS))
+        assert choice(ours, LEMMA_G0S) == float(reference.choice(LEMMA_G0S))
+    assert ours.random() == reference.random()
