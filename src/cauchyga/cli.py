@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -266,7 +267,9 @@ def write_combined_csv(output_dir: Path, function: str) -> Path | None:
     """Join per-scheme CSVs of one function on generation, if two or more exist.
 
     Emitted columns carry a scheme prefix; schemes appear in the fixed
-    order proportionate, boltzmann_const, cauchy_boltzmann.
+    order proportionate, boltzmann_const, cauchy_boltzmann. When the
+    sources' horizons differ they cannot be joined, so no combined file
+    is written and any earlier one is deleted.
     """
     present = []
     for scheme in engine.SELECTION_SCHEMES:
@@ -276,12 +279,14 @@ def write_combined_csv(output_dir: Path, function: str) -> Path | None:
     if len(present) < 2:
         return None
 
+    out = output_dir / f"{function}_combined.csv"
     parsed = {scheme: read_series_csv(path) for scheme, path in present}
     lengths = {len(rows) for _, (_, _, rows) in parsed.items()}
     if len(lengths) != 1:
-        return None  # differing horizons cannot be joined
+        # an older join would name a source whose rows have changed
+        out.unlink(missing_ok=True)
+        return None
 
-    out = output_dir / f"{function}_combined.csv"
     with open(out, "w", newline="") as fh:
         fh.write(f"# function = {function}\n")
         for scheme, path in present:
@@ -304,7 +309,8 @@ def run_experiment(cfg: CliConfig) -> list[Path]:
     """Run one (function, scheme) experiment and write its CSV.
 
     Also refreshes ``<function>_combined.csv`` whenever results for other
-    schemes of the same function already sit in the output directory.
+    schemes of the same function already sit in the output directory, or
+    deletes it when their horizons differ.
 
     Returns the list of paths written.
     """
@@ -364,6 +370,10 @@ def emit_schedule(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a new parser for the three subcommands on every call.
+
+    Callers may extend the returned parser; ``main`` never sees it.
+    """
     parser = argparse.ArgumentParser(
         prog="cauchyga",
         description="GA experiments with Boltzmann selection under a Cauchy "
@@ -407,8 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built by the first main call, not at import, so importing stays cheap
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the subcommand that ``argv`` names and return its exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``. The parser is built on the first
+    call and reused by every later call in the process; parsing neither
+    changes it nor keeps state between calls, since every default is
+    immutable.
+    """
+    parser = _shared_parser()
     args = parser.parse_args(argv)
 
     try:

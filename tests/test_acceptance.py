@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -259,9 +260,17 @@ def _final_best(out_dir, function: str, scheme: str) -> float:
     return float(rows[-1][2])
 
 
+def _outcome(annealed: float, rival: float) -> str:
+    """W, T or L for the annealed final best against a rival's (lower is better)."""
+    if annealed == rival:
+        return "T"
+    return "W" if annealed < rival else "L"
+
+
 def test_directional_replication(matrix):
     assert matrix["elapsed"] < MATRIX_BUDGET_S
     wins = 0
+    tally = Counter()
     lines = []
     for function in BEST_ALPHA:
         finals = {s: _final_best(matrix["a"], function, s) for s in SCHEMES}
@@ -270,11 +279,18 @@ def test_directional_replication(matrix):
             and finals["cauchy_boltzmann"] <= finals["proportionate"]
         )
         wins += won
+        vs_prop = _outcome(finals["cauchy_boltzmann"], finals["proportionate"])
+        vs_const = _outcome(finals["cauchy_boltzmann"], finals["boltzmann_const"])
+        tally.update((vs_prop, vs_const))
         lines.append(
             f"  {function}: prop={finals['proportionate']:.4f} "
             f"const={finals['boltzmann_const']:.4f} "
-            f"cauchy={finals['cauchy_boltzmann']:.4f} win={won}"
+            f"cauchy={finals['cauchy_boltzmann']:.4f} "
+            f"vs prop={vs_prop} vs const={vs_const} win={won}"
         )
+    lines.append(
+        f"  annealed vs rivals W/T/L: {tally['W']}/{tally['T']}/{tally['L']}"
+    )
     print("\n".join(lines))
     if wins >= 3:
         _print_pass(

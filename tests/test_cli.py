@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from cauchyga import engine
+from cauchyga import cli, engine
 from cauchyga.annealing import calibrate_g0
 from cauchyga.cli import (
     CliConfig,
+    build_parser,
     emit_schedule,
     load_config_file,
     main,
@@ -83,6 +84,22 @@ def test_combined_csv_joins_schemes(tmp_path):
     assert any(col.startswith("proportionate_") for col in header)
     assert any(col.startswith("boltzmann_const_") for col in header)
     assert len(rows) == 3
+
+
+def test_combined_csv_removed_when_horizons_differ(tmp_path):
+    run_experiment(tiny_cfg(tmp_path, selection="proportionate", generations=5))
+    paths = run_experiment(tiny_cfg(tmp_path, generations=5))
+    combined = tmp_path / "rastrigin_combined.csv"
+    assert paths[-1] == combined
+    paths = run_experiment(
+        tiny_cfg(tmp_path, selection="proportionate", generations=8, seed=7)
+    )
+    assert paths == [tmp_path / "rastrigin_proportionate.csv"]
+    assert not combined.exists()
+    # equal horizons join again
+    paths = run_experiment(tiny_cfg(tmp_path, selection="proportionate", generations=5))
+    assert paths[-1] == combined
+    assert len(read_series_csv(combined)[2]) == 5
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -370,3 +387,64 @@ def test_verify_csv_schema(tmp_path):
     lines = (tmp_path / "verify_cases.csv").read_text().splitlines()
     assert lines[0] == "case_id,lhs,rhs"
     assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+
+@pytest.fixture
+def cold_parser():
+    cli._shared_parser.cache_clear()
+    yield
+    cli._shared_parser.cache_clear()
+
+
+def _run_argv(out, *flags) -> list[str]:
+    return [
+        "run", "--function", "rastrigin", "--selection", "boltzmann-const",
+        "--generations", "3", "--pop-size", "20", "--runs", "2",
+        "--output", str(out), *flags,
+    ]
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, cold_parser):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert main(_run_argv(tmp_path)) == 0
+    assert main(["schedule", "--alpha", "2", "--g0", "1", "--horizon", "3",
+                 "--output", str(tmp_path)]) == 0
+    assert main(["verify", "--cases", "5", "--output", str(tmp_path)]) == 0
+    for argv in (
+        _run_argv(tmp_path, "--g0", "1", "--gamma-target", "300"),
+        _run_argv(tmp_path, "--no-such-flag"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert len(built) == 1
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, cold_parser):
+    assert main(_run_argv(tmp_path / "flagged", "--elitism", "--seed", "7")) == 0
+    assert main(_run_argv(tmp_path / "warm")) == 0
+    cli._shared_parser.cache_clear()
+    assert main(_run_argv(tmp_path / "cold")) == 0
+    name = "rastrigin_boltzmann_const.csv"
+    warm = (tmp_path / "warm" / name).read_bytes()
+    assert warm == (tmp_path / "cold" / name).read_bytes()
+    assert warm != (tmp_path / "flagged" / name).read_bytes()
+
+
+def test_main_runs_after_help(tmp_path, capsys, cold_parser):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: cauchyga" in capsys.readouterr().out
+    assert main(["schedule", "--alpha", "2", "--g0", "1", "--horizon", "3",
+                 "--output", str(tmp_path)]) == 0
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
