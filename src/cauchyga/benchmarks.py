@@ -96,17 +96,16 @@ def _terms(spec: ObjectiveSpec, xs: np.ndarray) -> tuple[np.ndarray, ...]:
 def _reduce(spec: ObjectiveSpec, terms: tuple[np.ndarray, ...]) -> np.ndarray:
     """Raw values from the (n, dims) term arrays of :func:`_terms`, row by row."""
     if spec.name == "rastrigin":
-        return spec.dims * RASTRIGIN_A + np.sum(terms[0], axis=1)
+        return spec.dims * RASTRIGIN_A + terms[0].sum(axis=1)
     if spec.name == "griewangk":
         sq, cos = terms
-        return np.sum(sq, axis=1) / 4000.0 - np.prod(cos, axis=1) + 1.0
+        return sq.sum(axis=1) / 4000.0 - cos.prod(axis=1) + 1.0
     if spec.name == "ackley":
         sq, cos = terms
-        rms = np.sqrt(np.mean(sq, axis=1))
-        mean_cos = np.mean(cos, axis=1)
-        return -20.0 * np.exp(-0.2 * rms) - np.exp(mean_cos) + 20.0 + math.e
+        rms = np.sqrt(sq.mean(axis=1))
+        return -20.0 * np.exp(-0.2 * rms) - np.exp(cos.mean(axis=1)) + 20.0 + math.e
     # schwefel
-    return np.sum(terms[0], axis=1)
+    return terms[0].sum(axis=1)
 
 
 def evaluate_raw_batch(spec: ObjectiveSpec, xs: np.ndarray) -> np.ndarray:
@@ -133,8 +132,9 @@ def to_fitness_batch(spec: ObjectiveSpec, raws: np.ndarray) -> np.ndarray:
     """
     raws = np.asarray(raws, dtype=np.float64)
     lo, hi = spec.raw_lower, spec.raw_upper
-    inside = (lo <= raws) & (raws <= hi)
-    if not inside.all():
+    # min and max are NaN when any value is, and NaN fails both tests
+    if raws.size and not (lo <= raws.min() and raws.max() <= hi):
+        inside = (lo <= raws) & (raws <= hi)
         raise ValueError(
             f"bound violation: recompute bounds "
             f"(raw={float(raws[~inside][0])!r} outside [{lo}, {hi}])"

@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -223,32 +225,49 @@ def _metadata(cfg: CliConfig, g0_effective: float | None) -> dict[str, str]:
     return meta
 
 
+def _write_csv(path: Path, metadata: dict[str, str], header, rows) -> None:
+    """Write '# key = value' lines, then the CSV header and rows, over ``path``.
+
+    The file ends up holding exactly these bytes, as after ``open(path,
+    "w")``, and a new file gets the same mode. Unlike ``open(path, "w")``
+    the old file is not first truncated to zero; it is written over and
+    then cut to the new length. ext4 flushes a file truncated to zero when
+    it is closed, which took 0.1 to 0.3 ms per small CSV on a 2-core VM,
+    against about 0.01 ms for the write in place. Neither way is atomic: a
+    reader during the write may see part old and part new bytes.
+    """
+    buf = io.StringIO(newline="")
+    buf.writelines(f"# {key} = {val}\n" for key, val in metadata.items())
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(buf.getvalue().encode())
+        fh.truncate()
+
+
 def write_series_csv(path: Path, metadata: dict[str, str], agg) -> None:
     """Write one experiment CSV: '#' metadata lines, header, data rows."""
-    with open(path, "w", newline="") as fh:
-        for key, val in metadata.items():
-            fh.write(f"# {key} = {val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_COLUMNS)
-        for i in range(len(agg.generations)):
-            writer.writerow(
-                [
-                    int(agg.generations[i]),
-                    fmt(float(agg.gamma[i])),
-                    fmt(float(agg.best_mean[i])),
-                    fmt(float(agg.best_std[i])),
-                    fmt(float(agg.mean_mean[i])),
-                    fmt(float(agg.mean_std[i])),
-                    fmt(float(agg.strength_mean[i])),
-                ]
-            )
+    columns = (agg.gamma, agg.best_mean, agg.best_std, agg.mean_mean,
+               agg.mean_std, agg.strength_mean)
+    # tolist gives the Python ints and floats of the stored values
+    rows = (
+        [generation, *map(fmt, values)]
+        for generation, *values in zip(
+            agg.generations.tolist(), *(c.tolist() for c in columns)
+        )
+    )
+    _write_csv(path, metadata, SERIES_COLUMNS, rows)
 
 
 def read_series_csv(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Read back an experiment CSV without reparsing numbers."""
+    """Read back an experiment CSV without reparsing numbers.
+
+    Raises:
+        ValueError: If the file has no header row (it is empty, say, or
+            holds only '#' metadata lines).
+    """
     metadata: dict[str, str] = {}
-    rows: list[list[str]] = []
-    header: list[str] = []
     with open(path, newline="") as fh:
         data_lines = []
         for line in fh:
@@ -257,10 +276,11 @@ def read_series_csv(path: Path) -> tuple[dict[str, str], list[str], list[list[st
                 metadata[key] = val
             else:
                 data_lines.append(line)
-        reader = csv.reader(data_lines)
-        header = next(reader)
-        rows = [row for row in reader]
-    return metadata, header, rows
+    reader = csv.reader(data_lines)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: no header row")
+    return metadata, header, list(reader)
 
 
 def write_combined_csv(output_dir: Path, function: str) -> Path | None:
@@ -287,21 +307,18 @@ def write_combined_csv(output_dir: Path, function: str) -> Path | None:
         out.unlink(missing_ok=True)
         return None
 
-    with open(out, "w", newline="") as fh:
-        fh.write(f"# function = {function}\n")
-        for scheme, path in present:
-            fh.write(f"# source_{scheme} = {path.name}\n")
-        writer = csv.writer(fh)
-        header = ["generation"]
+    metadata = {"function": function}
+    header = ["generation"]
+    for scheme, path in present:
+        metadata[f"source_{scheme}"] = path.name
+        header.extend(f"{scheme}_{col}" for col in SERIES_COLUMNS[1:])
+    rows = []
+    for i in range(lengths.pop()):
+        row = [parsed[present[0][0]][2][i][0]]
         for scheme, _ in present:
-            header.extend(f"{scheme}_{col}" for col in SERIES_COLUMNS[1:])
-        writer.writerow(header)
-        n_rows = lengths.pop()
-        for i in range(n_rows):
-            row = [parsed[present[0][0]][2][i][0]]
-            for scheme, _ in present:
-                row.extend(parsed[scheme][2][i][1:])
-            writer.writerow(row)
+            row.extend(parsed[scheme][2][i][1:])
+        rows.append(row)
+    _write_csv(out, metadata, header, rows)
     return out
 
 
@@ -356,16 +373,12 @@ def emit_schedule(
     if float(tag) != alpha:
         tag = repr(alpha)
     path = out_dir / f"schedule_alpha{tag}.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# alpha = {fmt(alpha)}\n")
-        fh.write(f"# g0 = {fmt(g0_effective)}\n")
-        if gamma_target is not None:
-            fh.write(f"# gamma_target = {fmt(gamma_target)}\n")
-        fh.write(f"# horizon = {horizon}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", "gamma_n"])
-        for n in range(1, horizon + 1):
-            writer.writerow([n, fmt(gamma_at(schedule, n))])
+    metadata = {"alpha": fmt(alpha), "g0": fmt(g0_effective)}
+    if gamma_target is not None:
+        metadata["gamma_target"] = fmt(gamma_target)
+    metadata["horizon"] = str(horizon)
+    rows = ([n, fmt(gamma_at(schedule, n))] for n in range(1, horizon + 1))
+    _write_csv(path, metadata, ["n", "gamma_n"], rows)
     return path
 
 

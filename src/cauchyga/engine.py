@@ -14,7 +14,10 @@ variable (bits_per_var in [1, 16]). The lattice points and the objective's
 elementwise terms at them are computed once per (objective, bits_per_var)
 and cached (terms up to 2**20 table entries, levels x dims); a generation
 gathers its genomes' terms from those tables and reduces them row by row,
-the same values as evaluating the decoded points.
+the same values as evaluating the decoded points. Each gene's index in
+the flat tables comes from one float32 matrix-vector product, exact
+because every partial sum is an integer below the 2**20 table limit and
+float32 holds every integer up to 2**24.
 
 Every random decision of a run comes from one numpy PCG64 generator seeded
 from (master_seed, run_index), so replays are bit-identical and distinct
@@ -147,16 +150,45 @@ class AggregatedSeries:
     strength_std: np.ndarray
 
 
-def _genes(bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> np.ndarray:
-    """Lattice level of every gene, (n, dims); each slice is read big-endian."""
-    n = bits.shape[0]
+def _gene_slices(bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> np.ndarray:
+    """The (n * dims, bits_per_var) view of a bit matrix, one gene per row."""
     if bits.shape[1] != spec.dims * bits_per_var:
         raise ValueError(
             f"genome length {bits.shape[1]} != dims*bits_per_var "
             f"{spec.dims * bits_per_var}"
         )
+    return bits.reshape(-1, bits_per_var)
+
+
+def _genes(bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> np.ndarray:
+    """Lattice level of every gene, (n, dims); each slice is read big-endian."""
     weights = 1 << np.arange(bits_per_var - 1, -1, -1, dtype=np.intp)
-    return bits.reshape(n, spec.dims, bits_per_var) @ weights
+    return (_gene_slices(bits, spec, bits_per_var) @ weights).reshape(-1, spec.dims)
+
+
+@functools.lru_cache(maxsize=8)
+def _index_weights(dims: int, bits_per_var: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 big-endian gene weights times ``dims``, and the column offsets."""
+    weights = (dims << np.arange(bits_per_var - 1, -1, -1)).astype(np.float32)
+    offsets = np.arange(dims, dtype=np.float32)
+    weights.flags.writeable = offsets.flags.writeable = False
+    return weights, offsets
+
+
+def _table_index(bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> np.ndarray:
+    """Index of every gene in the flat (levels, dims) term tables, (n, dims).
+
+    The index is level * dims + column: one float32 matrix-vector product
+    of the gene slices against big-endian weights times dims, plus the
+    column. It is exact whatever order the product sums in, as long as the
+    tables fit ``_MAX_TABLE``: every term and partial sum is then an
+    integer below 2**20, and float32 holds every integer up to 2**24.
+    """
+    weights, offsets = _index_weights(spec.dims, bits_per_var)
+    slices = _gene_slices(bits, spec, bits_per_var).astype(np.float32)
+    flat = slices.dot(weights).reshape(-1, spec.dims)
+    flat += offsets
+    return flat.astype(np.intp)
 
 
 @functools.lru_cache(maxsize=8)
@@ -215,14 +247,15 @@ def make_population(
     past the table size limit, computed on the decoded points) and reduced
     row by row: bit for bit what ``evaluate_raw_batch(spec,
     decode_batch(bits, ...))`` returns. The population holds ``bits``
-    itself, not a copy.
+    itself, not a copy. The genes are read as float32 table indices
+    (:func:`_table_index`), exact because a table has at most 2**20
+    entries and float32 holds every integer up to 2**24.
     """
     points, tables = _lattice(spec, bits_per_var)
-    genes = _genes(bits, spec, bits_per_var)
     if tables is None:
-        terms = _terms(spec, points[genes])
+        terms = _terms(spec, points[_genes(bits, spec, bits_per_var)])
     else:
-        index = genes * spec.dims + np.arange(spec.dims)
+        index = _table_index(bits, spec, bits_per_var)
         terms = tuple(t[index] for t in tables)
     raw = _reduce(spec, terms)
     return Population(bits=bits, raw=raw, fitness=to_fitness_batch(spec, raw))
@@ -251,14 +284,14 @@ def realized_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
     picks = np.asarray(chosen)
     if fits.size == 0 or picks.size == 0:
         raise ValueError("empty population")
-    negative = fits[fits < 0.0]
-    if negative.size:
-        raise ValueError(f"negative fitness: {float(negative[0])}")
-    finite = np.isfinite(fits)
-    if not finite.all():
-        raise ValueError(f"non-finite fitness: {float(fits[~finite][0])}")
     order = fits.argsort(kind="stable")
     ordered = fits[order]
+    # sorted, so the two ends decide; NaN sorts last and fails either test
+    if not (ordered[0] >= 0.0 and ordered[-1] < math.inf):
+        negative = fits[fits < 0.0]
+        if negative.size:
+            raise ValueError(f"negative fitness: {float(negative[0])}")
+        raise ValueError(f"non-finite fitness: {float(fits[~np.isfinite(fits)][0])}")
     new_value = np.empty(fits.size, dtype=bool)
     new_value[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new_value[1:])
@@ -328,7 +361,7 @@ def select_parents(
     k = len(p) if count is None else count
     cdf = p.cumsum()
     total = float(cdf[-1])
-    if not (math.isfinite(total) and total > 0.0) or (p < 0.0).any():
+    if not (math.isfinite(total) and total > 0.0) or p.min() < 0.0:
         raise ValueError(
             "selection probabilities must be nonnegative with a finite positive sum"
         )
@@ -357,9 +390,8 @@ def uniform_crossover(
     n, length = a.shape
     crosses = rng.random(n) < crossover_prob
     mask = rng.integers(0, 256, (n, (length + 7) // 8), dtype=np.uint8)
-    swap = np.unpackbits(mask, axis=1, count=length)
-    swap &= crosses[:, None]
-    diff = (a ^ b) * swap
+    mask[~crosses] = 0
+    diff = (a ^ b) * np.unpackbits(mask, axis=1, count=length)
     return a ^ diff, b ^ diff
 
 
@@ -430,7 +462,7 @@ def step_generation(
     nxt = make_population(bits, config.objective, config.bits_per_var)
 
     if config.elitism:
-        worst, best = int(np.argmax(nxt.raw)), int(np.argmin(population.raw))
+        worst, best = int(nxt.raw.argmax()), int(population.raw.argmin())
         nxt.bits[worst] = population.bits[best]
         nxt.raw[worst] = population.raw[best]
         nxt.fitness[worst] = population.fitness[best]

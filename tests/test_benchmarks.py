@@ -188,3 +188,36 @@ def test_to_fitness_rejects_nan():
         to_fitness_batch(spec, [1.0, math.nan])
     with pytest.raises(ValueError, match="bound violation"):
         to_fitness_batch(spec, [math.nan])
+
+
+def test_to_fitness_of_no_values_is_empty():
+    fits = to_fitness_batch(make_objective("rastrigin", 3), [])
+    assert fits.shape == (0,) and fits.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "raws,first",
+    [
+        ([1.0, math.nan], math.nan),
+        ([1.0, -1.0], -1.0),
+        ([1.0, 1e6], 1e6),
+        # the first offending value in array order, not the extreme one
+        ([1.0, 1e6, -5.0, math.nan], 1e6),
+        ([math.nan, -5.0, 1e6], math.nan),
+        ([-1.0, -5.0], -1.0),
+    ],
+)
+def test_to_fitness_names_the_first_value_out_of_bounds(raws, first):
+    spec = make_objective("rastrigin", 3)
+    with pytest.raises(ValueError) as exc:
+        to_fitness_batch(spec, raws)
+    assert str(exc.value) == (
+        f"bound violation: recompute bounds "
+        f"(raw={first!r} outside [{spec.raw_lower}, {spec.raw_upper}])"
+    )
+
+
+def test_to_fitness_accepts_negative_zero_at_a_zero_lower_bound():
+    spec = make_objective("rastrigin", 3)
+    assert spec.raw_lower == 0.0
+    assert to_fitness_batch(spec, [-0.0, spec.raw_upper]).tolist() == [1.0, 0.0]

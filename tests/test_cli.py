@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 from cauchyga import cli, engine
@@ -448,3 +451,86 @@ def test_main_runs_after_help(tmp_path, capsys, cold_parser):
 
 def test_build_parser_returns_a_new_parser():
     assert build_parser() is not build_parser()
+
+
+def _small_run_argv(out) -> list[str]:
+    return [
+        "run", "--function", "rastrigin", "--selection", "boltzmann-const",
+        "--generations", "3", "--pop-size", "10", "--runs", "1",
+        "--output", str(out),
+    ]
+
+
+@pytest.mark.parametrize(
+    "content", ["", "# function = rastrigin\n# selection = proportionate\n"],
+    ids=["empty", "metadata-only"],
+)
+def test_sibling_csv_without_a_header_row_is_a_usage_error(tmp_path, capsys, content):
+    sibling = tmp_path / "rastrigin_proportionate.csv"
+    sibling.write_text(content)
+    with pytest.raises(ValueError, match="no header row"):
+        read_series_csv(sibling)
+    assert main(_small_run_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(sibling) in err
+
+
+def test_sibling_csv_with_only_a_column_header_cannot_join(tmp_path):
+    sibling = tmp_path / "rastrigin_proportionate.csv"
+    sibling.write_text(",".join(SERIES_COLUMNS) + "\r\n")
+    assert read_series_csv(sibling) == ({}, list(SERIES_COLUMNS), [])
+    assert main(_small_run_argv(tmp_path)) == 0
+    assert not (tmp_path / "rastrigin_combined.csv").exists()
+
+
+def test_series_rewritten_in_place_holds_exactly_the_new_bytes(tmp_path):
+    reused = run_experiment(tiny_cfg(tmp_path / "reused", generations=20))[0]
+    inode = reused.stat().st_ino
+    assert run_experiment(tiny_cfg(tmp_path / "reused", generations=5))[0] == reused
+    assert reused.stat().st_ino == inode  # the same file, written over
+    fresh = run_experiment(tiny_cfg(tmp_path / "fresh", generations=5))[0]
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_combined_rewritten_in_place_holds_exactly_the_new_bytes(tmp_path):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    for scheme in ("proportionate", "boltzmann_const"):
+        paths = run_experiment(tiny_cfg(reused, selection=scheme, generations=20))
+    combined = paths[-1]
+    inode = combined.stat().st_ino
+    for scheme in ("proportionate", "boltzmann_const"):
+        (reused / f"rastrigin_{scheme}.csv").unlink()  # the 20-row join stays
+    for out in (reused, fresh):
+        for scheme in ("proportionate", "boltzmann_const"):
+            paths = run_experiment(tiny_cfg(out, selection=scheme, generations=5))
+    assert paths[-1] == fresh / combined.name
+    assert combined.stat().st_ino == inode
+    assert len(read_series_csv(combined)[2]) == 5
+    assert combined.read_bytes() == paths[-1].read_bytes()
+
+
+def test_schedule_rewritten_in_place_holds_exactly_the_new_bytes(tmp_path):
+    reused = emit_schedule(2.0, 30, tmp_path / "reused", gamma_target=300.0)
+    inode = reused.stat().st_ino
+    assert emit_schedule(2.0, 3, tmp_path / "reused", gamma_target=300.0) == reused
+    assert reused.stat().st_ino == inode
+    fresh = emit_schedule(2.0, 3, tmp_path / "fresh", gamma_target=300.0)
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert len(read_series_csv(reused)[2]) == 3
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
+def test_new_result_files_get_the_mode_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        reference = tmp_path / "reference"
+        open(reference, "w").close()
+        written = run_experiment(tiny_cfg(tmp_path, selection="proportionate"))
+        written += run_experiment(tiny_cfg(tmp_path))
+        written.append(emit_schedule(2.0, 3, tmp_path, g0=1.0))
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE(reference.stat().st_mode)
+    assert mode == 0o666 & ~umask
+    assert len(written) == 4  # two series, the join and the schedule
+    assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {mode}

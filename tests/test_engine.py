@@ -499,3 +499,90 @@ def test_roulette_rejects_nan_or_negative_probabilities():
     for gamma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="inverse temperature must be finite"):
             select_parents(np.array([0.5, 0.25]), "boltzmann_const", gamma, rng)
+
+
+def python_table_index(bits, dims, bits_per_var) -> list[list[int]]:
+    """Flat table index level * dims + column of every gene, read bit by bit."""
+    rows = []
+    for genome in bits.tolist():
+        row = []
+        for column in range(dims):
+            level = 0
+            for bit in genome[column * bits_per_var : (column + 1) * bits_per_var]:
+                level = 2 * level + bit
+            row.append(level * dims + column)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("dims", [1, 3, 15])
+@pytest.mark.parametrize("bits_per_var", [1, 2, 5, 8, 16])
+def test_table_index_equals_a_bitwise_big_endian_read(bits_per_var, dims):
+    spec = make_objective("rastrigin", dims)
+    bits = random_bits(np.random.default_rng(bits_per_var * 31 + dims), 60,
+                       dims * bits_per_var)
+    bits[0], bits[1] = 0, 1
+    index = engine._table_index(bits, spec, bits_per_var)
+    assert index.dtype == np.intp
+    assert index.tolist() == python_table_index(bits, dims, bits_per_var)
+    assert index[1].tolist() == [
+        (2**bits_per_var - 1) * dims + c for c in range(dims)
+    ]
+
+
+def test_table_index_is_exact_at_the_table_size_limit():
+    spec = make_objective("rastrigin", 16)  # 2**16 levels x 16 dims = 2**20 entries
+    try:
+        assert engine._lattice(spec, 16)[1] is not None
+        bits = random_bits(np.random.default_rng(157), 40, 16 * 16)
+        bits[0], bits[1] = 0, 1
+        bits[2] = np.tile([0] + [1] * 15, 16)  # level 2**15 - 1 in every column
+        index = engine._table_index(bits, spec, 16)
+        assert index.tolist() == python_table_index(bits, 16, 16)
+        assert int(index.max()) == 2**20 - 1
+        pop = make_population(bits, spec, 16)
+        raw = evaluate_raw_batch(spec, reference_decode(bits, spec, 16))
+        assert pop.raw.tobytes() == raw.tobytes()
+    finally:
+        engine._lattice.cache_clear()  # drop the 8 MB table
+
+
+def test_points_path_past_the_table_size_limit_matches_a_bitwise_read():
+    spec = make_objective("rastrigin", 17)  # 2**16 levels x 17 dims > 2**20 entries
+    assert engine._lattice(spec, 16)[1] is None
+    bits = random_bits(np.random.default_rng(163), 20, 17 * 16)
+    bits[0], bits[1] = 0, 1
+    levels = np.array(python_table_index(bits, 17, 16)) // 17
+    points = spec.lower + levels / float(2**16 - 1) * (spec.upper - spec.lower)
+    pop = make_population(bits, spec, 16)
+    assert pop.raw.tobytes() == evaluate_raw_batch(spec, points).tobytes()
+
+
+@pytest.mark.parametrize(
+    "fitness,message",
+    [
+        ([0.5, -1.0, 0.25], "negative fitness: -1.0"),
+        ([0.5, -math.inf, 0.25], "negative fitness: -inf"),
+        ([0.5, math.inf, 0.25], "non-finite fitness: inf"),
+        ([0.5, math.nan, 0.25], "non-finite fitness: nan"),
+        # a negative value is reported before any non-finite one
+        ([math.nan, math.inf, -2.0, -1.0], "negative fitness: -2.0"),
+        # and the first in array order among its kind
+        ([0.5, math.inf, math.nan], "non-finite fitness: inf"),
+        ([0.5, math.nan, math.inf], "non-finite fitness: nan"),
+        ([math.nan], "non-finite fitness: nan"),
+    ],
+)
+def test_realized_strength_names_the_first_bad_fitness(fitness, message):
+    with pytest.raises(ValueError) as exc:
+        engine.realized_strength(np.array(fitness), np.array([0, 0]))
+    assert str(exc.value) == message
+
+
+def test_realized_strength_counts_negative_zero_as_zero():
+    signed = np.array([-0.0, 0.0, 0.5])
+    both = engine.realized_strength(signed, np.array([0, 1]))
+    assert both == engine.realized_strength(signed, np.array([1, 1]))
+    assert both == engine.realized_strength(np.array([0.0, 0.0, 0.5]), np.array([0, 1]))
+    assert both == math.fsum([1.0 - 2 / 3, 1 / 3])
+    assert engine.realized_strength(np.array([-0.0]), np.array([0])) == 0.0
