@@ -38,7 +38,6 @@ from .engine import (
     GaConfig,
     GenerationRecord,
     Population,
-    RunSeries,
     aggregate,
     decode_batch,
     multi_run,
@@ -49,13 +48,7 @@ from .engine import (
     step_generation,
     uniform_crossover,
 )
-from .nfd import (
-    NFD,
-    FitnessDistribution,
-    distance,
-    fitness_distribution_from_values,
-    normalize,
-)
+from .nfd import NFD, distance
 from .selection import (
     boltzmann_apply,
     proportionate_apply,

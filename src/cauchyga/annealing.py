@@ -126,14 +126,14 @@ def calibrate_g0(alpha: float, horizon: int, gamma_target: float) -> float:
     round-trips to gamma_target.
 
     Raises:
-        ValueError: If alpha <= 1, horizon < 1 or gamma_target is not
-            finite.
+        ValueError: If alpha <= 1, horizon < 1, or gamma_target is negative
+            or not finite.
     """
     if not alpha > 1.0:
         raise ValueError("alpha must exceed 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     _check_finite(gamma_target)
-    ks = np.arange(1, horizon + 1, dtype=np.float64)
-    partial = float(np.cumsum(ks ** -alpha)[-1])
-    return gamma_target / partial
+    if gamma_target < 0.0:
+        raise ValueError("inverse temperature must be nonnegative")
+    return gamma_target / gamma_at(cauchy_schedule(1.0, alpha), horizon)

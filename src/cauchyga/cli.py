@@ -87,7 +87,11 @@ def fmt(value) -> str:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; ``#`` comments, blank lines ignored."""
+    """Parse a flat ``key = value`` file; ``#`` comments, blank lines ignored.
+
+    Raises:
+        ValueError: On a line without '=', or a key given twice.
+    """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -96,7 +100,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = val.strip()
     return values
 
 
@@ -121,7 +128,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parser(hint) -> Callable[[str], object]:
-    """Parser of a config-file value for a CliConfig field of type ``hint``."""
+    """Parser of a flag or config-file value for a CliConfig field of type ``hint``."""
     if hint is bool:
         return _parse_bool
     # an optional field parses as its non-None type
@@ -201,27 +208,22 @@ def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
     return ga, g0_effective
 
 
+# metadata keys that differ from their CliConfig field names
+_METADATA_KEYS = {"seed": "master_seed", "mutation_prob": "mutation_prob_per_bit"}
+
+
 def _metadata(cfg: CliConfig, g0_effective: float | None) -> dict[str, str]:
-    meta = {
-        "function": cfg.function,
-        "selection": cfg.selection,
-        "alpha": fmt(cfg.alpha),
-        "g0": "auto" if cfg.g0 is None else fmt(cfg.g0),
-        "g0_effective": "n/a" if g0_effective is None else fmt(g0_effective),
-        "gamma": fmt(cfg.gamma),
-        "gamma_target": fmt(cfg.gamma_target),
-        "generations": fmt(cfg.generations),
-        "pop_size": fmt(cfg.pop_size),
-        "runs": fmt(cfg.runs),
-        "master_seed": fmt(cfg.seed),
-        "bits_per_var": fmt(cfg.bits_per_var),
-        "dims": fmt(cfg.dims),
-        "crossover_prob": fmt(cfg.crossover_prob),
-        "mutation_prob_per_bit": fmt(cfg.mutation_prob),
-        "elitism": fmt(cfg.elitism),
-        "generator": f"{GENERATOR_NAME} (numpy {np.__version__})",
-        "stream_version": fmt(STREAM_VERSION),
-    }
+    """Every CliConfig field but ``output``, in field order, then provenance."""
+    meta = {}
+    for name in _FIELD_TYPES:
+        value = getattr(cfg, name)
+        if name == "g0":
+            meta["g0"] = "auto" if value is None else fmt(value)
+            meta["g0_effective"] = "n/a" if g0_effective is None else fmt(g0_effective)
+        elif name != "output":
+            meta[_METADATA_KEYS.get(name, name)] = fmt(value)
+    meta["generator"] = f"{GENERATOR_NAME} (numpy {np.__version__})"
+    meta["stream_version"] = fmt(STREAM_VERSION)
     return meta
 
 
@@ -396,24 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment, write CSV series")
     p_run.add_argument("--config", help="flat key = value config file")
-    p_run.add_argument("--function", choices=FUNCTION_NAMES)
-    p_run.add_argument("--selection", choices=sorted(_SCHEME_FLAGS))
-    p_run.add_argument("--alpha", type=float)
-    p_run.add_argument("--g0", type=float)
-    p_run.add_argument("--gamma", type=float)
-    p_run.add_argument("--gamma-target", type=float, dest="gamma_target")
-    p_run.add_argument("--generations", type=int)
-    p_run.add_argument("--pop-size", type=int, dest="pop_size")
-    p_run.add_argument("--runs", type=int)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--bits-per-var", type=int, dest="bits_per_var")
-    p_run.add_argument("--dims", type=int)
-    p_run.add_argument("--crossover-prob", type=float, dest="crossover_prob")
-    p_run.add_argument("--mutation-prob", type=float, dest="mutation_prob")
-    p_run.add_argument(
-        "--elitism", action=argparse.BooleanOptionalAction, default=None
-    )
-    p_run.add_argument("--output")
+    # one flag per CliConfig field, in field order; unset flags stay None
+    choices = {"function": FUNCTION_NAMES, "selection": sorted(_SCHEME_FLAGS)}
+    for name, hint in _FIELD_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if hint is bool:
+            p_run.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            p_run.add_argument(flag, type=_parser(hint), choices=choices.get(name))
 
     p_ver = sub.add_parser("verify", help="run the verification suites")
     p_ver.add_argument("--seed", type=int, default=42)
@@ -452,10 +444,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.g0 is not None and args.gamma_target is not None:
                 parser.error("--g0 and --gamma-target are mutually exclusive")
             file_values = load_config_file(args.config) if args.config else {}
-            cli_values = {
-                name: getattr(args, name, None) for name in _FIELD_TYPES
-            }
-            cfg = merge_config(cli_values, file_values)
+            # every CliConfig field is a flag, so the parsed namespace holds them all
+            cfg = merge_config(vars(args), file_values)
             written = run_experiment(cfg)
             for path in written:
                 print(path)

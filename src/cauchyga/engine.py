@@ -35,13 +35,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .annealing import AnnealingSchedule, constant_schedule, gamma_at
 from .benchmarks import ObjectiveSpec, _check_box, _reduce, _terms, to_fitness_batch
 # engine.distance stays importable: callers and bench/test_bench.py look it up here
-from .nfd import NFD, distance, fitness_distribution_from_values, normalize
+from .nfd import NFD, distance
 
 GENERATOR_NAME = "numpy-PCG64"
 STREAM_VERSION = 2  # the draw order of the module docstring; bumped when it changes
@@ -110,25 +111,14 @@ class GaConfig:
         return self.objective.dims * self.bits_per_var
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    """Aggregated view of one generation of one run."""
+class GenerationRecord(NamedTuple):
+    """One generation of one run; a row of the array :func:`run` returns."""
 
-    generation: int
     gamma: float
     best_so_far_raw: float
     gen_best_raw: float
     mean_raw: float
     strength: float
-
-
-@dataclass(frozen=True)
-class RunSeries:
-    """Per-generation records of a single run, in generation order."""
-
-    run_index: int
-    seed: int
-    records: tuple[GenerationRecord, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +253,7 @@ def make_population(
 
 def population_nfd(fitness: np.ndarray) -> NFD:
     """NFD of a population's fitness values."""
-    return normalize(fitness_distribution_from_values(np.asarray(fitness).tolist()))
+    return NFD.from_values(np.asarray(fitness).tolist())
 
 
 def realized_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
@@ -469,7 +459,6 @@ def step_generation(
 
     gen_best = float(nxt.raw.min())
     record = GenerationRecord(
-        generation=generation_index,
         gamma=gamma_n,
         best_so_far_raw=min(best_so_far, gen_best),
         gen_best_raw=gen_best,
@@ -484,8 +473,12 @@ def run_seed(master_seed: int, run_index: int) -> int:
     return (master_seed ^ (run_index * SEED_STRIDE)) & _U64
 
 
-def run(config: GaConfig, run_index: int) -> RunSeries:
-    """Execute one full GA run, deterministic in (master_seed, run_index)."""
+def run(config: GaConfig, run_index: int) -> np.ndarray:
+    """Execute one full GA run, deterministic in (master_seed, run_index).
+
+    Returns a (generations, 5) float64 array; row g - 1 holds the
+    :class:`GenerationRecord` of generation g.
+    """
     seed = run_seed(config.master_seed, run_index)
     rng = np.random.Generator(np.random.PCG64(seed))
     bits = rng.integers(
@@ -499,35 +492,23 @@ def run(config: GaConfig, run_index: int) -> RunSeries:
         population, record = step_generation(population, config, gen, rng, best)
         best = record.best_so_far_raw
         records.append(record)
-    return RunSeries(run_index=run_index, seed=seed, records=tuple(records))
+    return np.array(records, dtype=np.float64)
 
 
-def aggregate(series: list[RunSeries]) -> AggregatedSeries:
-    """Combine runs into per-generation mean/std, ordered by run_index.
+def aggregate(stack: np.ndarray) -> AggregatedSeries:
+    """Per-generation mean/std across runs of a (runs, generations, 5) stack.
 
-    The combination is order-independent: series are sorted by run index
-    before stacking, so any execution order yields identical output.
+    ``stack[i]`` is :func:`run`'s array for one run. gamma is run 0's column:
+    a mean of equal doubles need not round back to the same double. Each
+    column is reduced as its own view, so at one generation numpy sums the
+    runs pairwise, as for a contiguous column; a reduction of the whole
+    stack adds them in order and can round differently.
     """
-    if not series:
-        raise ValueError("no runs to aggregate")
-    ordered = sorted(series, key=lambda s: s.run_index)
-    n_gen = len(ordered[0].records)
-    for s in ordered:
-        if len(s.records) != n_gen:
-            raise ValueError("runs have differing generation counts")
-
-    def stack(attr: str) -> np.ndarray:
-        return np.array(
-            [[getattr(r, attr) for r in s.records] for s in ordered]
-        )
-
-    best = stack("best_so_far_raw")
-    mean = stack("mean_raw")
-    strength = stack("strength")
+    gamma, best, _, mean, strength = np.moveaxis(stack, -1, 0)
     return AggregatedSeries(
-        runs=len(ordered),
-        generations=np.arange(1, n_gen + 1),
-        gamma=np.array([r.gamma for r in ordered[0].records]),
+        runs=len(stack),
+        generations=np.arange(1, stack.shape[1] + 1),
+        gamma=gamma[0],
         best_mean=best.mean(axis=0),
         best_std=best.std(axis=0),
         mean_mean=mean.mean(axis=0),
@@ -539,4 +520,4 @@ def aggregate(series: list[RunSeries]) -> AggregatedSeries:
 
 def multi_run(config: GaConfig) -> AggregatedSeries:
     """Run the configured number of independent runs and aggregate them."""
-    return aggregate([run(config, i) for i in range(config.runs)])
+    return aggregate(np.stack([run(config, i) for i in range(config.runs)]))

@@ -1,9 +1,9 @@
 """Finite-support fitness distributions and the L1 metric between them.
 
-A population's fitness histogram is a map from fitness value to the number
-of individuals carrying it; dividing by the population size gives a
-normalized fitness distribution (NFD), a finite-support probability
-distribution over fitness values. Selection operators act on NFDs, and the
+Counting how many individuals of a population carry each fitness value and
+dividing by the population size gives its normalized fitness distribution
+(NFD, :meth:`NFD.from_values`), a finite-support probability distribution
+over fitness values. Selection operators act on NFDs, and the
 L1 distance between two NFDs is the yardstick for how much an operator
 reshapes a population.
 
@@ -23,15 +23,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum, inf
 from typing import Iterable, Iterator
 
 MASS_SUM_TOL = 1e-12
-
-
-def _ascending(entries: dict) -> dict:
-    return {x: entries[x] for x in sorted(entries)}
 
 
 def _check_masses(entries: dict[float, float]) -> None:
@@ -46,48 +42,6 @@ def _check_masses(entries: dict[float, float]) -> None:
     total = fsum(entries.values())
     if abs(total - 1.0) > MASS_SUM_TOL:
         raise ValueError(f"masses sum to {total!r}, not 1")
-
-
-@dataclass(frozen=True)
-class FitnessDistribution:
-    """Histogram of a population's fitness values.
-
-    Maps each fitness value to the count of individuals carrying it.
-    Counts are strictly positive integers; zero-count keys are never stored.
-    """
-
-    entries: dict[float, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        clean: dict[float, int] = {}
-        for x, c in self.entries.items():
-            x = float(x)
-            if x < 0.0:
-                raise ValueError(f"negative fitness: {x}")
-            c = int(c)
-            if c < 0:
-                raise ValueError(f"negative count for fitness {x}: {c}")
-            if c > 0:
-                clean[x] = c
-        object.__setattr__(self, "entries", _ascending(clean))
-
-    @property
-    def total_count(self) -> int:
-        """Population size implied by the histogram."""
-        return sum(self.entries.values())
-
-    @property
-    def support(self) -> set[float]:
-        return set(self.entries)
-
-    def count(self, x: float) -> int:
-        return self.entries.get(x, 0)
-
-    def __iter__(self) -> Iterator[tuple[float, int]]:
-        return iter(self.entries.items())
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -111,7 +65,24 @@ class NFD:
                 raise ValueError(f"non-finite fitness: {x}")
             clean[x] = float(m)
         _check_masses(clean)
-        object.__setattr__(self, "entries", _ascending(clean))
+        object.__setattr__(self, "entries", {x: clean[x] for x in sorted(clean)})
+
+    @classmethod
+    def from_values(cls, values: Iterable[float]) -> NFD:
+        """NFD with mass count(x) / len(values) at x; 0.0 and -0.0 are one x.
+
+        Raises:
+            ValueError: On no values, or a negative or non-finite value (a
+                negative one is named first).
+        """
+        counts = Counter(float(v) for v in values)
+        if not counts:
+            raise ValueError("empty population")
+        for x in counts:
+            if x < 0.0:
+                raise ValueError(f"negative fitness: {x}")
+        n = sum(counts.values())
+        return cls({x: c / n for x, c in counts.items()})
 
     @classmethod
     def _on_support(cls, keys: Iterable[float], masses: list[float]) -> NFD:
@@ -148,42 +119,6 @@ class NFD:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def fitness_distribution_from_values(values: Iterable[float]) -> FitnessDistribution:
-    """Build the fitness histogram of a population given as raw values.
-
-    Args:
-        values: Nonempty iterable of fitness values, each >= 0.
-
-    Returns:
-        FitnessDistribution whose count at x is the multiplicity of x and
-        whose total count equals ``len(values)``.
-
-    Raises:
-        ValueError: On an empty population or a negative fitness value.
-    """
-    counts = Counter(float(v) for v in values)
-    if not counts:
-        raise ValueError("empty population")
-    for x in counts:
-        if x < 0.0:
-            raise ValueError(f"negative fitness: {x}")
-    return FitnessDistribution(dict(counts))
-
-
-def normalize(rho: FitnessDistribution) -> NFD:
-    """Divide a fitness histogram by its total count.
-
-    The support is unchanged; masses are count/total.
-
-    Raises:
-        ValueError: If the histogram has zero total count.
-    """
-    n = rho.total_count
-    if n < 1:
-        raise ValueError("zero total count")
-    return NFD({x: c / n for x, c in rho})
 
 
 def distance(phi1: NFD, phi2: NFD) -> float:

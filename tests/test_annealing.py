@@ -80,6 +80,28 @@ def test_calibrate_round_trip():
         assert gamma_at(s, 100) == pytest.approx(300.0, rel=1e-9)
 
 
+def test_calibrate_g0_divides_by_the_written_out_cumsum():
+    # the schedule's cached partial sum makes the same additions in the same
+    # order as one cumsum over k = 1 .. horizon
+    horizons = [*range(1, 200), 1000, 5000, 33_600]
+    mismatches = []
+    for alpha in (1.0000001, 1.001, 1.1, 1.5, 2.0, 3.0, 7.3):
+        for horizon in horizons:
+            ks = np.arange(1, horizon + 1, dtype=np.float64)
+            expected = 300.0 / float(np.cumsum(ks**-alpha)[-1])
+            if calibrate_g0(alpha, horizon, 300.0) != expected:
+                mismatches.append((alpha, horizon))
+    assert mismatches == []
+
+
+def test_calibrate_rejects_negative_gamma_target():
+    with pytest.raises(ValueError, match="inverse temperature must be nonnegative"):
+        calibrate_g0(2.0, 100, -5.0)
+    with pytest.raises(ValueError, match="inverse temperature must be nonnegative"):
+        calibrate_g0(2.0, 1, -5e-324)
+    assert calibrate_g0(2.0, 100, 0.0) == 0.0
+
+
 def test_calibrate_rejects_bad_alpha():
     with pytest.raises(ValueError, match="alpha must exceed 1"):
         calibrate_g0(1.0, 100, 300.0)

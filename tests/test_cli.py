@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import stat
 
@@ -161,6 +162,19 @@ def test_config_file_booleans_fail_loudly(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        "function = ackley\nselection = proportionate\nruns = 1\n# again\nruns=2\n"
+    )
+    with pytest.raises(ValueError, match=r"exp\.cfg:5: duplicate key 'runs'"):
+        load_config_file(cfg_file)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file), "--output", str(out)]) == 2
+    assert f"error: {cfg_file}:5: duplicate key 'runs'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_merge_rejects_unknown_keys_and_missing_required():
     with pytest.raises(ValueError, match="unknown config keys"):
         merge_config({}, {"pop_sizes": "10"})
@@ -244,6 +258,24 @@ def test_cli_rejects_non_finite_gamma(tmp_path, capsys, flags):
     )
     assert rc == 2
     assert "error: inverse temperature must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--alpha", "2", "--gamma-target", "-5"],
+        ["run", "--function", "ackley", "--selection", "cauchy-boltzmann",
+         "--gamma-target", "-5", "--pop-size", "10", "--generations", "2",
+         "--runs", "1"],
+    ],
+    ids=["schedule", "run"],
+)
+def test_cli_names_a_negative_gamma_target(tmp_path, capsys, argv):
+    assert main([*argv, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: inverse temperature must be nonnegative" in err
+    assert "g0" not in err  # a setting the command line never gave
     assert not list(tmp_path.iterdir())
 
 
@@ -451,6 +483,81 @@ def test_main_runs_after_help(tmp_path, capsys, cold_parser):
 
 def test_build_parser_returns_a_new_parser():
     assert build_parser() is not build_parser()
+
+
+# The run subcommand's flags, in order, each with the CliConfig field it sets,
+# a value to pass and the value (and type) the field must then hold. Renaming
+# a CliConfig field renames its flag, which these tests then catch.
+RUN_FLAGS = [
+    ("--function", "function", "ackley", "ackley"),
+    ("--selection", "selection", "cauchy-boltzmann", "cauchy_boltzmann"),
+    ("--alpha", "alpha", "2.5", 2.5),
+    ("--g0", "g0", "1.5", 1.5),
+    ("--gamma", "gamma", "7", 7.0),
+    ("--gamma-target", "gamma_target", "9", 9.0),
+    ("--generations", "generations", "4", 4),
+    ("--pop-size", "pop_size", "12", 12),
+    ("--runs", "runs", "3", 3),
+    ("--seed", "seed", "11", 11),
+    ("--bits-per-var", "bits_per_var", "6", 6),
+    ("--dims", "dims", "2", 2),
+    ("--crossover-prob", "crossover_prob", "1", 1.0),
+    ("--mutation-prob", "mutation_prob", "0.05", 0.05),
+    ("--elitism", "elitism", None, True),
+    ("--output", "output", "out", "out"),
+]
+
+
+def _run_subparser() -> argparse.ArgumentParser:
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices["run"]
+
+
+def test_run_flags_are_the_config_fields_in_order():
+    flags = [a.option_strings for a in _run_subparser()._actions]
+    assert flags == [
+        ["-h", "--help"],
+        ["--config"],
+        *(["--elitism", "--no-elitism"] if f == "--elitism" else [f]
+          for f, *_ in RUN_FLAGS),
+    ]
+
+
+def _parsed_config(monkeypatch, argv) -> CliConfig:
+    """The CliConfig that ``main`` would run for ``argv``."""
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+    assert main(argv) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize(
+    "flag, field, text, value", RUN_FLAGS, ids=[f for f, *_ in RUN_FLAGS]
+)
+def test_run_flag_sets_its_config_field(monkeypatch, flag, field, text, value):
+    base = ["run", "--function", "griewangk", "--selection", "proportionate"]
+    passed = [flag] if text is None else [flag, text]
+    cfg = _parsed_config(monkeypatch, [*base, *passed])
+    assert getattr(cfg, field) == value
+    assert type(getattr(cfg, field)) is type(value)
+    assert getattr(CliConfig("griewangk", "proportionate"), field) != value
+
+
+@pytest.mark.parametrize(
+    "flags, elitism, over_file_on",
+    [([], False, True), (["--elitism"], True, True), (["--no-elitism"], False, False),
+     (["--elitism", "--no-elitism"], False, False)],
+)
+def test_elitism_flag_pair(tmp_path, monkeypatch, flags, elitism, over_file_on):
+    base = ["run", "--function", "ackley", "--selection", "proportionate"]
+    assert _parsed_config(monkeypatch, [*base, *flags]).elitism is elitism
+    # with a config file that turns elitism on, only --no-elitism turns it off
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("elitism = true\n")
+    on_file = _parsed_config(monkeypatch, [*base, "--config", str(cfg_file), *flags])
+    assert on_file.elitism is over_file_on
 
 
 def _small_run_argv(out) -> list[str]:

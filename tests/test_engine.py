@@ -18,6 +18,7 @@ from cauchyga.benchmarks import (
 )
 from cauchyga.engine import (
     GaConfig,
+    GenerationRecord,
     aggregate,
     decode_batch,
     make_population,
@@ -303,21 +304,34 @@ def test_step_preserves_population_size():
 def test_run_single_generation_series():
     cfg = small_config(generations=1)
     series = run(cfg, 0)
-    assert len(series.records) == 1
+    assert series.shape == (1, 5) and series.dtype == np.float64
 
 
 def test_run_is_deterministic():
     cfg = small_config()
-    assert run(cfg, 0) == run(cfg, 0)
-    assert run(cfg, 0) != run(cfg, 1)
+    assert np.array_equal(run(cfg, 0), run(cfg, 0))
+    assert not np.array_equal(run(cfg, 0), run(cfg, 1))
+
+
+def test_run_rows_are_the_generation_records():
+    assert GenerationRecord._fields == (
+        "gamma", "best_so_far_raw", "gen_best_raw", "mean_raw", "strength"
+    )
+    cfg = small_config(generations=4)
+    rng = np.random.Generator(np.random.PCG64(engine.run_seed(cfg.master_seed, 2)))
+    pop = make_population(random_bits(rng, cfg.pop_size, 15), cfg.objective, 5)
+    best, records = float(pop.raw.min()), []
+    for gen in range(1, cfg.generations + 1):
+        pop, record = step_generation(pop, cfg, gen, rng, best)
+        best = record.best_so_far_raw
+        records.append(list(record))
+    assert run(cfg, 2).tolist() == records
 
 
 def test_best_so_far_nonincreasing():
     cfg = small_config(generations=40)
-    series = run(cfg, 3)
-    best = [r.best_so_far_raw for r in series.records]
+    _, best, gen_best, _, _ = run(cfg, 3).T
     assert all(b <= a for a, b in zip(best, best[1:]))
-    gen_best = [r.gen_best_raw for r in series.records]
     assert all(b <= g for b, g in zip(best, gen_best))
 
 
@@ -328,18 +342,44 @@ def test_multi_run_single_run_zero_std():
     assert np.all(agg.mean_std == 0.0)
 
 
+AGGREGATED = ("gamma", "best_mean", "best_std", "mean_mean", "mean_std",
+              "strength_mean", "strength_std")
+
+
 def test_multi_run_reproducible_and_order_independent():
-    cfg = small_config()
+    cfg = small_config(runs=3)
+    # a run depends only on its index, not on which runs ran before it
+    runs = {i: run(cfg, i) for i in reversed(range(cfg.runs))}
     a = multi_run(cfg)
-    b = aggregate([run(cfg, i) for i in reversed(range(cfg.runs))])
-    assert np.array_equal(a.best_mean, b.best_mean)
-    assert np.array_equal(a.strength_mean, b.strength_mean)
+    b = aggregate(np.stack([runs[i] for i in range(cfg.runs)]))
+    assert a.runs == b.runs == 3
+    assert np.array_equal(a.generations, b.generations)
+    for name in AGGREGATED:
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize(
+    "runs, generations", [(1, 1), (3, 1), (17, 1), (17, 4), (40, 7)]
+)
+def test_aggregate_reduces_each_quantity_as_a_contiguous_column(runs, generations):
+    # the reference: one contiguous (runs, generations) array per quantity;
+    # at one generation and 8 or more runs numpy sums it pairwise
+    stack = np.random.default_rng(runs * 10 + generations).standard_normal(
+        (runs, generations, 5)
+    ) * [1.0, 1e3, 1.0, 1e-3, 0.5]
+    agg = aggregate(stack)
+    assert agg.runs == runs
+    assert agg.generations.tolist() == list(range(1, generations + 1))
+    assert agg.gamma.tolist() == stack[0, :, 0].tolist()
+    for column, prefix in ((1, "best"), (3, "mean"), (4, "strength")):
+        reference = np.array(stack[:, :, column].tolist())
+        assert np.array_equal(getattr(agg, f"{prefix}_mean"), reference.mean(axis=0))
+        assert np.array_equal(getattr(agg, f"{prefix}_std"), reference.std(axis=0))
 
 
 def test_elitism_keeps_best_from_worsening():
     cfg = small_config(elitism=True, generations=30, mutation_prob_per_bit=0.05)
-    series = run(cfg, 0)
-    gen_best = [r.gen_best_raw for r in series.records]
+    gen_best = run(cfg, 0)[:, 2]
     assert all(b <= a + 1e-12 for a, b in zip(gen_best, gen_best[1:]))
 
 
@@ -379,15 +419,13 @@ def test_cauchy_scheme_uses_schedule_gamma():
         selection="cauchy_boltzmann", schedule=cauchy_schedule(1.0, 2.0),
         generations=3,
     )
-    series = run(cfg, 0)
-    gammas = [r.gamma for r in series.records]
+    gammas = run(cfg, 0)[:, 0].tolist()
     assert gammas == pytest.approx([1.0, 1.25, 1.0 + 0.25 + 1 / 9], abs=1e-12)
 
 
 def test_proportionate_records_zero_gamma():
     cfg = small_config(selection="proportionate", generations=2)
-    series = run(cfg, 0)
-    assert all(r.gamma == 0.0 for r in series.records)
+    assert run(cfg, 0)[:, 0].tolist() == [0.0, 0.0]
 
 
 def reference_decode(bits, spec, bits_per_var) -> np.ndarray:

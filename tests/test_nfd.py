@@ -2,86 +2,85 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cauchyga.nfd import (
-    NFD,
-    FitnessDistribution,
-    distance,
-    fitness_distribution_from_values,
-    normalize,
-)
+from cauchyga.nfd import NFD, distance
 from cauchyga.verify import random_nfd
 
 
 def test_from_values_counts_multiplicities():
-    rho = fitness_distribution_from_values([1.0, 1.0, 2.0])
-    assert rho.entries == {1.0: 2, 2.0: 1}
-    assert rho.total_count == 3
+    phi = NFD.from_values([1.0, 1.0, 2.0])
+    assert phi.entries == {1.0: 2 / 3, 2.0: 1 / 3}
+    assert len(phi) == 2
 
 
 def test_from_values_singleton_zero():
-    rho = fitness_distribution_from_values([0.0])
-    assert rho.entries == {0.0: 1}
+    assert NFD.from_values([0.0]).entries == {0.0: 1.0}
+    # 0.0 and -0.0 are one fitness value
+    assert NFD.from_values([-0.0, 0.0, 1.0, 0.0]).entries == {0.0: 0.75, 1.0: 0.25}
 
 
 def test_from_values_matches_counter_oracle():
     rng = np.random.default_rng(7)
     values = rng.choice([0.5, 1.25, 2.0, 3.75], size=150).tolist()
-    rho = fitness_distribution_from_values(values)
-    assert rho.entries == dict(sorted(Counter(values).items()))
-    assert rho.total_count == 150
+    phi = NFD.from_values(values)
+    assert list(phi) == [(x, c / 150) for x, c in sorted(Counter(values).items())]
 
 
 def test_from_values_rejects_empty():
     with pytest.raises(ValueError, match="empty population"):
-        fitness_distribution_from_values([])
+        NFD.from_values([])
 
 
 def test_from_values_rejects_negative():
-    with pytest.raises(ValueError, match="negative fitness"):
-        fitness_distribution_from_values([1.0, -0.5])
+    with pytest.raises(ValueError, match="negative fitness: -0.5"):
+        NFD.from_values([1.0, -0.5])
+    # a negative value is named even when a non-finite one comes first
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="negative fitness: -0.5"):
+            NFD.from_values([bad, 1.0, -0.5])
+        with pytest.raises(ValueError, match="non-finite fitness"):
+            NFD.from_values([1.0, bad])
 
 
 def test_normalize_divides_by_total():
-    phi = normalize(FitnessDistribution({1.0: 2, 2.0: 1}))
-    assert phi.mass(1.0) == pytest.approx(2 / 3, abs=0)
-    assert phi.mass(2.0) == pytest.approx(1 / 3, abs=0)
+    phi = NFD.from_values([1.0, 2.0, 1.0])
+    assert phi.mass(1.0) == 2 / 3
+    assert phi.mass(2.0) == 1 / 3
     assert phi.support == {1.0, 2.0}
 
 
 def test_normalize_point_mass():
-    phi = normalize(FitnessDistribution({5.0: 7}))
-    assert phi.entries == {5.0: 1.0}
+    assert NFD.from_values([5.0] * 7).entries == {5.0: 1.0}
 
 
 def test_normalize_rejects_zero_total():
-    with pytest.raises(ValueError, match="zero total count"):
-        normalize(FitnessDistribution({}))
+    # an exhausted iterator is a population of size zero
+    with pytest.raises(ValueError, match="empty population"):
+        NFD.from_values(iter([]))
 
 
 def test_normalize_masses_sum_to_one():
     rng = np.random.default_rng(3)
     for _ in range(50):
         values = rng.integers(0, 40, size=rng.integers(1, 200)).astype(float)
-        phi = normalize(fitness_distribution_from_values(values.tolist()))
+        phi = NFD.from_values(values.tolist())
         assert abs(sum(m for _, m in phi) - 1.0) <= 1e-12
 
 
 def test_support_examples():
     assert NFD({1.0: 0.5, 3.0: 0.5}).support == {1.0, 3.0}
     assert NFD({0.0: 1.0}).support == {0.0}
-    assert FitnessDistribution({2.0: 3, 5.0: 0}).support == {2.0}
+    assert NFD.from_values([2.0, 2.0, 2.0]).support == {2.0}
 
 
 def test_support_bounded_by_population_size():
     rng = np.random.default_rng(11)
-    phi = normalize(
-        fitness_distribution_from_values(rng.uniform(0, 1, size=150).tolist())
-    )
+    phi = NFD.from_values(rng.uniform(0, 1, size=150).tolist())
     assert len(phi.support) <= 150
 
 
@@ -154,6 +153,6 @@ def test_normalize_of_from_values_is_valid_nfd():
     rng = np.random.default_rng(29)
     for _ in range(50):
         values = rng.uniform(0, 10, size=rng.integers(1, 60)).tolist()
-        phi = normalize(fitness_distribution_from_values(values))
+        phi = NFD.from_values(values)
         assert isinstance(phi, NFD)  # constructor revalidates invariants
         assert phi.support == set(values)

@@ -13,6 +13,7 @@ Every test runs derandomized, so tier-1 sees the same examples on every run.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -46,9 +47,24 @@ def populations(draw, values=FITNESS):
     return fitness, chosen
 
 
+def counted_nfd(fitness: np.ndarray) -> NFD:
+    """A population's NFD written out: count each value, mass count / n."""
+    values = fitness.tolist()
+    if not values:
+        raise ValueError("empty population")
+    return NFD({x: c / len(values) for x, c in Counter(values).items()})
+
+
 def nfd_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
     """The reference: two dict NFDs and their L1 distance."""
-    return distance(population_nfd(fitness), population_nfd(fitness[chosen]))
+    return distance(counted_nfd(fitness), counted_nfd(fitness[chosen]))
+
+
+@PROPERTY
+@given(populations())
+def test_population_nfd_equals_counted_nfd(case):
+    fitness, _ = case
+    assert list(population_nfd(fitness)) == list(counted_nfd(fitness))
 
 
 @PROPERTY
