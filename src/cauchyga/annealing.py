@@ -9,15 +9,17 @@ partial sum
 a convergent, nondecreasing sequence. ``calibrate_g0`` solves for the g0
 that makes the schedule hit a target gamma at a chosen horizon.
 
-Partial sums are accumulated in ascending k order and cached per schedule
-instance; the cache only ever grows, so concurrent readers are safe.
-Public fields are never mutated after construction.
+Unit partial sums, sum_{k=1..n} k**(-alpha), are accumulated in ascending
+k order into one grow-only table per alpha that every schedule with that
+alpha and ``calibrate_g0`` read. No value depends on which call grew the
+table, so concurrent callers agree. Schedules are immutable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +27,7 @@ CONSTANT = "constant"
 CAUCHY = "cauchy"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnnealingSchedule:
     """A rule producing the nondecreasing inverse-temperature sequence.
 
@@ -37,9 +39,6 @@ class AnnealingSchedule:
     gamma_const: float = 0.0
     g0: float = 0.0
     alpha: float = 0.0
-    _prefix: np.ndarray = field(
-        default_factory=lambda: np.zeros(1), repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.kind == CONSTANT:
@@ -55,18 +54,26 @@ class AnnealingSchedule:
         else:
             raise ValueError(f"unknown schedule kind: {self.kind!r}")
 
-    def _ensure(self, n: int) -> None:
-        have = len(self._prefix) - 1
-        if n <= have:
-            return
-        grow_to = max(n, 2 * have, 16)
-        ks = np.arange(have + 1, grow_to + 1, dtype=np.float64)
-        # Seed the chunk with the running total so the accumulation is the
-        # same sequence of additions a single ascending pass would perform;
-        # cached values then never depend on the growth history.
-        seeded = np.concatenate([self._prefix[-1:], ks ** -self.alpha])
-        ext = np.cumsum(seeded)[1:]
-        self._prefix = np.concatenate([self._prefix, ext])
+
+# alpha -> array whose entry n is sum_{k=1..n} k**(-alpha); entry 0 is 0
+_UNIT_SUMS: defaultdict[float, np.ndarray] = defaultdict(lambda: np.zeros(1))
+
+
+def _unit_sums(alpha: float, n: int) -> np.ndarray:
+    """The table of unit partial sums for ``alpha``, grown to hold entry n."""
+    prefix = _UNIT_SUMS[alpha]
+    have = len(prefix) - 1
+    if n <= have:
+        return prefix
+    grow_to = max(n, 2 * have, 16)
+    ks = np.arange(have + 1, grow_to + 1, dtype=np.float64)
+    # Seed the chunk with the running total so the accumulation is the
+    # same sequence of additions a single ascending pass would perform;
+    # table values then never depend on the growth history.
+    seeded = np.concatenate([prefix[-1:], ks ** -alpha])
+    prefix = np.concatenate([prefix, np.cumsum(seeded)[1:]])
+    _UNIT_SUMS[alpha] = prefix
+    return prefix
 
 
 def _check_finite(gamma: float) -> None:
@@ -97,8 +104,7 @@ def gamma_at(schedule: AnnealingSchedule, n: int) -> float:
         raise ValueError("generation index must be >= 1")
     if schedule.kind == CONSTANT:
         return schedule.gamma_const
-    schedule._ensure(n)
-    return schedule.g0 * float(schedule._prefix[n])
+    return schedule.g0 * float(_unit_sums(schedule.alpha, n)[n])
 
 
 def tail_sum(schedule: AnnealingSchedule, m: int, n: int) -> float:
@@ -114,8 +120,8 @@ def tail_sum(schedule: AnnealingSchedule, m: int, n: int) -> float:
         raise ValueError("tail sum undefined for constant schedule")
     if m < 0 or n <= m:
         raise ValueError(f"need n > m >= 0, got m={m}, n={n}")
-    schedule._ensure(n)
-    return schedule.g0 * float(schedule._prefix[n] - schedule._prefix[m])
+    prefix = _unit_sums(schedule.alpha, n)
+    return schedule.g0 * float(prefix[n] - prefix[m])
 
 
 def calibrate_g0(alpha: float, horizon: int, gamma_target: float) -> float:
@@ -136,4 +142,4 @@ def calibrate_g0(alpha: float, horizon: int, gamma_target: float) -> float:
     _check_finite(gamma_target)
     if gamma_target < 0.0:
         raise ValueError("inverse temperature must be nonnegative")
-    return gamma_target / gamma_at(cauchy_schedule(1.0, alpha), horizon)
+    return gamma_target / float(_unit_sums(alpha, horizon)[horizon])

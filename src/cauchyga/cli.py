@@ -178,24 +178,13 @@ def merge_config(cli_values: dict, file_values: dict[str, str]) -> CliConfig:
 
 
 def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
-    """Translate CLI settings into an engine config plus the effective g0."""
-    objective = make_objective(cfg.function, cfg.dims)
-    g0_effective: float | None = None
-    if cfg.selection == engine.CAUCHY_BOLTZMANN:
-        g0_effective = (
-            cfg.g0
-            if cfg.g0 is not None
-            else calibrate_g0(cfg.alpha, cfg.generations, cfg.gamma_target)
-        )
-        schedule = cauchy_schedule(g0_effective, cfg.alpha)
-    elif cfg.selection == engine.BOLTZMANN_CONST:
-        schedule = constant_schedule(cfg.gamma)
-    else:
-        schedule = constant_schedule(0.0)
+    """Translate CLI settings into an engine config plus the effective g0.
+
+    GaConfig checks the settings before g0 is calibrated to the horizon.
+    """
     ga = GaConfig(
-        objective=objective,
+        objective=make_objective(cfg.function, cfg.dims),
         selection=cfg.selection,
-        schedule=schedule,
         pop_size=cfg.pop_size,
         generations=cfg.generations,
         crossover_prob=cfg.crossover_prob,
@@ -205,6 +194,17 @@ def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
         elitism=cfg.elitism,
         bits_per_var=cfg.bits_per_var,
     )
+    g0_effective: float | None = None
+    # proportionate selection keeps GaConfig's default gamma-0 schedule
+    if cfg.selection == engine.CAUCHY_BOLTZMANN:
+        g0_effective = (
+            cfg.g0
+            if cfg.g0 is not None
+            else calibrate_g0(cfg.alpha, cfg.generations, cfg.gamma_target)
+        )
+        ga.schedule = cauchy_schedule(g0_effective, cfg.alpha)
+    elif cfg.selection == engine.BOLTZMANN_CONST:
+        ga.schedule = constant_schedule(cfg.gamma)
     return ga, g0_effective
 
 
@@ -456,12 +456,7 @@ def main(argv: list[str] | None = None) -> int:
             for line in result.suite_lines:
                 print(line)
             if not result.ok:
-                first = result.first_failure
-                print(
-                    f"first failure: {first.case_id} lhs={first.lhs!r} "
-                    f"rhs={first.rhs!r} {first.detail}",
-                    file=sys.stderr,
-                )
+                print(result.failure_line(), file=sys.stderr)
                 return EXIT_VERIFY_FAIL
             return EXIT_OK
 

@@ -14,14 +14,25 @@ plain-text pass/fail report plus a CSV with one (case_id, lhs, rhs) row
 per case, and reports the first failing case in detail. Each suite's line
 in the report gives its worst margin, the smallest rhs - lhs over its
 cases (before any slack), and the case where it occurs.
+
+A suite is a generator ``suite(rng, cases, tol)`` that draws its cases
+from ``rng`` and yields ``(case_id, lhs, rhs, problems)`` for each, where
+``problems`` lists what failed. The runner records a case as holding when
+the list is empty, with the problems joined by "; " as its detail. Any
+slack comes from ``tol``, a :class:`Tolerances`, never from a literal in
+the suite; :func:`exceeds` decides ``lhs <= rhs + slack``. A suite
+appended to :data:`SUITES` gets the next stream index, so the draws of
+the earlier suites do not move.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import product
 from math import inf
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +44,8 @@ from .theory import cauchy_tail_profile, lemma1_check, lemma2_bound_check, tail_
 LEMMA_ALPHAS = (1.1, 1.5, 2.0)
 LEMMA_G0S = (0.1, 1.0, 10.0)
 TAIL_CHECKPOINTS = (1, 2, 4, 8, 16, 32)
+
+Case = tuple[str, float, float, list[str]]  # (case_id, lhs, rhs, problems)
 
 
 @dataclass(frozen=True)
@@ -74,10 +87,12 @@ class VerifyResult:
 
     @property
     def first_failure(self) -> CaseResult | None:
-        for c in self.cases:
-            if not c.holds:
-                return c
-        return None
+        return next((c for c in self.cases if not c.holds), None)
+
+    def failure_line(self) -> str:
+        """The report's 'first failure:' line; call only when not ``ok``."""
+        c = self.first_failure
+        return f"first failure: {c.case_id} lhs={c.lhs!r} rhs={c.rhs!r} {c.detail}"
 
 
 def random_nfd(
@@ -121,109 +136,72 @@ def choice(rng: np.random.Generator, options: tuple[float, ...]) -> float:
     return options[int(rng.integers(0, len(options)))]
 
 
-def metric_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> list[CaseResult]:
+def exceeds(lhs: float, rhs: float, slack: float) -> bool:
+    """Whether ``lhs <= rhs + slack`` fails; a NaN on either side fails it."""
+    return not lhs <= rhs + slack
+
+
+def metric_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> Iterator[Case]:
     """Nonnegativity, identity, symmetry, and triangle inequality on triples."""
-    out = []
     for i in range(cases):
         p1, p2, p3 = (random_nfd(rng) for _ in range(3))
         d12, d13, d23 = distance(p1, p2), distance(p1, p3), distance(p2, p3)
-        problems = []
-        if min(d12, d13, d23) < 0.0:
-            problems.append("negative distance")
-        if max(d12, d13, d23) > 2.0 + tol.metric_slack:
-            problems.append("distance above 2")
-        if distance(p1, p1) != 0.0:
-            problems.append("d(phi, phi) != 0")
-        if d12 == 0.0 and (p1.entries != p2.entries):
-            problems.append("zero distance between distinct NFDs")
-        if distance(p2, p1) != d12:
-            problems.append("asymmetric")
-        if d13 > d12 + d23 + tol.metric_slack:
-            problems.append("triangle inequality violated")
-        out.append(
-            CaseResult(
-                case_id=f"metric-{i:06d}",
-                lhs=d13,
-                rhs=d12 + d23,
-                holds=not problems,
-                detail="; ".join(problems),
-            )
+        checks = (
+            (min(d12, d13, d23) < 0.0, "negative distance"),
+            (exceeds(max(d12, d13, d23), 2.0, tol.metric_slack), "distance above 2"),
+            (distance(p1, p1) != 0.0, "d(phi, phi) != 0"),
+            (
+                d12 == 0.0 and p1.entries != p2.entries,
+                "zero distance between distinct NFDs",
+            ),
+            (distance(p2, p1) != d12, "asymmetric"),
+            (exceeds(d13, d12 + d23, tol.metric_slack), "triangle inequality violated"),
         )
-    return out
+        problems = [message for failed, message in checks if failed]
+        yield f"metric-{i:06d}", d13, d12 + d23, problems
 
 
-def lemma1_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> list[CaseResult]:
+def lemma1_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> Iterator[Case]:
     """Strength-difference bound on random (phi, gamma1, gamma2)."""
-    out = []
     for i in range(cases):
         phi = random_nfd(rng)
         g1, g2 = rng.uniform(0.0, 50.0, size=2)
         chk = lemma1_check(phi, float(g1), float(g2))
-        holds = chk.lhs <= chk.rhs + tol.lemma_slack
-        out.append(
-            CaseResult(
-                case_id=f"lemma1-{i:06d}",
-                lhs=chk.lhs,
-                rhs=chk.rhs,
-                holds=holds,
-                detail="" if holds else f"gamma1={g1!r} gamma2={g2!r}",
-            )
-        )
-    return out
+        bad = exceeds(chk.lhs, chk.rhs, tol.lemma_slack)
+        problems = [f"gamma1={g1!r} gamma2={g2!r}"] if bad else []
+        yield f"lemma1-{i:06d}", chk.lhs, chk.rhs, problems
 
 
-def lemma2_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> list[CaseResult]:
+def lemma2_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> Iterator[Case]:
     """Tail bound on random NFDs and schedule windows 1 <= m < n <= 50."""
-    schedules = {
-        (g0, alpha): cauchy_schedule(g0, alpha)
-        for alpha in LEMMA_ALPHAS
-        for g0 in LEMMA_G0S
-    }
-    out = []
     for i in range(cases):
         phi = random_nfd(rng)  # support in [0, 1] keeps the bound informative
         alpha = choice(rng, LEMMA_ALPHAS)
         g0 = choice(rng, LEMMA_G0S)
         m = int(rng.integers(1, 50))
         n = int(rng.integers(m + 1, 51))
-        chk = lemma2_bound_check(phi, schedules[g0, alpha], m, n)
-        holds = chk.lhs <= chk.rhs + tol.lemma_slack
-        out.append(
-            CaseResult(
-                case_id=f"lemma2-{i:06d}",
-                lhs=chk.lhs,
-                rhs=chk.rhs,
-                holds=holds,
-                detail="" if holds else f"alpha={alpha} g0={g0} m={m} n={n}",
-            )
-        )
-    return out
+        chk = lemma2_bound_check(phi, cauchy_schedule(g0, alpha), m, n)
+        bad = exceeds(chk.lhs, chk.rhs, tol.lemma_slack)
+        problems = [f"alpha={alpha} g0={g0} m={m} n={n}"] if bad else []
+        yield f"lemma2-{i:06d}", chk.lhs, chk.rhs, problems
 
 
-def semigroup_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> list[CaseResult]:
+def semigroup_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> Iterator[Case]:
     """Composition in two steps equals one application at the summed gamma."""
-    out = []
     for i in range(cases):
         phi = random_nfd(rng)
         g1, g2 = rng.uniform(0.0, 50.0, size=2)
         two_step = boltzmann_apply(boltzmann_apply(phi, float(g1)), float(g2))
         one_step = boltzmann_apply(phi, float(g1) + float(g2))
         err = distance(two_step, one_step)
-        out.append(
-            CaseResult(
-                case_id=f"semigroup-{i:06d}",
-                lhs=err,
-                rhs=tol.semigroup_tol,
-                holds=err <= tol.semigroup_tol,
-                detail="" if err <= tol.semigroup_tol else f"gamma1={g1!r} gamma2={g2!r}",
-            )
-        )
-    return out
+        bad = exceeds(err, tol.semigroup_tol, 0.0)
+        problems = [f"gamma1={g1!r} gamma2={g2!r}"] if bad else []
+        yield f"semigroup-{i:06d}", err, tol.semigroup_tol, problems
 
 
 def cauchy_tail_suite(
     rng: np.random.Generator, cases: int, tol: Tolerances
-) -> list[CaseResult]:
+) -> Iterator[Case]:
     """Window distances obey the tail bound; the reference profile contracts.
 
     Two kinds of case. Random-NFD cases check, per checkpoint N, that the
@@ -236,57 +214,48 @@ def cauchy_tail_suite(
     g0 = 10), not on arbitrary cases, where early checkpoints can
     legitimately rise before contracting.
     """
-    out = []
     n_phis = max(1, cases // 100)
-    case_no = 0
-    for alpha in LEMMA_ALPHAS:
-        for g0 in LEMMA_G0S:
-            schedule = cauchy_schedule(g0, alpha)
-            for _ in range(n_phis):
-                phi = random_nfd(rng)
-                profile = cauchy_tail_profile(phi, schedule, list(TAIL_CHECKPOINTS))
-                problems = []
-                worst_lhs = 0.0
-                worst_rhs = 2.0
-                for ckpt, val in profile:
-                    cap = min(2.0, tail_bound(phi, schedule, ckpt, 4 * ckpt))
-                    if val > cap + tol.lemma_slack:
-                        problems.append(f"window {ckpt}..{4 * ckpt} above bound")
-                    if val > worst_lhs:
-                        worst_lhs, worst_rhs = val, cap
-                out.append(
-                    CaseResult(
-                        case_id=f"cauchytail-{case_no:06d}",
-                        lhs=worst_lhs,
-                        rhs=worst_rhs,
-                        holds=not problems,
-                        detail="; ".join(problems)
-                        + ("" if not problems else f" (alpha={alpha} g0={g0})"),
-                    )
-                )
-                case_no += 1
+    settings = product(LEMMA_ALPHAS, LEMMA_G0S, range(n_phis))
+    for case_no, (alpha, g0, _) in enumerate(settings):
+        schedule = cauchy_schedule(g0, alpha)
+        phi = random_nfd(rng)
+        profile = cauchy_tail_profile(phi, schedule, list(TAIL_CHECKPOINTS))
+        problems = []
+        worst_lhs = 0.0
+        worst_rhs = 2.0
+        for ckpt, val in profile:
+            cap = min(2.0, tail_bound(phi, schedule, ckpt, 4 * ckpt))
+            if exceeds(val, cap, tol.lemma_slack):
+                problems.append(f"window {ckpt}..{4 * ckpt} above bound")
+            if val > worst_lhs:
+                worst_lhs, worst_rhs = val, cap
+        if problems:
+            problems[-1] += f" (alpha={alpha} g0={g0})"
+        yield f"cauchytail-{case_no:06d}", worst_lhs, worst_rhs, problems
     for alpha in LEMMA_ALPHAS:
         phi = NFD({0.0: 0.5, 1.0: 0.5})
         profile = cauchy_tail_profile(
             phi, cauchy_schedule(10.0, alpha), list(TAIL_CHECKPOINTS)
         )
         vals = [v for _, v in profile]
-        problems = []
-        for (ck_a, va), (ck_b, vb) in zip(profile, profile[1:]):
-            if vb > va + tol.profile_slack:
-                problems.append(f"increase at {ck_a}->{ck_b}")
+        problems = [
+            f"increase at {ck_a}->{ck_b}"
+            for (ck_a, va), (ck_b, vb) in zip(profile, profile[1:])
+            if exceeds(vb, va, tol.profile_slack)
+        ]
         if vals[0] > 1e-9 and not vals[-1] < vals[0]:
             problems.append("final value not below first")
-        out.append(
-            CaseResult(
-                case_id=f"cauchytail-ref-alpha{alpha:g}",
-                lhs=vals[-1],
-                rhs=vals[0],
-                holds=not problems,
-                detail="; ".join(problems),
-            )
-        )
-    return out
+        yield f"cauchytail-ref-alpha{alpha:g}", vals[-1], vals[0], problems
+
+
+# (name, suite) in stream order: suite i draws from SeedSequence([seed, i])
+SUITES = (
+    ("metric", metric_suite),
+    ("lemma1", lemma1_suite),
+    ("lemma2", lemma2_suite),
+    ("semigroup", semigroup_suite),
+    ("cauchy-tail", cauchy_tail_suite),
+)
 
 
 def run_verify(
@@ -307,18 +276,14 @@ def run_verify(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = VerifyResult(seed=seed, case_count=case_count)
-    suites = (
-        ("metric", metric_suite),
-        ("lemma1", lemma1_suite),
-        ("lemma2", lemma2_suite),
-        ("semigroup", semigroup_suite),
-        ("cauchy-tail", cauchy_tail_suite),
-    )
-    for suite_index, (name, suite) in enumerate(suites):
+    for suite_index, (name, suite) in enumerate(SUITES):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, suite_index]))
         )
-        cases = suite(rng, case_count, tol)
+        cases = [
+            CaseResult(case_id, lhs, rhs, not problems, "; ".join(problems))
+            for case_id, lhs, rhs, problems in suite(rng, case_count, tol)
+        ]
         bad = sum(1 for c in cases if not c.holds)
         status = "PASS" if bad == 0 else "FAIL"
         worst = min(cases, key=lambda c: c.margin)
@@ -328,8 +293,7 @@ def run_verify(
         )
         result.cases.extend(cases)
 
-    csv_path = out_dir / "verify_cases.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(out_dir / "verify_cases.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case_id", "lhs", "rhs"])
         for c in result.cases:
@@ -337,15 +301,9 @@ def run_verify(
 
     report_path = out_dir / "verify_report.txt"
     lines = [f"seed = {seed}", f"cases per suite = {case_count}", ""]
-    lines.extend(result.suite_lines)
-    first = result.first_failure
-    if first is not None:
-        lines.append("")
-        lines.append(
-            f"first failure: {first.case_id} lhs={first.lhs!r} rhs={first.rhs!r} "
-            f"{first.detail}"
-        )
-    lines.append("")
-    lines.append("ALL PASS" if result.ok else "FAILURES PRESENT")
+    lines += result.suite_lines
+    if not result.ok:
+        lines += ["", result.failure_line()]
+    lines += ["", "ALL PASS" if result.ok else "FAILURES PRESENT"]
     report_path.write_text("\n".join(lines) + "\n")
     return result

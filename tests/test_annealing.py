@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cauchyga import annealing
 from cauchyga.annealing import (
     calibrate_g0,
     cauchy_schedule,
@@ -58,6 +59,31 @@ def test_gamma_cache_independent_of_query_order():
     gamma_at(b, 50)
     for n in (1, 3, 17, 50):
         assert gamma_at(a, n) == gamma_at(b, n)
+
+    # two schedules and calibrate_g0 share one table for alpha = 1.5; the
+    # values must not depend on which of them grows it first, or how far
+    queries = [
+        *(("a", n) for n in (1, 3, 17, 50, 33, 200)),
+        *(("b", n) for n in (2, 16, 17, 129, 1000)),
+        *(("calibrate", h) for h in (1, 15, 64, 300, 999)),
+        *(("tail", n) for n in (2, 40, 257)),
+    ]
+    a, b = cauchy_schedule(1.0, 1.5), cauchy_schedule(2.5, 1.5)
+    ask = {
+        "a": lambda n: gamma_at(a, n),
+        "b": lambda n: gamma_at(b, n),
+        "calibrate": lambda h: calibrate_g0(1.5, h, 300.0),
+        "tail": lambda n: tail_sum(b, n // 2, n),
+    }
+    rng = np.random.default_rng(3)
+    shuffled = (rng.permutation(queries).tolist() for _ in range(4))
+    orders = [queries, queries[::-1], *shuffled]
+    answers = []
+    for order in orders:
+        annealing._UNIT_SUMS.clear()  # its values must not depend on this
+        answers.append({(kind, int(n)): ask[kind](int(n)) for kind, n in order})
+        assert list(annealing._UNIT_SUMS) == [1.5]
+    assert all(got == answers[0] for got in answers[1:])
 
 
 def test_calibrate_g0_against_direct_sum_oracle():

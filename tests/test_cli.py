@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 
@@ -279,6 +280,28 @@ def test_cli_names_a_negative_gamma_target(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("via_file", (False, True), ids=("flag", "config-file"))
+@pytest.mark.parametrize(
+    "selection", ("proportionate", "boltzmann-const", "cauchy-boltzmann")
+)
+def test_cli_names_zero_generations_under_every_scheme(
+    tmp_path, capsys, selection, via_file
+):
+    # the Cauchy scheme calibrates g0 to the horizon; the settings are
+    # checked first, so its message names the flag, not the horizon
+    out = tmp_path / "out"
+    argv = ["run", "--function", "ackley", "--selection", selection, "--output", str(out)]
+    if via_file:
+        config = tmp_path / "run.conf"
+        config.write_text("generations = 0\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--generations", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: generations must be >= 1\n"
+    assert not out.exists()
+
+
 def test_cli_rejects_bits_per_var_above_16(tmp_path, capsys):
     rc = main(
         ["run", "--function", "ackley", "--selection", "proportionate",
@@ -378,6 +401,23 @@ def test_verify_broken_tolerance_fails(tmp_path):
     report = (tmp_path / "verify_report.txt").read_text()
     assert "FAILURES PRESENT" in report
     assert "first failure" in report
+
+
+def test_cli_verify_failure_exits_1_with_the_report_line(
+    tmp_path, monkeypatch, capsys
+):
+    failing = functools.partial(run_verify, tolerances=Tolerances(lemma_slack=-1.0))
+    monkeypatch.setattr(cli, "run_verify", failing)
+    argv = ["verify", "--cases", "20", "--seed", "11", "--output", str(tmp_path / "cli")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    result = failing(11, 20, tmp_path / "direct")
+    assert not result.ok
+    assert out.splitlines() == result.suite_lines
+    report = (tmp_path / "cli" / "verify_report.txt").read_text().splitlines()
+    first = [line for line in report if line.startswith("first failure: ")]
+    assert err.splitlines() == first == [result.failure_line()]
+    assert first[0].startswith(f"first failure: {result.first_failure.case_id} ")
 
 
 def _worst_margin(line: str, result) -> tuple[float, object]:

@@ -3,8 +3,10 @@
 ``test_determinism_byte_identical`` compares two passes of the same code,
 so a change that alters the order or number of random draws passes it.
 These tests compare against SHA-256 digests recorded once and kept in this
-file. Only data rows are hashed: the ``#`` metadata lines carry the numpy
-version, which is not part of the stream.
+file. Only a CSV's data rows are hashed: the ``#`` metadata lines carry
+the numpy version, which is not part of the stream. ``verify_report.txt``
+is hashed whole, on the pass path and on three failure paths, so its
+suite lines, worst margins and first-failure line are pinned too.
 
 The series digests were made with stream version 2 (the draw order that
 ``engine.STREAM_VERSION`` numbers) on numpy 2.4.6 (PCG64); the verify
@@ -23,7 +25,7 @@ import numpy as np
 from cauchyga.benchmarks import FUNCTION_NAMES
 from cauchyga.cli import CliConfig, run_experiment
 from cauchyga.engine import SELECTION_SCHEMES, STREAM_VERSION
-from cauchyga.verify import run_verify
+from cauchyga.verify import Tolerances, run_verify
 
 DIGEST_NUMPY = "2.4.6"
 DIGEST_STREAM = 2
@@ -67,6 +69,21 @@ VERIFY_DIGEST = "eb59e62f96958b452482ac4fe2c346d42155e3ff2dda2096eb0b484eb0fe40d
 # the same seed at the benchmark's size: 1000 cases per suite, 4093 rows
 VERIFY_DIGEST_1000 = "7423e6c50ac93fbb83eaee42c901f062f94da838f26d883748f851bb287583b9"
 
+# verify_report.txt at seed 42 and 100 cases: the suite lines with their
+# worst margins, and on the failure paths the first-failure line
+REPORT_TOLERANCES = {
+    "pass": Tolerances(),
+    "lemma-slack": Tolerances(lemma_slack=-1.0),
+    "semigroup-tol": Tolerances(semigroup_tol=-1e-3),
+    "metric-profile-slack": Tolerances(metric_slack=-3.0, profile_slack=-1.0),
+}
+REPORT_DIGESTS = {
+    "pass": "4a504eabe78620ef299404abbb51781b237a282a4aa7d770bcbfde1ad1ea45ca",
+    "lemma-slack": "5487b09022643a453b77399720552db54a1b7e62ff678a7095fe9da560ad1b7a",
+    "semigroup-tol": "2d4ce6db2d45c3233818c932013326480f5d9e2f4482f50670e8e852efccc27a",
+    "metric-profile-slack": "10cd48a44587c7eda6a6141244503e1ab9c6eafa3a036c9bd44ee10d902e53f9",
+}
+
 
 def data_rows_sha256(path: Path) -> str:
     """SHA-256 of a CSV's lines that do not start with '#'."""
@@ -102,6 +119,16 @@ def verify_digest(out_dir: Path, cases: int = 100) -> str:
     return hashlib.sha256((out_dir / "verify_cases.csv").read_bytes()).hexdigest()
 
 
+def report_digests(out_dir: Path) -> dict[str, str]:
+    """Digests of verify_report.txt under each of REPORT_TOLERANCES."""
+    digests = {}
+    for key, tolerances in REPORT_TOLERANCES.items():
+        run_verify(42, 100, out_dir / key, tolerances)
+        report = (out_dir / key / "verify_report.txt").read_bytes()
+        digests[key] = hashlib.sha256(report).hexdigest()
+    return digests
+
+
 def _why(what: str) -> str:
     return (
         f"{what} differs from the stored digest (made with stream version "
@@ -126,6 +153,12 @@ def test_verify_cases_at_bench_size_match_stored_digest(tmp_path):
     assert got == VERIFY_DIGEST_1000, _why("verify_cases.csv (1000 cases)")
 
 
+def test_verify_reports_match_stored_digests(tmp_path):
+    got = report_digests(tmp_path)
+    changed = sorted(k for k in got if got[k] != REPORT_DIGESTS[k])
+    assert not changed, _why("verify_report.txt under " + ", ".join(changed))
+
+
 if __name__ == "__main__":
     # prints the digests of the installed package, to paste above
     import tempfile
@@ -135,3 +168,5 @@ if __name__ == "__main__":
             print(f'    "{key}": "{digest}",')
         print(f'VERIFY_DIGEST = "{verify_digest(Path(tmp) / "verify")}"')
         print(f'VERIFY_DIGEST_1000 = "{verify_digest(Path(tmp) / "verify", 1000)}"')
+        for key, digest in report_digests(Path(tmp) / "reports").items():
+            print(f'    "{key}": "{digest}",')
