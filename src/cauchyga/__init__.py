@@ -34,7 +34,6 @@ from .benchmarks import (
 )
 from .engine import (
     GENERATOR_NAME,
-    AggregatedSeries,
     GaConfig,
     GenerationRecord,
     Population,

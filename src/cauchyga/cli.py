@@ -3,22 +3,21 @@
 Three subcommands:
 
   run       one GA experiment (one function, one selection scheme) averaged
-            over repeated runs; writes ``<function>_<scheme>.csv``
+            over repeated runs; writes ``<function>_<scheme>.csv`` and
+            joins its sibling schemes' text into ``<function>_combined.csv``
   schedule  inverse-temperature sequence of a Cauchy schedule as CSV
   verify    randomized verification suites; exit 1 on any violation
 
 Flags override an optional flat ``key = value`` config file (``#`` starts
 a comment); every effective value is echoed into the CSV metadata so a
 result file is self-describing. Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error (a sibling CSV that cannot be joined among them).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import os
 import sys
 from dataclasses import dataclass
@@ -30,22 +29,12 @@ import numpy as np
 from . import engine
 from .annealing import calibrate_g0, cauchy_schedule, constant_schedule, gamma_at
 from .benchmarks import FUNCTION_NAMES, make_objective
-from .engine import GENERATOR_NAME, STREAM_VERSION, GaConfig, multi_run
+from .engine import GENERATOR_NAME, SERIES_COLUMNS, STREAM_VERSION, GaConfig, multi_run
 from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
-
-SERIES_COLUMNS = (
-    "generation",
-    "gamma_n",
-    "best_raw_mean",
-    "best_raw_std",
-    "mean_raw_mean",
-    "mean_raw_std",
-    "strength_mean",
-)
 
 # CLI spellings of the selection schemes
 _SCHEME_FLAGS = {
@@ -230,6 +219,9 @@ def _metadata(cfg: CliConfig, g0_effective: float | None) -> dict[str, str]:
 def _write_csv(path: Path, metadata: dict[str, str], header, rows) -> None:
     """Write '# key = value' lines, then the CSV header and rows, over ``path``.
 
+    Cells are joined with ',' and rows end in CRLF: what ``csv.writer``
+    writes for cells that need no quoting, as no cell cauchyga writes does.
+
     The file ends up holding exactly these bytes, as after ``open(path,
     "w")``, and a new file gets the same mode. Unlike ``open(path, "w")``
     the old file is not first truncated to zero; it is written over and
@@ -238,60 +230,59 @@ def _write_csv(path: Path, metadata: dict[str, str], header, rows) -> None:
     against about 0.01 ms for the write in place. Neither way is atomic: a
     reader during the write may see part old and part new bytes.
     """
-    buf = io.StringIO(newline="")
-    buf.writelines(f"# {key} = {val}\n" for key, val in metadata.items())
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
+    lines = [f"# {key} = {val}\n" for key, val in metadata.items()]
+    lines.append(",".join(header) + "\r\n")
+    lines.extend(",".join(cells) + "\r\n" for cells in rows)
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(buf.getvalue().encode())
+        fh.write("".join(lines).encode())
         fh.truncate()
 
 
-def write_series_csv(path: Path, metadata: dict[str, str], agg) -> None:
-    """Write one experiment CSV: '#' metadata lines, header, data rows."""
-    columns = (agg.gamma, agg.best_mean, agg.best_std, agg.mean_mean,
-               agg.mean_std, agg.strength_mean)
-    # tolist gives the Python ints and floats of the stored values
-    rows = (
-        [generation, *map(fmt, values)]
-        for generation, *values in zip(
-            agg.generations.tolist(), *(c.tolist() for c in columns)
-        )
-    )
+def write_series_csv(path: Path, metadata: dict[str, str], table: np.ndarray) -> None:
+    """Write one experiment CSV; row g - 1 of the series ``table`` is generation g."""
+    # tolist gives the Python floats of the stored values
+    rows = ([str(g), *map(fmt, row)] for g, row in enumerate(table.tolist(), 1))
     _write_csv(path, metadata, SERIES_COLUMNS, rows)
 
 
 def read_series_csv(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Read back an experiment CSV without reparsing numbers.
+    """Read a CSV cauchyga wrote: '#' metadata, then header and rows split on ','.
 
     Raises:
         ValueError: If the file has no header row (it is empty, say, or
-            holds only '#' metadata lines).
+            holds only '#' metadata lines), or if a data row's number of
+            cells differs from the header's; the message names the line.
     """
     metadata: dict[str, str] = {}
+    table: list[list[str]] = []
     with open(path, newline="") as fh:
-        data_lines = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.startswith("#"):
                 key, _, val = line[1:].strip().partition(" = ")
                 metadata[key] = val
-            else:
-                data_lines.append(line)
-    reader = csv.reader(data_lines)
-    header = next(reader, None)
-    if header is None:
+                continue
+            cells = line.rstrip("\r\n").split(",")
+            if table and len(cells) != len(table[0]):
+                width = len(table[0])
+                raise ValueError(f"{path}:{lineno}: {len(cells)} cells, header has {width}")
+            table.append(cells)
+    if not table:
         raise ValueError(f"{path}: no header row")
-    return metadata, header, list(reader)
+    return metadata, table[0], table[1:]
 
 
 def write_combined_csv(output_dir: Path, function: str) -> Path | None:
     """Join per-scheme CSVs of one function on generation, if two or more exist.
 
+    The siblings' cells are spliced as the text cauchyga wrote them.
     Emitted columns carry a scheme prefix; schemes appear in the fixed
     order proportionate, boltzmann_const, cauchy_boltzmann. When the
     sources' horizons differ they cannot be joined, so no combined file
     is written and any earlier one is deleted.
+
+    Raises:
+        ValueError: As :func:`read_series_csv`, or if a sibling's header is
+            not ``SERIES_COLUMNS``.
     """
     present = []
     for scheme in engine.SELECTION_SCHEMES:
@@ -302,9 +293,13 @@ def write_combined_csv(output_dir: Path, function: str) -> Path | None:
         return None
 
     out = output_dir / f"{function}_combined.csv"
-    parsed = {scheme: read_series_csv(path) for scheme, path in present}
-    lengths = {len(rows) for _, (_, _, rows) in parsed.items()}
-    if len(lengths) != 1:
+    tables = []
+    for _, path in present:
+        _, header, rows = read_series_csv(path)
+        if tuple(header) != SERIES_COLUMNS:
+            raise ValueError(f"{path}: header is not {','.join(SERIES_COLUMNS)}")
+        tables.append(rows)
+    if len({len(rows) for rows in tables}) != 1:
         # an older join would name a source whose rows have changed
         out.unlink(missing_ok=True)
         return None
@@ -314,12 +309,9 @@ def write_combined_csv(output_dir: Path, function: str) -> Path | None:
     for scheme, path in present:
         metadata[f"source_{scheme}"] = path.name
         header.extend(f"{scheme}_{col}" for col in SERIES_COLUMNS[1:])
-    rows = []
-    for i in range(lengths.pop()):
-        row = [parsed[present[0][0]][2][i][0]]
-        for scheme, _ in present:
-            row.extend(parsed[scheme][2][i][1:])
-        rows.append(row)
+    # the first sibling's generation, then every sibling's other cells
+    rows = ([parts[0][0], *(cell for row in parts for cell in row[1:])]
+            for parts in zip(*tables))
     _write_csv(out, metadata, header, rows)
     return out
 
@@ -334,11 +326,11 @@ def run_experiment(cfg: CliConfig) -> list[Path]:
     Returns the list of paths written.
     """
     ga, g0_effective = build_ga_config(cfg)
-    agg = multi_run(ga)
+    table = multi_run(ga)
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{cfg.function}_{cfg.selection}.csv"
-    write_series_csv(path, _metadata(cfg, g0_effective), agg)
+    write_series_csv(path, _metadata(cfg, g0_effective), table)
     written = [path]
     combined = write_combined_csv(out_dir, cfg.function)
     if combined is not None:
@@ -379,7 +371,7 @@ def emit_schedule(
     if gamma_target is not None:
         metadata["gamma_target"] = fmt(gamma_target)
     metadata["horizon"] = str(horizon)
-    rows = ([n, fmt(gamma_at(schedule, n))] for n in range(1, horizon + 1))
+    rows = ([str(n), fmt(gamma_at(schedule, n))] for n in range(1, horizon + 1))
     _write_csv(path, metadata, ["n", "gamma_n"], rows)
     return path
 

@@ -28,6 +28,9 @@ probabilities as ``Generator.choice`` does), the pairing permutation, the
 crossover decisions (one double per pair), the swap-mask bytes (ceil(L /
 8) per pair), the odd leftover's partner index followed by its own
 decision and mask bytes, the mutation flip count and the flip positions.
+
+:func:`aggregate` reduces a stack of runs to one series table, a row per
+generation under the columns ``SERIES_COLUMNS`` names.
 """
 
 from __future__ import annotations
@@ -55,6 +58,17 @@ PROPORTIONATE = "proportionate"
 BOLTZMANN_CONST = "boltzmann_const"
 CAUCHY_BOLTZMANN = "cauchy_boltzmann"
 SELECTION_SCHEMES = (PROPORTIONATE, BOLTZMANN_CONST, CAUCHY_BOLTZMANN)
+
+# a series CSV's columns: the generation number, then aggregate's table
+SERIES_COLUMNS = (
+    "generation",
+    "gamma_n",
+    "best_raw_mean",
+    "best_raw_std",
+    "mean_raw_mean",
+    "mean_raw_std",
+    "strength_mean",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,25 +133,6 @@ class GenerationRecord(NamedTuple):
     gen_best_raw: float
     mean_raw: float
     strength: float
-
-
-@dataclass(frozen=True, eq=False)
-class AggregatedSeries:
-    """Mean/std across runs of the per-generation quantities.
-
-    Standard deviations are population-style (ddof=0), so a single run
-    aggregates with zero spread.
-    """
-
-    runs: int
-    generations: np.ndarray
-    gamma: np.ndarray
-    best_mean: np.ndarray
-    best_std: np.ndarray
-    mean_mean: np.ndarray
-    mean_std: np.ndarray
-    strength_mean: np.ndarray
-    strength_std: np.ndarray
 
 
 def _gene_slices(bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> np.ndarray:
@@ -495,29 +490,24 @@ def run(config: GaConfig, run_index: int) -> np.ndarray:
     return np.array(records, dtype=np.float64)
 
 
-def aggregate(stack: np.ndarray) -> AggregatedSeries:
-    """Per-generation mean/std across runs of a (runs, generations, 5) stack.
+def aggregate(stack: np.ndarray) -> np.ndarray:
+    """The series table of a (runs, generations, 5) stack of runs.
 
-    ``stack[i]`` is :func:`run`'s array for one run. gamma is run 0's column:
-    a mean of equal doubles need not round back to the same double. Each
-    column is reduced as its own view, so at one generation numpy sums the
-    runs pairwise, as for a contiguous column; a reduction of the whole
+    ``stack[i]`` is :func:`run`'s array for one run. Returns a (generations,
+    6) float64 array whose columns are ``SERIES_COLUMNS[1:]``: run 0's gamma
+    (a mean of equal doubles need not round back to the same double), then
+    the mean and std across runs of the best-so-far raw value and of the
+    mean raw value, and the mean strength. Standard deviations are
+    population-style (ddof=0), so a single run has zero spread. Each
+    quantity is reduced as its own view, so at one generation numpy sums
+    the runs pairwise, as for a contiguous column; a reduction of the whole
     stack adds them in order and can round differently.
     """
     gamma, best, _, mean, strength = np.moveaxis(stack, -1, 0)
-    return AggregatedSeries(
-        runs=len(stack),
-        generations=np.arange(1, stack.shape[1] + 1),
-        gamma=gamma[0],
-        best_mean=best.mean(axis=0),
-        best_std=best.std(axis=0),
-        mean_mean=mean.mean(axis=0),
-        mean_std=mean.std(axis=0),
-        strength_mean=strength.mean(axis=0),
-        strength_std=strength.std(axis=0),
-    )
+    return np.column_stack((gamma[0], best.mean(axis=0), best.std(axis=0),
+                            mean.mean(axis=0), mean.std(axis=0), strength.mean(axis=0)))
 
 
-def multi_run(config: GaConfig) -> AggregatedSeries:
-    """Run the configured number of independent runs and aggregate them."""
+def multi_run(config: GaConfig) -> np.ndarray:
+    """Run the configured number of independent runs; their series table."""
     return aggregate(np.stack([run(config, i) for i in range(config.runs)]))

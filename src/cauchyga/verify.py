@@ -165,8 +165,8 @@ def lemma1_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> Itera
     """Strength-difference bound on random (phi, gamma1, gamma2)."""
     for i in range(cases):
         phi = random_nfd(rng)
-        g1, g2 = rng.uniform(0.0, 50.0, size=2)
-        chk = lemma1_check(phi, float(g1), float(g2))
+        g1, g2 = rng.uniform(0.0, 50.0, size=2).tolist()
+        chk = lemma1_check(phi, g1, g2)
         bad = exceeds(chk.lhs, chk.rhs, tol.lemma_slack)
         problems = [f"gamma1={g1!r} gamma2={g2!r}"] if bad else []
         yield f"lemma1-{i:06d}", chk.lhs, chk.rhs, problems
@@ -190,9 +190,9 @@ def semigroup_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> It
     """Composition in two steps equals one application at the summed gamma."""
     for i in range(cases):
         phi = random_nfd(rng)
-        g1, g2 = rng.uniform(0.0, 50.0, size=2)
-        two_step = boltzmann_apply(boltzmann_apply(phi, float(g1)), float(g2))
-        one_step = boltzmann_apply(phi, float(g1) + float(g2))
+        g1, g2 = rng.uniform(0.0, 50.0, size=2).tolist()
+        two_step = boltzmann_apply(boltzmann_apply(phi, g1), g2)
+        one_step = boltzmann_apply(phi, g1 + g2)
         err = distance(two_step, one_step)
         bad = exceeds(err, tol.semigroup_tol, 0.0)
         problems = [f"gamma1={g1!r} gamma2={g2!r}"] if bad else []

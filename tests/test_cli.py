@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import stat
@@ -89,6 +90,15 @@ def test_combined_csv_joins_schemes(tmp_path):
     assert any(col.startswith("proportionate_") for col in header)
     assert any(col.startswith("boltzmann_const_") for col in header)
     assert len(rows) == 3
+    assert meta == {
+        "function": "rastrigin",
+        "source_proportionate": "rastrigin_proportionate.csv",
+        "source_boltzmann_const": "rastrigin_boltzmann_const.csv",
+    }
+    # the siblings' cells, spliced as written
+    first, second = (read_series_csv(tmp_path / f"rastrigin_{scheme}.csv")[2]
+                     for scheme in ("proportionate", "boltzmann_const"))
+    assert rows == [a + b[1:] for a, b in zip(first, second)]
 
 
 def test_combined_csv_removed_when_horizons_differ(tmp_path):
@@ -420,6 +430,24 @@ def test_cli_verify_failure_exits_1_with_the_report_line(
     assert first[0].startswith(f"first failure: {result.first_failure.case_id} ")
 
 
+def test_verify_failure_details_print_plain_floats(tmp_path):
+    # numpy 2 prints a numpy float's repr as np.float64(...), numpy 1 bare;
+    # these tolerances fail a case of every suite
+    tolerances = Tolerances(metric_slack=-3.0, profile_slack=-1.0,
+                            lemma_slack=-1.0, semigroup_tol=-1e-3)
+    result = run_verify(42, 30, tmp_path, tolerances)
+    failed = [c for c in result.cases if not c.holds]
+    assert {c.case_id.split("-")[0] for c in failed} == {
+        "metric", "lemma1", "lemma2", "semigroup", "cauchytail"
+    }
+    report = (tmp_path / "verify_report.txt").read_text()
+    for text in (report, result.failure_line(), *(c.detail for c in failed)):
+        assert "np." not in text and "float64" not in text
+    detail = next(c.detail for c in failed if c.case_id.startswith("lemma1-"))
+    gamma1 = detail.split()[0].removeprefix("gamma1=")
+    assert float(gamma1) >= 0.0  # a bare number
+
+
 def _worst_margin(line: str, result) -> tuple[float, object]:
     """The margin a suite line reports, and the case it names."""
     margin, case_id = line.split(", worst margin ")[1].split(" at ")
@@ -525,6 +553,27 @@ def test_build_parser_returns_a_new_parser():
     assert build_parser() is not build_parser()
 
 
+# the benchmark protocol's settings: CliConfig field, GaConfig field, value
+PROTOCOL_DEFAULTS = [
+    ("pop_size", "pop_size", 150),
+    ("generations", "generations", 100),
+    ("crossover_prob", "crossover_prob", 0.8),
+    ("mutation_prob", "mutation_prob_per_bit", 0.01),
+    ("runs", "runs", 17),
+    ("seed", "master_seed", 42),
+    ("elitism", "elitism", False),
+    ("bits_per_var", "bits_per_var", 5),
+]
+
+
+def test_cli_and_library_share_the_protocol_defaults():
+    cli_defaults = {f.name: f.default for f in dataclasses.fields(CliConfig)}
+    ga_defaults = {f.name: f.default for f in dataclasses.fields(engine.GaConfig)}
+    for cli_field, ga_field, value in PROTOCOL_DEFAULTS:
+        assert cli_defaults[cli_field] == ga_defaults[ga_field] == value, cli_field
+        assert type(cli_defaults[cli_field]) is type(ga_defaults[ga_field]) is type(value)
+
+
 # The run subcommand's flags, in order, each with the CliConfig field it sets,
 # a value to pass and the value (and type) the field must then hold. Renaming
 # a CliConfig field renames its flag, which these tests then catch.
@@ -627,6 +676,43 @@ def test_sibling_csv_with_only_a_column_header_cannot_join(tmp_path):
     sibling.write_text(",".join(SERIES_COLUMNS) + "\r\n")
     assert read_series_csv(sibling) == ({}, list(SERIES_COLUMNS), [])
     assert main(_small_run_argv(tmp_path)) == 0
+    assert not (tmp_path / "rastrigin_combined.csv").exists()
+
+
+def _damaged_sibling(tmp_path, damage) -> tuple:
+    """A good proportionate series of 3 rows, its 2nd data row passed to ``damage``.
+
+    Returns the sibling's path and the file line number of that row.
+    """
+    sibling = run_experiment(tiny_cfg(tmp_path, selection="proportionate"))[0]
+    lines = sibling.read_bytes().splitlines(keepends=True)
+    lineno = [i for i, line in enumerate(lines, 1) if line.startswith(b"2,")][0]
+    lines[lineno - 1] = damage(lines[lineno - 1].removesuffix(b"\r\n")) + b"\r\n"
+    sibling.write_bytes(b"".join(lines))
+    return sibling, lineno
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda line: b"", lambda line: b",".join(line.split(b",")[:4]),
+     lambda line: line + b",0"],
+    ids=["blank-line", "too-few-cells", "too-many-cells"],
+)
+def test_sibling_data_row_of_the_wrong_width_is_a_usage_error(tmp_path, capsys, damage):
+    sibling, lineno = _damaged_sibling(tmp_path, damage)
+    assert main(_small_run_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sibling}:{lineno}: ")
+    assert not (tmp_path / "rastrigin_combined.csv").exists()
+
+
+def test_sibling_with_another_header_is_a_usage_error(tmp_path, capsys):
+    sibling = run_experiment(tiny_cfg(tmp_path, selection="proportionate"))[0]
+    text = sibling.read_text()
+    sibling.write_text(text.replace("strength_mean", "strength_std"))
+    assert main(_small_run_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sibling}: header is not ")
     assert not (tmp_path / "rastrigin_combined.csv").exists()
 
 

@@ -3,8 +3,9 @@
 ``test_determinism_byte_identical`` compares two passes of the same code,
 so a change that alters the order or number of random draws passes it.
 These tests compare against SHA-256 digests recorded once and kept in this
-file. Only a CSV's data rows are hashed: the ``#`` metadata lines carry
-the numpy version, which is not part of the stream. ``verify_report.txt``
+file. Only the data rows of a series or combined CSV are hashed: a
+series file's ``#`` metadata lines carry the numpy version, which is not
+part of the stream. A schedule CSV is hashed whole. ``verify_report.txt``
 is hashed whole, on the pass path and on three failure paths, so its
 suite lines, worst margins and first-failure line are pinned too.
 
@@ -21,9 +22,10 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cauchyga.benchmarks import FUNCTION_NAMES
-from cauchyga.cli import CliConfig, run_experiment
+from cauchyga.cli import CliConfig, emit_schedule, run_experiment
 from cauchyga.engine import SELECTION_SCHEMES, STREAM_VERSION
 from cauchyga.verify import Tolerances, run_verify
 
@@ -64,13 +66,35 @@ SERIES_DIGESTS = {
     "pop20-elite/schwefel/cauchy_boltzmann": "afecd23fd03b786fe447b6bee69d95b6e4d97711af4ab710e652bf5e26b26c7d",
 }
 
+# the joins the grid above leaves: all three schemes of each function
+COMBINED_DIGESTS = {
+    "pop21/rastrigin": "7880500fdd7df5eb5330b382831fa79f3b8eaba2e34a142937df67efb624374a",
+    "pop21/griewangk": "d92cc855347dac0d5326ea9c72df588928d76cf59c9387a14ec7a08db3d2a8d0",
+    "pop21/ackley": "b9f5402479baada6b4dce1788ce60ae06c59ea6b5be594cf90fa671fc484487b",
+    "pop21/schwefel": "07d6f530f21129972f92398a1d7f4ed997bd4418955ef1d68b93f87a372e66d9",
+    "pop20-elite/rastrigin": "fbf9d7e7cf9c72d5d80c19e40cdb4032c6aea582cb885130d2f854919def2891",
+    "pop20-elite/griewangk": "eb7147620f5c802a947a33a80149f8082ed5e88a572900f1147bb01e3ddfbc0e",
+    "pop20-elite/ackley": "81416800ad34e43cd4e1e4046077bf9c76e98a808a5a4ae4510a9fbc36730bcf",
+    "pop20-elite/schwefel": "613b3fe18b22bb12649aae95de1955aa5592bafa21d6e32f1a945fb45addd0b8",
+}
+
+# 100-step schedules calibrated to gamma 300; alpha 1.0000001 names its
+# file by repr, next to the short-named 1.1 and 2
+SCHEDULE_ALPHAS = (1.1, 2.0, 1.0000001)
+SCHEDULE_DIGESTS = {
+    "1.1": "ab9a2e474ade13869093123fff2a48a6f80f0f5974d8bd82dddd47294864f7af",
+    "2.0": "9d070d2727b6d8f78cb9e258e6904f67ea7178a3f24908baa196a518d46264ec",
+    "1.0000001": "ea8df4a8e4ff4b7637d1895fa556062059ea8e5ad349472d09128e24f03bc32e",
+}
+
 VERIFY_DIGEST = "eb59e62f96958b452482ac4fe2c346d42155e3ff2dda2096eb0b484eb0fe40d6"
 
 # the same seed at the benchmark's size: 1000 cases per suite, 4093 rows
 VERIFY_DIGEST_1000 = "7423e6c50ac93fbb83eaee42c901f062f94da838f26d883748f851bb287583b9"
 
 # verify_report.txt at seed 42 and 100 cases: the suite lines with their
-# worst margins, and on the failure paths the first-failure line
+# worst margins, and on the failure paths the first-failure line (its
+# gammas printed as plain floats, the same under numpy 1 and 2)
 REPORT_TOLERANCES = {
     "pass": Tolerances(),
     "lemma-slack": Tolerances(lemma_slack=-1.0),
@@ -79,8 +103,8 @@ REPORT_TOLERANCES = {
 }
 REPORT_DIGESTS = {
     "pass": "4a504eabe78620ef299404abbb51781b237a282a4aa7d770bcbfde1ad1ea45ca",
-    "lemma-slack": "5487b09022643a453b77399720552db54a1b7e62ff678a7095fe9da560ad1b7a",
-    "semigroup-tol": "2d4ce6db2d45c3233818c932013326480f5d9e2f4482f50670e8e852efccc27a",
+    "lemma-slack": "db69b06c18dc70cc40a37f34a88eebcb25dc7ae5e27d9d36a684bef543dbc933",
+    "semigroup-tol": "78b77d1e753b9b4683c649b43a28d1d43bfc633d2ec2df937c571662b65ed550",
     "metric-profile-slack": "10cd48a44587c7eda6a6141244503e1ab9c6eafa3a036c9bd44ee10d902e53f9",
 }
 
@@ -114,6 +138,33 @@ def series_digests(out_dir: Path) -> dict[str, str]:
     return digests
 
 
+def combined_digests(out_dir: Path) -> dict[str, str]:
+    """Data-row digests of the joins :func:`series_digests` leaves behind.
+
+    Each function's three schemes share one directory per grid tag, so the
+    last run of a function writes its three-way ``<function>_combined.csv``.
+    """
+    return {
+        f"{tag}/{function}": data_rows_sha256(out_dir / tag / f"{function}_combined.csv")
+        for tag in GRID
+        for function in FUNCTION_NAMES
+    }
+
+
+def schedule_digests(out_dir: Path) -> dict[str, str]:
+    """Whole-file digests of 100-step schedules calibrated to end at gamma 300.
+
+    A schedule file carries no numpy version, so its metadata (the
+    calibrated g0 among it) is pinned too.
+    """
+    return {
+        repr(alpha): hashlib.sha256(
+            emit_schedule(alpha, 100, out_dir, gamma_target=300.0).read_bytes()
+        ).hexdigest()
+        for alpha in SCHEDULE_ALPHAS
+    }
+
+
 def verify_digest(out_dir: Path, cases: int = 100) -> str:
     run_verify(42, cases, out_dir)
     return hashlib.sha256((out_dir / "verify_cases.csv").read_bytes()).hexdigest()
@@ -137,11 +188,32 @@ def _why(what: str) -> str:
     )
 
 
-def test_series_data_rows_match_stored_digests(tmp_path):
-    got = series_digests(tmp_path)
+@pytest.fixture(scope="module")
+def grid(tmp_path_factory) -> tuple[Path, dict[str, str]]:
+    """The grid's output directory and its series digests, run once."""
+    out_dir = tmp_path_factory.mktemp("grid")
+    return out_dir, series_digests(out_dir)
+
+
+def test_series_data_rows_match_stored_digests(grid):
+    got = grid[1]
     assert set(got) == set(SERIES_DIGESTS)
     changed = sorted(k for k in got if got[k] != SERIES_DIGESTS[k])
     assert not changed, _why(", ".join(changed))
+
+
+def test_combined_data_rows_match_stored_digests(grid):
+    got = combined_digests(grid[0])
+    assert set(got) == set(COMBINED_DIGESTS)
+    changed = sorted(k for k in got if got[k] != COMBINED_DIGESTS[k])
+    assert not changed, _why(", ".join(changed))
+
+
+def test_schedule_files_match_stored_digests(tmp_path):
+    got = schedule_digests(tmp_path)
+    assert set(got) == set(SCHEDULE_DIGESTS)
+    changed = sorted(k for k in got if got[k] != SCHEDULE_DIGESTS[k])
+    assert not changed, _why("schedule alpha " + ", ".join(changed))
 
 
 def test_verify_cases_match_stored_digest(tmp_path):
@@ -165,6 +237,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         for key, digest in series_digests(Path(tmp)).items():
+            print(f'    "{key}": "{digest}",')
+        for key, digest in combined_digests(Path(tmp)).items():
+            print(f'    "{key}": "{digest}",')
+        for key, digest in schedule_digests(Path(tmp) / "schedules").items():
             print(f'    "{key}": "{digest}",')
         print(f'VERIFY_DIGEST = "{verify_digest(Path(tmp) / "verify")}"')
         print(f'VERIFY_DIGEST_1000 = "{verify_digest(Path(tmp) / "verify", 1000)}"')

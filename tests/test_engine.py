@@ -17,6 +17,7 @@ from cauchyga.benchmarks import (
     to_fitness_batch,
 )
 from cauchyga.engine import (
+    SERIES_COLUMNS,
     GaConfig,
     GenerationRecord,
     aggregate,
@@ -335,15 +336,16 @@ def test_best_so_far_nonincreasing():
     assert all(b <= g for b, g in zip(best, gen_best))
 
 
+def column(table: np.ndarray, name: str) -> np.ndarray:
+    """The series table's column for a series CSV column name."""
+    return table[:, SERIES_COLUMNS.index(name) - 1]
+
+
 def test_multi_run_single_run_zero_std():
     cfg = small_config(runs=1)
-    agg = multi_run(cfg)
-    assert np.all(agg.best_std == 0.0)
-    assert np.all(agg.mean_std == 0.0)
-
-
-AGGREGATED = ("gamma", "best_mean", "best_std", "mean_mean", "mean_std",
-              "strength_mean", "strength_std")
+    table = multi_run(cfg)
+    assert np.all(column(table, "best_raw_std") == 0.0)
+    assert np.all(column(table, "mean_raw_std") == 0.0)
 
 
 def test_multi_run_reproducible_and_order_independent():
@@ -352,10 +354,9 @@ def test_multi_run_reproducible_and_order_independent():
     runs = {i: run(cfg, i) for i in reversed(range(cfg.runs))}
     a = multi_run(cfg)
     b = aggregate(np.stack([runs[i] for i in range(cfg.runs)]))
-    assert a.runs == b.runs == 3
-    assert np.array_equal(a.generations, b.generations)
-    for name in AGGREGATED:
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.shape == b.shape == (cfg.generations, len(SERIES_COLUMNS) - 1)
+    assert a.dtype == b.dtype == np.float64
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
@@ -367,14 +368,14 @@ def test_aggregate_reduces_each_quantity_as_a_contiguous_column(runs, generation
     stack = np.random.default_rng(runs * 10 + generations).standard_normal(
         (runs, generations, 5)
     ) * [1.0, 1e3, 1.0, 1e-3, 0.5]
-    agg = aggregate(stack)
-    assert agg.runs == runs
-    assert agg.generations.tolist() == list(range(1, generations + 1))
-    assert agg.gamma.tolist() == stack[0, :, 0].tolist()
-    for column, prefix in ((1, "best"), (3, "mean"), (4, "strength")):
-        reference = np.array(stack[:, :, column].tolist())
-        assert np.array_equal(getattr(agg, f"{prefix}_mean"), reference.mean(axis=0))
-        assert np.array_equal(getattr(agg, f"{prefix}_std"), reference.std(axis=0))
+    table = aggregate(stack)
+    assert table.shape == (generations, len(SERIES_COLUMNS) - 1)
+    assert column(table, "gamma_n").tolist() == stack[0, :, 0].tolist()
+    for index, prefix in ((1, "best_raw"), (3, "mean_raw"), (4, "strength")):
+        reference = np.array(stack[:, :, index].tolist())
+        assert np.array_equal(column(table, f"{prefix}_mean"), reference.mean(axis=0))
+        if prefix != "strength":
+            assert np.array_equal(column(table, f"{prefix}_std"), reference.std(axis=0))
 
 
 def test_elitism_keeps_best_from_worsening():
