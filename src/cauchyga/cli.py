@@ -8,6 +8,9 @@ Three subcommands:
   schedule  inverse-temperature sequence of a Cauchy schedule as CSV
   verify    randomized verification suites; exit 1 on any violation
 
+The scheme names (``SELECTION_SCHEMES``) live here; only
+:func:`build_ga_config` turns one into the engine's schedule.
+
 Flags override an optional flat ``key = value`` config file (``#`` starts
 a comment); every effective value is echoed into the CSV metadata so a
 result file is self-describing. Exit codes: 0 success, 1 verification
@@ -26,7 +29,6 @@ from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
-from . import engine
 from .annealing import calibrate_g0, cauchy_schedule, constant_schedule, gamma_at
 from .benchmarks import FUNCTION_NAMES, make_objective
 from .engine import GENERATOR_NAME, SERIES_COLUMNS, STREAM_VERSION, GaConfig, multi_run
@@ -36,12 +38,13 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
+PROPORTIONATE = "proportionate"
+BOLTZMANN_CONST = "boltzmann_const"
+CAUCHY_BOLTZMANN = "cauchy_boltzmann"
+SELECTION_SCHEMES = (PROPORTIONATE, BOLTZMANN_CONST, CAUCHY_BOLTZMANN)
+
 # CLI spellings of the selection schemes
-_SCHEME_FLAGS = {
-    "proportionate": engine.PROPORTIONATE,
-    "boltzmann-const": engine.BOLTZMANN_CONST,
-    "cauchy-boltzmann": engine.CAUCHY_BOLTZMANN,
-}
+_SCHEME_FLAGS = {name.replace("_", "-"): name for name in SELECTION_SCHEMES}
 
 
 @dataclass
@@ -134,7 +137,7 @@ def merge_config(cli_values: dict, file_values: dict[str, str]) -> CliConfig:
 
     Raises:
         ValueError: On unknown config-file keys, a value its field's type
-            cannot read, or missing required values.
+            cannot read, missing required values, or an unknown function.
     """
     unknown = set(file_values) - set(_FIELD_TYPES)
     if unknown:
@@ -154,10 +157,7 @@ def merge_config(cli_values: dict, file_values: dict[str, str]) -> CliConfig:
             raise ValueError(f"missing required setting: {required}")
     if merged["function"] not in FUNCTION_NAMES:
         raise ValueError(f"unknown function: {merged['function']!r}")
-    if merged["selection"] in _SCHEME_FLAGS:
-        merged["selection"] = _SCHEME_FLAGS[merged["selection"]]
-    if merged["selection"] not in engine.SELECTION_SCHEMES:
-        raise ValueError(f"unknown selection scheme: {merged['selection']!r}")
+    merged["selection"] = _SCHEME_FLAGS.get(merged["selection"], merged["selection"])
     if "g0" in file_values and "gamma_target" in file_values:
         raise ValueError("g0 and gamma_target are mutually exclusive")
     # an explicit flag on one side of the pair retires the file's other side
@@ -169,11 +169,17 @@ def merge_config(cli_values: dict, file_values: dict[str, str]) -> CliConfig:
 def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
     """Translate CLI settings into an engine config plus the effective g0.
 
-    GaConfig checks the settings before g0 is calibrated to the horizon.
+    The one place a scheme name becomes a schedule: None (proportionate),
+    constant gamma, or Cauchy with g0 calibrated to the horizon unless
+    given. GaConfig checks the settings before g0 is calibrated.
+
+    Raises:
+        ValueError: On an unknown scheme name, or settings GaConfig rejects.
     """
+    if cfg.selection not in SELECTION_SCHEMES:
+        raise ValueError(f"unknown selection scheme: {cfg.selection!r}")
     ga = GaConfig(
         objective=make_objective(cfg.function, cfg.dims),
-        selection=cfg.selection,
         pop_size=cfg.pop_size,
         generations=cfg.generations,
         crossover_prob=cfg.crossover_prob,
@@ -184,15 +190,14 @@ def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
         bits_per_var=cfg.bits_per_var,
     )
     g0_effective: float | None = None
-    # proportionate selection keeps GaConfig's default gamma-0 schedule
-    if cfg.selection == engine.CAUCHY_BOLTZMANN:
+    if cfg.selection == CAUCHY_BOLTZMANN:
         g0_effective = (
             cfg.g0
             if cfg.g0 is not None
             else calibrate_g0(cfg.alpha, cfg.generations, cfg.gamma_target)
         )
         ga.schedule = cauchy_schedule(g0_effective, cfg.alpha)
-    elif cfg.selection == engine.BOLTZMANN_CONST:
+    elif cfg.selection == BOLTZMANN_CONST:
         ga.schedule = constant_schedule(cfg.gamma)
     return ga, g0_effective
 
@@ -285,7 +290,7 @@ def write_combined_csv(output_dir: Path, function: str) -> Path | None:
             not ``SERIES_COLUMNS``.
     """
     present = []
-    for scheme in engine.SELECTION_SCHEMES:
+    for scheme in SELECTION_SCHEMES:
         path = output_dir / f"{function}_{scheme}.csv"
         if path.exists():
             present.append((scheme, path))

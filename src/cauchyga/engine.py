@@ -1,8 +1,9 @@
-"""Binary-encoded generational GA with pluggable selection.
+"""Binary-encoded generational GA with proportionate or Boltzmann selection.
 
 A population is three row-aligned arrays: the bit matrix, the raw
-objective values and the fitness values. One generation is: selection
-(roulette with replacement under the configured scheme, drawn as row
+objective values and the fitness values. ``GaConfig.schedule`` is the
+selection scheme: None is proportionate, a schedule is Boltzmann at its
+gamma_n. One generation is: roulette selection with replacement (row
 indices) -> random pairing -> uniform crossover -> per-bit mutation ->
 evaluation. The realized selection strength of a generation is the L1
 distance between the population's NFD before selection and the NFD of the
@@ -37,12 +38,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .annealing import AnnealingSchedule, constant_schedule, gamma_at
+from .annealing import AnnealingSchedule, gamma_at
 from .benchmarks import ObjectiveSpec, _check_box, _reduce, _terms, to_fitness_batch
 # engine.distance stays importable: callers and bench/test_bench.py look it up here
 from .nfd import NFD, distance
@@ -53,11 +54,6 @@ SEED_STRIDE = 0x9E3779B97F4A7C15
 _U64 = 0xFFFFFFFFFFFFFFFF
 MAX_BITS_PER_VAR = 16  # a lattice table has at most 2**16 rows
 _MAX_TABLE = 1 << 20  # entries (levels * dims) per cached term table: 8 MB
-
-PROPORTIONATE = "proportionate"
-BOLTZMANN_CONST = "boltzmann_const"
-CAUCHY_BOLTZMANN = "cauchy_boltzmann"
-SELECTION_SCHEMES = (PROPORTIONATE, BOLTZMANN_CONST, CAUCHY_BOLTZMANN)
 
 # a series CSV's columns: the generation number, then aggregate's table
 SERIES_COLUMNS = (
@@ -93,8 +89,7 @@ class GaConfig:
     """Full parameterization of a multi-run GA experiment."""
 
     objective: ObjectiveSpec
-    selection: str
-    schedule: AnnealingSchedule = field(default_factory=lambda: constant_schedule(0.0))
+    schedule: AnnealingSchedule | None = None  # None: proportionate selection
     pop_size: int = 150
     generations: int = 100
     crossover_prob: float = 0.8
@@ -105,8 +100,6 @@ class GaConfig:
     bits_per_var: int = 5
 
     def __post_init__(self) -> None:
-        if self.selection not in SELECTION_SCHEMES:
-            raise ValueError(f"unknown selection scheme: {self.selection!r}")
         if self.pop_size < 2:
             raise ValueError("pop_size must be >= 2")
         if self.generations < 1:
@@ -289,44 +282,39 @@ def realized_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
     return math.fsum(np.abs(before - after).tolist())
 
 
-def selection_probabilities(
-    fitness: np.ndarray, selection: str, gamma_n: float
-) -> np.ndarray:
+def selection_probabilities(fitness: np.ndarray, gamma_n: float | None) -> np.ndarray:
     """Categorical selection distribution over a population's fitness values.
 
-    Proportionate weighs each individual by fitness; either Boltzmann
-    scheme weighs by exp(gamma_n * fitness), computed with a max-fitness
-    shift so large gamma_n cannot overflow. The shift cancels in the
-    normalization, which also makes the probabilities invariant under a
-    common additive fitness offset.
+    With ``gamma_n`` None (proportionate selection) each individual weighs
+    its fitness; otherwise (Boltzmann selection) it weighs exp(gamma_n *
+    fitness), computed with a max-fitness shift so large gamma_n cannot
+    overflow. The shift cancels in the normalization, which also makes the
+    Boltzmann probabilities invariant under a common additive fitness
+    offset.
 
     Raises:
-        ValueError: On an empty population, an unknown scheme, a negative
-            or non-finite gamma_n, or all-zero fitness under proportionate
-            selection.
+        ValueError: On an empty population, a negative or non-finite
+            gamma_n, or all-zero fitness under proportionate selection.
     """
     fits = np.asarray(fitness, dtype=np.float64)
     if fits.size == 0:
         raise ValueError("empty population")
-    if selection == PROPORTIONATE:
+    if gamma_n is None:
         total = fits.sum()
         if total <= 0.0:
             raise ValueError("degenerate population")
         return fits / total
-    if selection in (BOLTZMANN_CONST, CAUCHY_BOLTZMANN):
-        if not math.isfinite(gamma_n):
-            raise ValueError("inverse temperature must be finite")
-        if gamma_n < 0.0:
-            raise ValueError("inverse temperature must be nonnegative")
-        w = np.exp(gamma_n * (fits - fits.max()))
-        return w / w.sum()
-    raise ValueError(f"unknown selection scheme: {selection!r}")
+    if not math.isfinite(gamma_n):
+        raise ValueError("inverse temperature must be finite")
+    if gamma_n < 0.0:
+        raise ValueError("inverse temperature must be nonnegative")
+    w = np.exp(gamma_n * (fits - fits.max()))
+    return w / w.sum()
 
 
 def select_parents(
     fitness: np.ndarray,
-    selection: str,
-    gamma_n: float,
+    gamma_n: float | None,
     rng: np.random.Generator,
     count: int | None = None,
 ) -> np.ndarray:
@@ -342,7 +330,7 @@ def select_parents(
         ValueError: As :func:`selection_probabilities`, or if a probability
             is negative or their sum is not finite and positive.
     """
-    p = selection_probabilities(fitness, selection, gamma_n)
+    p = selection_probabilities(fitness, gamma_n)
     k = len(p) if count is None else count
     cdf = p.cumsum()
     total = float(cdf[-1])
@@ -411,7 +399,7 @@ def step_generation(
     generation; the returned record folds in the new population. The
     generation's gamma is taken from the schedule at ``generation_index``
     (constant schedules just return their fixed value); proportionate
-    selection records gamma as 0.
+    selection, which has no schedule, records gamma as 0.
 
     The crossover pairing walks a fresh random permutation of the selected
     pool two at a time. With an odd pool the leftover is paired against a
@@ -423,12 +411,9 @@ def step_generation(
     if len(population) != n:
         raise ValueError("population size does not match config")
 
-    if config.selection == PROPORTIONATE:
-        gamma_n = 0.0
-    else:
-        gamma_n = gamma_at(config.schedule, generation_index)
-
-    chosen = select_parents(population.fitness, config.selection, gamma_n, rng)
+    schedule = config.schedule
+    gamma_n = None if schedule is None else gamma_at(schedule, generation_index)
+    chosen = select_parents(population.fitness, gamma_n, rng)
     strength = realized_strength(population.fitness, chosen)
 
     pool = population.bits[chosen[rng.permutation(n)]]
@@ -454,7 +439,7 @@ def step_generation(
 
     gen_best = float(nxt.raw.min())
     record = GenerationRecord(
-        gamma=gamma_n,
+        gamma=0.0 if gamma_n is None else gamma_n,
         best_so_far_raw=min(best_so_far, gen_best),
         gen_best_raw=gen_best,
         mean_raw=float(nxt.raw.mean()),

@@ -184,11 +184,11 @@ def test_sampling_consistency():
         fitness = make_population(bits, spec, 5).fitness
         phi = population_nfd(fitness)
         gamma = float(rng.uniform(0.0, 10.0))
-        for scheme, operator in (
-            ("cauchy_boltzmann", lambda p: boltzmann_apply(p, gamma)),
-            ("proportionate", proportionate_apply),
+        for gamma_n, operator in (
+            (gamma, lambda p: boltzmann_apply(p, gamma)),
+            (None, proportionate_apply),
         ):
-            drawn = select_parents(fitness, scheme, gamma, rng, count=100_000)
+            drawn = select_parents(fitness, gamma_n, rng, count=100_000)
             d = distance(population_nfd(fitness[drawn]), operator(phi))
             worst = max(worst, d)
             assert d <= 0.02

@@ -11,7 +11,12 @@ import stat
 import pytest
 
 from cauchyga import cli, engine
-from cauchyga.annealing import calibrate_g0
+from cauchyga.annealing import (
+    calibrate_g0,
+    cauchy_schedule,
+    constant_schedule,
+    gamma_at,
+)
 from cauchyga.cli import (
     CliConfig,
     build_parser,
@@ -227,6 +232,38 @@ def test_cli_rejects_unknown_function(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--function", "sphere", "--selection", "proportionate"])
     assert exc.value.code == 2
+
+
+def test_unknown_scheme_is_rejected_before_anything_runs(tmp_path, capsys):
+    # a CliConfig built directly, as the bench and the acceptance grid build it
+    cfg = tiny_cfg(tmp_path, selection="rank")
+    with pytest.raises(ValueError, match="unknown selection scheme: 'rank'"):
+        run_experiment(cfg)
+    assert not list(tmp_path.iterdir())
+    # and through a config file, which argparse's choices do not cover
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("function = rastrigin\nselection = rank\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown selection scheme: 'rank'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", cli.SELECTION_SCHEMES)
+def test_each_scheme_name_maps_to_one_schedule(tmp_path, scheme):
+    cfg = tiny_cfg(tmp_path, selection=scheme, gamma=7.0, alpha=1.5)
+    ga, g0_effective = cli.build_ga_config(cfg)
+    gammas = engine.run(ga, 0)[:, 0].tolist()
+    if scheme == cli.PROPORTIONATE:
+        assert ga.schedule is None and g0_effective is None
+        assert gammas == [0.0] * cfg.generations
+    elif scheme == cli.BOLTZMANN_CONST:
+        assert ga.schedule == constant_schedule(cfg.gamma) and g0_effective is None
+        assert gammas == [cfg.gamma] * cfg.generations
+    else:
+        assert g0_effective == calibrate_g0(cfg.alpha, cfg.generations, cfg.gamma_target)
+        assert ga.schedule == cauchy_schedule(g0_effective, cfg.alpha)
+        assert gammas == [gamma_at(ga.schedule, n) for n in range(1, cfg.generations + 1)]
 
 
 def test_cli_unwritable_output_fails(tmp_path):

@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 from cauchyga.benchmarks import FUNCTION_NAMES
-from cauchyga.cli import CliConfig, emit_schedule, run_experiment
-from cauchyga.engine import SELECTION_SCHEMES, STREAM_VERSION
+from cauchyga.cli import SELECTION_SCHEMES, CliConfig, emit_schedule, run_experiment
+from cauchyga.engine import STREAM_VERSION
 from cauchyga.verify import Tolerances, run_verify
 
 DIGEST_NUMPY = "2.4.6"

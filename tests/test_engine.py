@@ -50,7 +50,6 @@ def random_bits(rng, rows: int, length: int = 75) -> np.ndarray:
 def small_config(**kw) -> GaConfig:
     base = dict(
         objective=make_objective("rastrigin", 3),
-        selection="boltzmann_const",
         schedule=constant_schedule(5.0),
         pop_size=20,
         generations=5,
@@ -113,24 +112,24 @@ def test_individual_fields_recompute_bit_exactly():
 def test_select_parents_single_individual():
     rng = np.random.default_rng(67)
     pop = make_population(np.zeros((1, 75), dtype=np.uint8), RAST, 5)
-    out = select_parents(pop.fitness, "boltzmann_const", 2.0, rng, count=5)
+    out = select_parents(pop.fitness, 2.0, rng, count=5)
     assert out.tolist() == [0] * 5
 
 
 def test_gamma_zero_boltzmann_is_uniform():
     rng = np.random.default_rng(71)
     pop = make_population(random_bits(rng, 10), RAST, 5)
-    p = selection_probabilities(pop.fitness, "boltzmann_const", 0.0)
+    p = selection_probabilities(pop.fitness, 0.0)
     assert np.allclose(p, 0.1, atol=1e-15)
 
 
 def test_boltzmann_selection_two_individuals_hand_computed():
     # fitness gap of exactly 1 at gamma = ln 3 puts 3/4 on the fitter one
     fitness = np.array([0.0, 1.0])
-    p = selection_probabilities(fitness, "boltzmann_const", math.log(3.0))
+    p = selection_probabilities(fitness, math.log(3.0))
     assert p[1] == pytest.approx(0.75, abs=1e-12)
     rng = np.random.default_rng(73)
-    draws = select_parents(fitness, "boltzmann_const", math.log(3.0), rng, count=100_000)
+    draws = select_parents(fitness, math.log(3.0), rng, count=100_000)
     frac = np.count_nonzero(fitness[draws] == 1.0) / 100_000
     assert frac == pytest.approx(0.75, abs=0.01)
 
@@ -138,27 +137,27 @@ def test_boltzmann_selection_two_individuals_hand_computed():
 def test_boltzmann_probabilities_shift_invariant():
     rng = np.random.default_rng(79)
     pop = make_population(random_bits(rng, 30), RAST, 5)
-    p1 = selection_probabilities(pop.fitness, "cauchy_boltzmann", 12.0)
-    p2 = selection_probabilities(pop.fitness + 0.37, "cauchy_boltzmann", 12.0)
+    p1 = selection_probabilities(pop.fitness, 12.0)
+    p2 = selection_probabilities(pop.fitness + 0.37, 12.0)
     assert np.max(np.abs(p1 - p2)) <= 1e-12
 
 
 def test_proportionate_rejects_all_zero_fitness():
     with pytest.raises(ValueError, match="degenerate population"):
-        selection_probabilities(np.zeros(3), "proportionate", 0.0)
+        selection_probabilities(np.zeros(3), None)
     with pytest.raises(ValueError, match="empty population"):
-        selection_probabilities(np.zeros(0), "proportionate", 0.0)
+        selection_probabilities(np.zeros(0), None)
 
 
 def test_sampling_matches_operator_expectation():
     rng = np.random.default_rng(83)
     fitness = rng.choice(np.round(rng.uniform(0.1, 1.0, size=8), 3), size=150)
     phi = population_nfd(fitness)
-    for scheme, gamma, operator in (
-        ("cauchy_boltzmann", 3.0, lambda p: boltzmann_apply(p, 3.0)),
-        ("proportionate", 0.0, proportionate_apply),
+    for gamma_n, operator in (
+        (3.0, lambda p: boltzmann_apply(p, 3.0)),
+        (None, proportionate_apply),
     ):
-        drawn = select_parents(fitness, scheme, gamma, rng, count=100_000)
+        drawn = select_parents(fitness, gamma_n, rng, count=100_000)
         empirical = population_nfd(fitness[drawn])
         assert distance(empirical, operator(phi)) <= 0.02
 
@@ -398,8 +397,6 @@ def test_elitism_carries_best_parent_row():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="unknown selection"):
-        small_config(selection="rank")
     with pytest.raises(ValueError, match="mutation_prob_per_bit"):
         small_config(mutation_prob_per_bit=0.2)
     with pytest.raises(ValueError, match="crossover_prob"):
@@ -416,16 +413,13 @@ def test_config_rejects_single_individual():
 
 
 def test_cauchy_scheme_uses_schedule_gamma():
-    cfg = small_config(
-        selection="cauchy_boltzmann", schedule=cauchy_schedule(1.0, 2.0),
-        generations=3,
-    )
+    cfg = small_config(schedule=cauchy_schedule(1.0, 2.0), generations=3)
     gammas = run(cfg, 0)[:, 0].tolist()
     assert gammas == pytest.approx([1.0, 1.25, 1.0 + 0.25 + 1 / 9], abs=1e-12)
 
 
 def test_proportionate_records_zero_gamma():
-    cfg = small_config(selection="proportionate", generations=2)
+    cfg = small_config(schedule=None, generations=2)
     assert run(cfg, 0)[:, 0].tolist() == [0.0, 0.0]
 
 
@@ -497,9 +491,10 @@ def test_roulette_matches_generator_choice(selection, gamma, count):
     zero_rows = np.arange(0, 150, 7)
     if selection == "proportionate":
         fitness[zero_rows] = 0.0
-    p = selection_probabilities(fitness, selection, gamma)
+    gamma_n = None if selection == "proportionate" else gamma
+    p = selection_probabilities(fitness, gamma_n)
     ours, reference = np.random.default_rng(137), np.random.default_rng(137)
-    got = select_parents(fitness, selection, gamma, ours, count=count)
+    got = select_parents(fitness, gamma_n, ours, count=count)
     want = reference.choice(150, size=150 if count is None else count, replace=True, p=p)
     assert got.tolist() == want.tolist()
     assert ours.random() == reference.random()
@@ -522,7 +517,7 @@ def test_roulette_double_on_a_cumulative_sum_picks_the_next_row():
     # as in Generator.choice, so a zero-probability row is never drawn,
     # not even by the double 0.0
     fitness = np.array([0.0, 0.5, 0.5])
-    got = select_parents(fitness, "proportionate", 0.0, FixedDraws([0.0, 0.5, 0.75]))
+    got = select_parents(fitness, None, FixedDraws([0.0, 0.5, 0.75]))
     assert got.tolist() == [1, 2, 2]
 
 
@@ -530,14 +525,14 @@ def test_roulette_rejects_nan_or_negative_probabilities():
     rng = np.random.default_rng(139)
     message = "selection probabilities must be nonnegative"
     with pytest.raises(ValueError, match=message):
-        select_parents(np.array([0.5, math.nan]), "proportionate", 0.0, rng)
+        select_parents(np.array([0.5, math.nan]), None, rng)
     with pytest.raises(ValueError, match=message):
-        select_parents(np.array([1.0, -0.5]), "proportionate", 0.0, rng)
+        select_parents(np.array([1.0, -0.5]), None, rng)
     with pytest.raises(ValueError, match=message):
-        select_parents(np.array([0.5, math.nan]), "boltzmann_const", 2.0, rng)
+        select_parents(np.array([0.5, math.nan]), 2.0, rng)
     for gamma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="inverse temperature must be finite"):
-            select_parents(np.array([0.5, 0.25]), "boltzmann_const", gamma, rng)
+            select_parents(np.array([0.5, 0.25]), gamma, rng)
 
 
 def python_table_index(bits, dims, bits_per_var) -> list[list[int]]:

@@ -289,8 +289,15 @@ def test_boltzmann_equals_renormalized_reference(phi, gamma):
     assert list(out.entries) == list(ref.entries)
 
 
-def reference_tail_profile(phi, schedule, checkpoints, pairs_per_checkpoint):
-    """The per-pair form: both operators recomputed for every pair."""
+def reference_tail_profile(phi, schedule, checkpoints):
+    """The per-pair form: both operators recomputed for every pair.
+
+    Levels and pairs are sampled as when the pair count was a setting, at
+    its only used value: s evenly spaced integers from N to 4N, s the
+    smallest with s*(s-1)/2 >= 6, and the first 6 pairs in lexicographic
+    order.
+    """
+    pairs_per_checkpoint = 6
     profile = []
     for ckpt in checkpoints:
         lo, hi = ckpt, 4 * ckpt
@@ -313,12 +320,11 @@ def reference_tail_profile(phi, schedule, checkpoints, pairs_per_checkpoint):
     st.sampled_from([0.1, 1.0, 10.0]),
     st.sampled_from([1.1, 1.5, 2.0]),
     st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True),
-    st.integers(1, 12),
 )
-def test_tail_profile_equals_per_pair_recomputation(phi, g0, alpha, ckpts, pairs):
+def test_tail_profile_equals_per_pair_recomputation(phi, g0, alpha, ckpts):
     checkpoints = sorted(ckpts)
-    got = cauchy_tail_profile(phi, cauchy_schedule(g0, alpha), checkpoints, pairs)
-    ref = reference_tail_profile(phi, cauchy_schedule(g0, alpha), checkpoints, pairs)
+    got = cauchy_tail_profile(phi, cauchy_schedule(g0, alpha), checkpoints)
+    ref = reference_tail_profile(phi, cauchy_schedule(g0, alpha), checkpoints)
     assert got == ref
 
 
