@@ -100,6 +100,8 @@ class GaConfig:
     bits_per_var: int = 5
 
     def __post_init__(self) -> None:
+        if not (self.schedule is None or isinstance(self.schedule, AnnealingSchedule)):
+            raise ValueError("schedule must be None or an AnnealingSchedule")
         if self.pop_size < 2:
             raise ValueError("pop_size must be >= 2")
         if self.generations < 1:
@@ -398,8 +400,8 @@ def step_generation(
     ``best_so_far`` is the running minimum raw objective entering the
     generation; the returned record folds in the new population. The
     generation's gamma is taken from the schedule at ``generation_index``
-    (constant schedules just return their fixed value); proportionate
-    selection, which has no schedule, records gamma as 0.
+    (a constant schedule is the alpha = inf one, whose gamma_n is g0);
+    proportionate selection, which has no schedule, records gamma as 0.
 
     The crossover pairing walks a fresh random permutation of the selected
     pool two at a time. With an odd pool the leftover is paired against a

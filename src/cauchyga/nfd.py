@@ -100,13 +100,6 @@ class NFD:
         object.__setattr__(phi, "entries", entries)
         return phi
 
-    @property
-    def support(self) -> set[float]:
-        return set(self.entries)
-
-    def mass(self, x: float) -> float:
-        return self.entries.get(x, 0.0)
-
     def mean(self) -> float:
         """Expected fitness under this distribution."""
         return fsum(x * m for x, m in self.entries.items())

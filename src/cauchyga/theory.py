@@ -1,7 +1,9 @@
 """Numerical checks of the operator-sequence bounds behind the schedule.
 
-For a Cauchy schedule, the generation-n selection operator applies the
-cumulative exponent gamma_n to the ORIGINAL distribution. Two inequalities
+The generation-n selection operator applies the cumulative exponent
+gamma_n to the ORIGINAL distribution: ``boltzmann_apply(phi,
+gamma_at(schedule, n))``. By the semigroup property this equals n
+successive applications with the schedule's increments. Two inequalities
 make the schedule choice principled, and both are checkable numerically on
 any concrete NFD:
 
@@ -15,7 +17,8 @@ Because the second bound shrinks with the schedule's tail sums, a schedule
 whose partial sums converge forces the operator outputs into a Cauchy
 sequence; ``cauchy_tail_profile`` measures that contraction directly. It
 applies each distinct generation's operator once and compares the stored
-outputs pairwise.
+outputs pairwise. A constant schedule (alpha = inf) has tail sums of 0, so
+its bound and its profile are 0.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from itertools import combinations
 from typing import NamedTuple
 
-from .annealing import CAUCHY, AnnealingSchedule, gamma_at, tail_sum
+from .annealing import AnnealingSchedule, gamma_at, tail_sum
 from .nfd import NFD, distance
 from .selection import boltzmann_apply, selection_strength
 
@@ -37,21 +40,6 @@ class BoundCheck(NamedTuple):
 
     lhs: float
     rhs: float
-
-
-def cumulative_operator(phi: NFD, schedule: AnnealingSchedule, n: int) -> NFD:
-    """Selection operator of generation n applied to the original phi.
-
-    Equivalent to one Boltzmann application at the cumulative inverse
-    temperature gamma_n; by the semigroup property this also equals n
-    successive applications with the schedule's increments.
-
-    Raises:
-        ValueError: If the schedule is not of the Cauchy kind.
-    """
-    if schedule.kind != CAUCHY:
-        raise ValueError("cumulative operator requires a cauchy schedule")
-    return boltzmann_apply(phi, gamma_at(schedule, n))
 
 
 def lemma1_check(phi: NFD, gamma1: float, gamma2: float) -> BoundCheck:
@@ -76,8 +64,7 @@ def tail_bound(phi: NFD, schedule: AnnealingSchedule, m: int, n: int) -> float:
     The derivation needs nonnegative fitness, which every NFD has.
 
     Raises:
-        ValueError: If n <= m, m < 1, or the schedule is not of the Cauchy
-            kind.
+        ValueError: If n <= m or m < 1.
     """
     if m < 1 or n <= m:
         raise ValueError(f"need n > m >= 1, got m={m}, n={n}")
@@ -103,7 +90,8 @@ def lemma2_bound_check(
     """
     rhs = tail_bound(phi, schedule, m, n)
     lhs = distance(
-        cumulative_operator(phi, schedule, n), cumulative_operator(phi, schedule, m)
+        boltzmann_apply(phi, gamma_at(schedule, n)),
+        boltzmann_apply(phi, gamma_at(schedule, m)),
     )
     return BoundCheck(lhs, rhs)
 
@@ -119,8 +107,8 @@ def cauchy_tail_profile(
     every pair, and by later checkpoints, that include it.
 
     Raises:
-        ValueError: On an empty or non-ascending checkpoint list, a
-            checkpoint < 1, or a non-Cauchy schedule.
+        ValueError: On an empty or non-ascending checkpoint list, or a
+            checkpoint < 1.
     """
     if not checkpoints:
         raise ValueError("empty checkpoints")
@@ -128,14 +116,12 @@ def cauchy_tail_profile(
         raise ValueError("checkpoints must be strictly ascending")
     if checkpoints[0] < 1:
         raise ValueError("checkpoints must be >= 1")
-    if schedule.kind != CAUCHY:
-        raise ValueError("cauchy tail profile requires a cauchy schedule")
 
     ops: dict[int, NFD] = {}
 
     def op(level: int) -> NFD:
         if level not in ops:
-            ops[level] = cumulative_operator(phi, schedule, level)
+            ops[level] = boltzmann_apply(phi, gamma_at(schedule, level))
         return ops[level]
 
     profile: list[tuple[int, float]] = []

@@ -33,6 +33,22 @@ def test_gamma_at_constant():
         assert gamma_at(s, n) == 300.0
 
 
+@pytest.mark.parametrize("g", [0.0, -0.0, 5e-324, 300.0, 1e300])
+def test_constant_schedule_is_the_cauchy_schedule_at_alpha_inf(g):
+    s = constant_schedule(g)
+    assert s == cauchy_schedule(g, math.inf)
+    for n in (1, 2, 57, 500):
+        got = gamma_at(s, n)
+        assert got == gamma_at(cauchy_schedule(g, math.inf), n) == g
+        assert math.copysign(1.0, got) == math.copysign(1.0, g)
+
+
+def test_calibrate_g0_at_alpha_inf_is_the_target():
+    for horizon in (1, 2, 100, 5000):
+        for target in (0.0, 5e-324, 300.0, 1e300):
+            assert calibrate_g0(math.inf, horizon, target) == target
+
+
 def test_gamma_at_rejects_n_zero():
     for s in (constant_schedule(1.0), cauchy_schedule(1.0, 2.0)):
         with pytest.raises(ValueError, match=">= 1"):
@@ -141,9 +157,11 @@ def test_tail_sum_examples():
     assert tail_sum(s, 0, 3) == pytest.approx(gamma_at(s, 3), abs=1e-15)
 
 
-def test_tail_sum_rejects_constant_kind():
-    with pytest.raises(ValueError, match="tail sum undefined for constant"):
-        tail_sum(constant_schedule(1.0), 1, 2)
+def test_tail_sum_of_constant_schedule_is_zero():
+    s = constant_schedule(300.0)
+    for m, n in ((1, 2), (1, 100), (57, 500)):
+        assert tail_sum(s, m, n) == 0.0
+    assert tail_sum(s, 0, 7) == 300.0  # gamma_0 is 0
 
 
 def test_tail_sum_rejects_bad_window():

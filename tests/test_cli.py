@@ -266,6 +266,23 @@ def test_each_scheme_name_maps_to_one_schedule(tmp_path, scheme):
         assert gammas == [gamma_at(ga.schedule, n) for n in range(1, cfg.generations + 1)]
 
 
+def test_constant_scheme_runs_as_the_cauchy_scheme_at_alpha_inf(tmp_path):
+    # an odd pool exercises the leftover pairing
+    common = ["--function", "rastrigin", "--generations", "20", "--pop-size", "21",
+              "--runs", "3"]
+    rows = {}
+    for name, flags in (
+        ("cauchy", ["--selection", "cauchy-boltzmann", "--alpha", "inf", "--g0", "300"]),
+        ("const", ["--selection", "boltzmann-const", "--gamma", "300"]),
+    ):
+        out = tmp_path / name
+        assert main(["run", *common, *flags, "--output", str(out)]) == 0
+        (path,) = out.glob("rastrigin_*.csv")
+        rows[name] = read_series_csv(path)[2]
+    assert rows["cauchy"] == rows["const"]
+    assert {row[1] for row in rows["const"]} == {"300"}
+
+
 def test_cli_unwritable_output_fails(tmp_path):
     rc = main(
         [

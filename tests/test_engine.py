@@ -405,6 +405,13 @@ def test_config_validation():
         small_config(pop_size=0)
 
 
+def test_config_rejects_a_schedule_that_is_not_one():
+    # the positional form from when the scheme name preceded the schedule
+    with pytest.raises(ValueError, match="schedule must be None or an AnnealingSchedule"):
+        GaConfig(make_objective("rastrigin", 3), "cauchy_boltzmann")
+    assert GaConfig(make_objective("rastrigin", 3)).schedule is None
+
+
 def test_config_rejects_single_individual():
     # one individual has no partner for the odd leftover's crossover
     with pytest.raises(ValueError, match="pop_size must be >= 2"):

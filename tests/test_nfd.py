@@ -49,9 +49,9 @@ def test_from_values_rejects_negative():
 
 def test_normalize_divides_by_total():
     phi = NFD.from_values([1.0, 2.0, 1.0])
-    assert phi.mass(1.0) == 2 / 3
-    assert phi.mass(2.0) == 1 / 3
-    assert phi.support == {1.0, 2.0}
+    assert phi.entries.get(1.0, 0.0) == 2 / 3
+    assert phi.entries.get(2.0, 0.0) == 1 / 3
+    assert phi.entries.keys() == {1.0, 2.0}
 
 
 def test_normalize_point_mass():
@@ -73,15 +73,15 @@ def test_normalize_masses_sum_to_one():
 
 
 def test_support_examples():
-    assert NFD({1.0: 0.5, 3.0: 0.5}).support == {1.0, 3.0}
-    assert NFD({0.0: 1.0}).support == {0.0}
-    assert NFD.from_values([2.0, 2.0, 2.0]).support == {2.0}
+    assert NFD({1.0: 0.5, 3.0: 0.5}).entries.keys() == {1.0, 3.0}
+    assert NFD({0.0: 1.0}).entries.keys() == {0.0}
+    assert NFD.from_values([2.0, 2.0, 2.0]).entries.keys() == {2.0}
 
 
 def test_support_bounded_by_population_size():
     rng = np.random.default_rng(11)
     phi = NFD.from_values(rng.uniform(0, 1, size=150).tolist())
-    assert len(phi.support) <= 150
+    assert len(phi) <= 150
 
 
 def test_nfd_validation():
@@ -155,4 +155,4 @@ def test_normalize_of_from_values_is_valid_nfd():
         values = rng.uniform(0, 10, size=rng.integers(1, 60)).tolist()
         phi = NFD.from_values(values)
         assert isinstance(phi, NFD)  # constructor revalidates invariants
-        assert phi.support == set(values)
+        assert phi.entries.keys() == set(values)

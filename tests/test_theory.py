@@ -7,12 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from cauchyga.annealing import cauchy_schedule, constant_schedule, tail_sum
+from cauchyga.annealing import cauchy_schedule, constant_schedule, gamma_at, tail_sum
 from cauchyga.nfd import NFD, distance
 from cauchyga.selection import boltzmann_apply
 from cauchyga.theory import (
     cauchy_tail_profile,
-    cumulative_operator,
     lemma1_check,
     lemma2_bound_check,
     tail_bound,
@@ -24,28 +23,33 @@ def test_cumulative_operator_zero_g0_is_identity():
     s = cauchy_schedule(0.0, 2.0)
     phi = NFD({0.0: 0.5, 1.0: 0.5})
     for n in (1, 5, 50):
-        assert distance(cumulative_operator(phi, s, n), phi) <= 1e-12
+        assert distance(boltzmann_apply(phi, gamma_at(s, n)), phi) <= 1e-12
 
 
 def test_cumulative_operator_point_mass_fixed():
     s = cauchy_schedule(1.0, 2.0)
     phi = NFD({3.0: 1.0})
     for n in (1, 10):
-        assert cumulative_operator(phi, s, n).entries == {3.0: 1.0}
+        assert boltzmann_apply(phi, gamma_at(s, n)).entries == {3.0: 1.0}
 
 
 def test_cumulative_operator_matches_direct_application():
     # schedule with gamma_1 = ln 3 reuses the hand-computed tilt
     s = cauchy_schedule(math.log(3.0), 2.0)
     phi = NFD({0.0: 0.5, 1.0: 0.5})
-    out = cumulative_operator(phi, s, 1)
-    assert out.mass(0.0) == pytest.approx(0.25, abs=1e-15)
-    assert out.mass(1.0) == pytest.approx(0.75, abs=1e-15)
+    out = boltzmann_apply(phi, gamma_at(s, 1))
+    assert out.entries.get(0.0, 0.0) == pytest.approx(0.25, abs=1e-15)
+    assert out.entries.get(1.0, 0.0) == pytest.approx(0.75, abs=1e-15)
 
 
-def test_cumulative_operator_rejects_constant_schedule():
-    with pytest.raises(ValueError, match="cauchy"):
-        cumulative_operator(NFD({1.0: 1.0}), constant_schedule(2.0), 1)
+def test_lemma2_constant_schedule_is_zero_on_both_sides():
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        phi = random_nfd(rng)
+        g = float(rng.choice([0.0, 1.0, 300.0]))
+        m = int(rng.integers(1, 50))
+        n = int(rng.integers(m + 1, 51))
+        assert lemma2_bound_check(phi, constant_schedule(g), m, n) == (0.0, 0.0)
 
 
 def test_cumulative_equals_sequential_increments():
@@ -57,7 +61,7 @@ def test_cumulative_equals_sequential_increments():
         seq = phi
         for k in range(1, n + 1):
             seq = boltzmann_apply(seq, tail_sum(s, k - 1, k))
-        assert distance(seq, cumulative_operator(phi, s, n)) <= 1e-10
+        assert distance(seq, boltzmann_apply(phi, gamma_at(s, n))) <= 1e-10
 
 
 def test_lemma1_equal_gammas():
@@ -141,8 +145,7 @@ def test_tail_bound_is_the_lemma2_rhs():
     assert math.isinf(tail_bound(big, cauchy_schedule(10.0, 1.1), 1, 40))
     with pytest.raises(ValueError, match="need n > m >= 1"):
         tail_bound(big, cauchy_schedule(1.0, 2.0), 0, 4)
-    with pytest.raises(ValueError, match="tail sum undefined for constant"):
-        tail_bound(big, constant_schedule(1.0), 1, 4)
+    assert tail_bound(big, constant_schedule(1.0), 1, 4) == 0.0
 
 
 def test_profile_point_mass_all_zero():
@@ -175,8 +178,14 @@ def test_profile_checkpoints_validation():
         cauchy_tail_profile(phi, s, [4, 2])
     with pytest.raises(ValueError, match=">= 1"):
         cauchy_tail_profile(phi, s, [0, 2])
-    with pytest.raises(ValueError, match="cauchy"):
-        cauchy_tail_profile(phi, constant_schedule(1.0), [1, 2])
+
+
+def test_profile_constant_schedule_all_zero():
+    rng = np.random.default_rng(59)
+    for g in (0.0, 1.0, 300.0):
+        phi = random_nfd(rng)
+        profile = cauchy_tail_profile(phi, constant_schedule(g), [1, 2, 4, 8])
+        assert profile == [(1, 0.0), (2, 0.0), (4, 0.0), (8, 0.0)]
 
 
 def test_profile_values_respect_window_tail_bound():
