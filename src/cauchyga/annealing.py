@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .selection import _check_gamma
+
 
 @dataclass(frozen=True)
 class AnnealingSchedule:
@@ -62,13 +64,6 @@ def _unit_sums(alpha: float, n: int) -> np.ndarray:
     prefix = np.concatenate([prefix, np.cumsum(seeded)[1:]])
     _UNIT_SUMS[alpha] = prefix
     return prefix
-
-
-def _check_gamma(gamma: float) -> None:
-    if not math.isfinite(gamma):
-        raise ValueError("inverse temperature must be finite")
-    if gamma < 0.0:
-        raise ValueError("inverse temperature must be nonnegative")
 
 
 def constant_schedule(gamma: float) -> AnnealingSchedule:

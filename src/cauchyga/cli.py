@@ -23,7 +23,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
 
@@ -57,15 +57,15 @@ class CliConfig:
     g0: float | None = None
     gamma: float = 300.0
     gamma_target: float = 300.0
-    generations: int = 100
-    pop_size: int = 150
-    runs: int = 17
-    seed: int = 42
-    bits_per_var: int = 5
+    generations: int = GaConfig.generations
+    pop_size: int = GaConfig.pop_size
+    runs: int = GaConfig.runs
+    seed: int = GaConfig.master_seed
+    bits_per_var: int = GaConfig.bits_per_var
     dims: int = 15
-    crossover_prob: float = 0.8
-    mutation_prob: float = 0.01
-    elitism: bool = False
+    crossover_prob: float = GaConfig.crossover_prob
+    mutation_prob: float = GaConfig.mutation_prob_per_bit
+    elitism: bool = GaConfig.elitism
     output: str = "results"
 
 
@@ -196,9 +196,9 @@ def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
             if cfg.g0 is not None
             else calibrate_g0(cfg.alpha, cfg.generations, cfg.gamma_target)
         )
-        ga.schedule = cauchy_schedule(g0_effective, cfg.alpha)
+        ga = replace(ga, schedule=cauchy_schedule(g0_effective, cfg.alpha))
     elif cfg.selection == BOLTZMANN_CONST:
-        ga.schedule = constant_schedule(cfg.gamma)
+        ga = replace(ga, schedule=constant_schedule(cfg.gamma))
     return ga, g0_effective
 
 

@@ -44,9 +44,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .annealing import AnnealingSchedule, gamma_at
-from .benchmarks import ObjectiveSpec, _check_box, _reduce, _terms, to_fitness_batch
+from .benchmarks import (
+    ObjectiveSpec, _check_box, _reduce, _terms, evaluate_raw_batch, to_fitness_batch,
+)
 # engine.distance stays importable: callers and bench/test_bench.py look it up here
 from .nfd import NFD, distance
+from .selection import _check_gamma
 
 GENERATOR_NAME = "numpy-PCG64"
 STREAM_VERSION = 2  # the draw order of the module docstring; bumped when it changes
@@ -84,7 +87,7 @@ class Population:
         return len(self.raw)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaConfig:
     """Full parameterization of a multi-run GA experiment."""
 
@@ -138,12 +141,6 @@ def _gene_slices(bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> np
             f"{spec.dims * bits_per_var}"
         )
     return bits.reshape(-1, bits_per_var)
-
-
-def _genes(bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> np.ndarray:
-    """Lattice level of every gene, (n, dims); each slice is read big-endian."""
-    weights = 1 << np.arange(bits_per_var - 1, -1, -1, dtype=np.intp)
-    return (_gene_slices(bits, spec, bits_per_var) @ weights).reshape(-1, spec.dims)
 
 
 @functools.lru_cache(maxsize=8)
@@ -215,7 +212,9 @@ def decode_batch(
     bits = np.asarray(bits)
     if ((bits != 0) & (bits != 1)).any():
         raise ValueError("bits must be 0 or 1")
-    return points[_genes(bits, spec, bits_per_var)]
+    weights = 1 << np.arange(bits_per_var - 1, -1, -1, dtype=np.intp)
+    levels = _gene_slices(bits, spec, bits_per_var) @ weights
+    return points[levels.reshape(-1, spec.dims)]
 
 
 def make_population(
@@ -223,21 +222,19 @@ def make_population(
 ) -> Population:
     """Decode, evaluate and map to fitness every row of a bit matrix.
 
-    The terms of each row are gathered from the cached lattice tables (or,
-    past the table size limit, computed on the decoded points) and reduced
-    row by row: bit for bit what ``evaluate_raw_batch(spec,
-    decode_batch(bits, ...))`` returns. The population holds ``bits``
-    itself, not a copy. The genes are read as float32 table indices
-    (:func:`_table_index`), exact because a table has at most 2**20
-    entries and float32 holds every integer up to 2**24.
+    The raw values are bit for bit ``evaluate_raw_batch(spec,
+    decode_batch(bits, ...))``, and past the table size limit they are
+    computed that way. Otherwise the terms of each row are gathered from
+    the cached lattice tables, the genes read as float32 table indices
+    (:func:`_table_index`), and reduced row by row. The population holds
+    ``bits`` itself, not a copy.
     """
-    points, tables = _lattice(spec, bits_per_var)
+    _, tables = _lattice(spec, bits_per_var)
     if tables is None:
-        terms = _terms(spec, points[_genes(bits, spec, bits_per_var)])
+        raw = evaluate_raw_batch(spec, decode_batch(bits, spec, bits_per_var))
     else:
         index = _table_index(bits, spec, bits_per_var)
-        terms = tuple(t[index] for t in tables)
-    raw = _reduce(spec, terms)
+        raw = _reduce(spec, tuple(t[index] for t in tables))
     return Population(bits=bits, raw=raw, fitness=to_fitness_batch(spec, raw))
 
 
@@ -249,12 +246,15 @@ def population_nfd(fitness: np.ndarray) -> NFD:
 def realized_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
     """L1 distance between the NFDs of ``fitness`` and of ``fitness[chosen]``.
 
-    Bit-identical to ``distance(population_nfd(fitness),
-    population_nfd(fitness[chosen]))``, counted on arrays instead (the
-    distinct values come from one sort and a neighbour comparison): every
-    mass is the same correctly rounded count / size, and ``fsum`` is exactly
-    rounded, so neither term order nor zero terms change the sum. As with
-    the NFDs, 0.0 and -0.0 count as one fitness value.
+    That is the distance to the drawn pool, which is positive even with no
+    selection: n uniform draws from n distinct values give 2 * (1 - 1/n)**n
+    on average, about 0.733 at n = 150. Bit-identical to
+    ``distance(population_nfd(fitness), population_nfd(fitness[chosen]))``,
+    counted on arrays instead (the distinct values come from one sort and a
+    neighbour comparison): every mass is the same correctly rounded count /
+    size, and ``fsum`` is exactly rounded, so neither term order nor zero
+    terms change the sum. As with the NFDs, 0.0 and -0.0 count as one
+    fitness value.
 
     Raises:
         ValueError: On an empty population or selection, or a negative or
@@ -306,10 +306,7 @@ def selection_probabilities(fitness: np.ndarray, gamma_n: float | None) -> np.nd
         if total <= 0.0:
             raise ValueError("degenerate population")
         return fits / total
-    if not math.isfinite(gamma_n):
-        raise ValueError("inverse temperature must be finite")
-    if gamma_n < 0.0:
-        raise ValueError("inverse temperature must be nonnegative")
+    _check_gamma(gamma_n)
     w = np.exp(gamma_n * (fits - fits.max()))
     return w / w.sum()
 

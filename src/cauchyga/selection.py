@@ -1,8 +1,8 @@
-"""Selection operators on NFDs and selection-strength measurement.
+"""Selection operators on NFDs and the one check of an inverse temperature.
 
 Boltzmann selection tilts masses by exp(gamma * fitness); proportionate
-selection tilts them by the fitness value itself. Selection strength is the
-L1 distance between the distribution before and after an operator fires.
+selection tilts them by the fitness value itself. Selection strength is
+``nfd.distance`` between the distribution before and after an operator fires.
 
 Both operators build their result on the input's support, which the input
 NFD has already validated and sorted, so only the new masses are checked.
@@ -14,13 +14,22 @@ would change the verification outputs. Weights are normalized by their
 
 from __future__ import annotations
 
-from math import exp, fsum, inf
+from math import exp, fsum, isfinite
 from typing import Iterable
 
+# selection.distance stays importable: bench/test_bench.py looks it up here
 from .nfd import NFD, distance
 
 # smallest subnormal double: the floor of a weight that underflows to zero
 _TINY = 5e-324
+
+
+def _check_gamma(gamma: float) -> None:
+    """The package's one inverse-temperature rule: finite first, then >= 0."""
+    if not isfinite(gamma):
+        raise ValueError("inverse temperature must be finite")
+    if gamma < 0.0:
+        raise ValueError("inverse temperature must be nonnegative")
 
 
 def _reweighted(keys: Iterable[float], weights: list[float]) -> NFD:
@@ -49,10 +58,7 @@ def boltzmann_apply(phi: NFD, gamma: float) -> NFD:
     Raises:
         ValueError: If gamma is negative, NaN or infinite.
     """
-    if gamma < 0.0:
-        raise ValueError("inverse temperature must be nonnegative")
-    if not gamma < inf:
-        raise ValueError(f"inverse temperature must be finite, got {gamma}")
+    _check_gamma(gamma)
     entries = phi.entries
     x_max = phi.max_fitness()
     weights = [
@@ -82,15 +88,10 @@ def proportionate_apply(phi: NFD) -> NFD:
     return _reweighted([x for x, _ in positive], weights)
 
 
-def selection_strength(phi: NFD, selected: NFD) -> float:
-    """Strength of a selection step: L1 distance between before and after."""
-    return distance(phi, selected)
-
-
 def proportionate_strength_closed_form(phi: NFD) -> float:
     """Mean absolute fitness deviation divided by the mean fitness.
 
-    Equals ``selection_strength(phi, proportionate_apply(phi))`` without
+    Equals ``distance(phi, proportionate_apply(phi))`` without
     materializing the selected distribution.
 
     Raises:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .annealing import AnnealingSchedule, gamma_at, tail_sum
 from .nfd import NFD, distance
-from .selection import boltzmann_apply, selection_strength
+from .selection import boltzmann_apply
 
 # exp argument above which the bound side is treated as +inf
 _EXP_OVERFLOW = 700.0
@@ -49,7 +49,7 @@ def lemma1_check(phi: NFD, gamma1: float, gamma2: float) -> BoundCheck:
     """
     sel1 = boltzmann_apply(phi, gamma1)
     sel2 = boltzmann_apply(phi, gamma2)
-    lhs = abs(selection_strength(phi, sel1) - selection_strength(phi, sel2))
+    lhs = abs(distance(phi, sel1) - distance(phi, sel2))
     rhs = distance(sel1, sel2)
     return BoundCheck(lhs, rhs)
 
@@ -117,17 +117,9 @@ def cauchy_tail_profile(
     if checkpoints[0] < 1:
         raise ValueError("checkpoints must be >= 1")
 
-    ops: dict[int, NFD] = {}
-
-    def op(level: int) -> NFD:
-        if level not in ops:
-            ops[level] = boltzmann_apply(phi, gamma_at(schedule, level))
-        return ops[level]
-
-    profile: list[tuple[int, float]] = []
-    for ckpt in checkpoints:
-        worst = 0.0
-        for m, n in combinations((ckpt, 2 * ckpt, 3 * ckpt, 4 * ckpt), 2):
-            worst = max(worst, distance(op(n), op(m)))
-        profile.append((ckpt, worst))
-    return profile
+    windows = [(ckpt, 2 * ckpt, 3 * ckpt, 4 * ckpt) for ckpt in checkpoints]
+    op = {n: boltzmann_apply(phi, gamma_at(schedule, n)) for n in set().union(*windows)}
+    return [
+        (ckpt, max(distance(op[n], op[m]) for m, n in combinations(window, 2)))
+        for ckpt, window in zip(checkpoints, windows)
+    ]

@@ -74,10 +74,8 @@ class CaseResult:
 
 @dataclass
 class VerifyResult:
-    """Outcome of one verification run."""
+    """Outcome of one verification run: its cases and report lines, in suite order."""
 
-    seed: int
-    case_count: int
     cases: list[CaseResult] = field(default_factory=list)
     suite_lines: list[str] = field(default_factory=list)
 
@@ -275,7 +273,7 @@ def run_verify(
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = VerifyResult(seed=seed, case_count=case_count)
+    result = VerifyResult()
     for suite_index, (name, suite) in enumerate(SUITES):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, suite_index]))

@@ -1,0 +1,47 @@
+"""The functions the benchmark measures by name still exist.
+
+``bench/run.py --trace 1`` wraps package functions by name and reports a
+renamed or deleted one only as a missing per-layer metric, which
+``bench/test_bench.py`` (slow, outside this suite) then catches. These
+tests ask the benchmark's own rules, read from ``bench/`` and never
+changed, whether every per-layer metric of BENCHMARK.json still resolves
+to a function.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+from cauchyga import engine, nfd, selection, theory, verify
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def bench_module(name: str):
+    """Load ``bench/<name>.py`` as a module without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unresolved_metrics() -> list[str]:
+    """Per-layer metrics whose span names no function of the package."""
+    run, tracing = bench_module("run"), bench_module("tracing")
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    return [
+        name
+        for name in metrics
+        if (span := run.host_span(name)) is not None and tracing.resolve(span) is None
+    ]
+
+
+def test_every_per_layer_metric_resolves_to_a_function():
+    assert unresolved_metrics() == []
+
+
+def test_distance_is_importable_wherever_the_tracer_patches_it():
+    for module in (nfd, engine, selection, theory, verify):
+        assert module.distance is nfd.distance, module.__name__

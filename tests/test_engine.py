@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -96,6 +97,12 @@ def test_decode_rejects_bits_other_than_0_or_1():
     for row in ([0, 0, 0, 0, 2], [2, 0, 0, 0, 0]):
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             decode_batch(np.array([row], np.uint8), spec, 5)
+    # past the table size limit make_population decodes through decode_batch
+    wide = make_objective("rastrigin", 17)  # 2**16 levels x 17 dims > 2**20 entries
+    bits = np.zeros((2, 17 * 16), np.uint8)
+    bits[1, 5] = 2
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        make_population(bits, wide, 16)
 
 
 def test_individual_fields_recompute_bit_exactly():
@@ -412,6 +419,15 @@ def test_config_rejects_a_schedule_that_is_not_one():
     assert GaConfig(make_objective("rastrigin", 3)).schedule is None
 
 
+def test_config_is_frozen_and_replace_rechecks_it():
+    cfg = small_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.schedule = "cauchy_boltzmann"
+    with pytest.raises(ValueError, match="schedule must be None or an AnnealingSchedule"):
+        dataclasses.replace(cfg, schedule="cauchy_boltzmann")
+    assert dataclasses.replace(cfg, schedule=None).schedule is None
+
+
 def test_config_rejects_single_individual():
     # one individual has no partner for the odd leftover's crossover
     with pytest.raises(ValueError, match="pop_size must be >= 2"):
@@ -627,3 +643,16 @@ def test_realized_strength_counts_negative_zero_as_zero():
     assert both == engine.realized_strength(np.array([0.0, 0.0, 0.5]), np.array([0, 1]))
     assert both == math.fsum([1.0 - 2 / 3, 1 / 3])
     assert engine.realized_strength(np.array([-0.0]), np.array([0])) == 0.0
+
+
+def test_realized_strength_without_selection_has_its_floor():
+    # Uniform draws of 150 from 150 distinct values leave each value drawn
+    # Binomial(150, 1/150) times; E|count - 1| = 2 * P(count = 0), so the
+    # mean distance to the drawn pool is 2 * (1 - 1/150)**150, not 0.
+    fitness = np.random.default_rng(1).random(150)
+    rng = np.random.default_rng(2)
+    strengths = [
+        engine.realized_strength(fitness, select_parents(fitness, 0.0, rng))
+        for _ in range(4000)
+    ]
+    assert abs(np.mean(strengths) - 2.0 * (1.0 - 1.0 / 150) ** 150) <= 0.004

@@ -12,7 +12,6 @@ from cauchyga.selection import (
     boltzmann_apply,
     proportionate_apply,
     proportionate_strength_closed_form,
-    selection_strength,
 )
 from cauchyga.verify import random_nfd
 
@@ -41,6 +40,12 @@ def test_boltzmann_point_mass_is_fixed_point():
 def test_boltzmann_rejects_negative_gamma():
     with pytest.raises(ValueError, match="inverse temperature must be nonnegative"):
         boltzmann_apply(NFD({1.0: 1.0}), -0.1)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_boltzmann_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="^inverse temperature must be finite$"):
+        boltzmann_apply(NFD({1.0: 1.0}), gamma)
 
 
 def test_boltzmann_preserves_support_exactly():
@@ -104,6 +109,18 @@ def test_boltzmann_high_gamma_concentrates_on_max():
         assert distance(out, NFD({xs[-1]: 1.0})) <= 1e-10
 
 
+@pytest.mark.parametrize("c", [0.1, 0.3, 1.0, 5.0])
+@pytest.mark.parametrize("x0, spread", [(0.0, 1.0), (0.25, 0.5), (2.0, 3.0)])
+def test_two_point_boltzmann_distance_is_exact(c, x0, spread):
+    # At gamma = c / spread, Boltzmann selection swaps the two masses of
+    # {x0: 1 - q, x0 + spread: q} with q = 1 / (e**(c/2) + 1), so the
+    # distance from the unselected NFD is 2 * (1 - 2q) = 2 * tanh(c / 4).
+    q = 1.0 / (math.exp(c / 2.0) + 1.0)
+    phi = NFD({x0: 1.0 - q, x0 + spread: q})
+    d = distance(boltzmann_apply(phi, c / spread), boltzmann_apply(phi, 0.0))
+    assert d == pytest.approx(2.0 * math.tanh(c / 4.0), rel=1e-12, abs=0.0)
+
+
 def test_proportionate_hand_computed():
     out = proportionate_apply(NFD({1.0: 0.5, 3.0: 0.5}))
     assert out.entries.get(1.0, 0.0) == pytest.approx(0.25, abs=1e-15)
@@ -127,19 +144,19 @@ def test_proportionate_rejects_all_zero_support():
 def test_strength_zero_for_identity_operator():
     rng = np.random.default_rng(7)
     phi = random_nfd(rng)
-    assert selection_strength(phi, boltzmann_apply(phi, 0.0)) <= 1e-12
+    assert distance(phi, boltzmann_apply(phi, 0.0)) <= 1e-12
 
 
 def test_strength_proportionate_hand_computed():
     phi = NFD({1.0: 0.5, 3.0: 0.5})
-    s = selection_strength(phi, proportionate_apply(phi))
+    s = distance(phi, proportionate_apply(phi))
     assert s == pytest.approx(0.5, abs=1e-15)
 
 
 def test_strength_point_mass_zero():
     phi = NFD({4.0: 1.0})
-    assert selection_strength(phi, boltzmann_apply(phi, 7.0)) == 0.0
-    assert selection_strength(phi, proportionate_apply(phi)) == 0.0
+    assert distance(phi, boltzmann_apply(phi, 7.0)) == 0.0
+    assert distance(phi, proportionate_apply(phi)) == 0.0
 
 
 def test_closed_form_examples():
@@ -172,6 +189,6 @@ def test_closed_form_agrees_with_operator_route():
             phi = NFD(entries)
         if phi.mean() <= 0.0:
             continue
-        via_operator = selection_strength(phi, proportionate_apply(phi))
+        via_operator = distance(phi, proportionate_apply(phi))
         closed = proportionate_strength_closed_form(phi)
         assert abs(via_operator - closed) <= 1e-10
