@@ -28,6 +28,12 @@ import numpy as np
 from .selection import _check_gamma
 
 
+def _check_alpha(alpha: float) -> None:
+    """The one exponent rule: the partial sums converge only for alpha > 1."""
+    if not alpha > 1.0:
+        raise ValueError("alpha must exceed 1")
+
+
 @dataclass(frozen=True)
 class AnnealingSchedule:
     """The Cauchy schedule with first value g0 = gamma_1 and exponent alpha.
@@ -40,8 +46,7 @@ class AnnealingSchedule:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 1.0:
-            raise ValueError("alpha must exceed 1")
+        _check_alpha(self.alpha)
         _check_gamma(self.g0)
 
 
@@ -116,8 +121,7 @@ def calibrate_g0(alpha: float, horizon: int, gamma_target: float) -> float:
         ValueError: If alpha <= 1, horizon < 1, or gamma_target is negative
             or not finite.
     """
-    if not alpha > 1.0:
-        raise ValueError("alpha must exceed 1")
+    _check_alpha(alpha)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     _check_gamma(gamma_target)

@@ -243,11 +243,17 @@ def _write_csv(path: Path, metadata: dict[str, str], header, rows) -> None:
         fh.truncate()
 
 
-def write_series_csv(path: Path, metadata: dict[str, str], table: np.ndarray) -> None:
-    """Write one experiment CSV; row g - 1 of the series ``table`` is generation g."""
+def write_series_csv(
+    path: Path, metadata: dict[str, str], table: np.ndarray
+) -> list[list[str]]:
+    """Write one experiment CSV; row g - 1 of the series ``table`` is generation g.
+
+    Returns the data rows' cells as written.
+    """
     # tolist gives the Python floats of the stored values
-    rows = ([str(g), *map(fmt, row)] for g, row in enumerate(table.tolist(), 1))
+    rows = [[str(g), *map(fmt, row)] for g, row in enumerate(table.tolist(), 1)]
     _write_csv(path, metadata, SERIES_COLUMNS, rows)
+    return rows
 
 
 def read_series_csv(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
@@ -276,9 +282,13 @@ def read_series_csv(path: Path) -> tuple[dict[str, str], list[str], list[list[st
     return metadata, table[0], table[1:]
 
 
-def write_combined_csv(output_dir: Path, function: str) -> Path | None:
+def write_combined_csv(
+    output_dir: Path, function: str, scheme: str, rows: list[list[str]]
+) -> Path | None:
     """Join per-scheme CSVs of one function on generation, if two or more exist.
 
+    ``rows`` are the data rows just written to ``scheme``'s CSV, which is
+    joined from them rather than read back; every other sibling is read.
     The siblings' cells are spliced as the text cauchyga wrote them.
     Emitted columns carry a scheme prefix; schemes appear in the fixed
     order proportionate, boltzmann_const, cauchy_boltzmann. When the
@@ -290,34 +300,37 @@ def write_combined_csv(output_dir: Path, function: str) -> Path | None:
             not ``SERIES_COLUMNS``.
     """
     present = []
-    for scheme in SELECTION_SCHEMES:
-        path = output_dir / f"{function}_{scheme}.csv"
-        if path.exists():
-            present.append((scheme, path))
+    for name in SELECTION_SCHEMES:
+        path = output_dir / f"{function}_{name}.csv"
+        if name == scheme or path.exists():
+            present.append((name, path))
     if len(present) < 2:
         return None
 
     out = output_dir / f"{function}_combined.csv"
     tables = []
-    for _, path in present:
-        _, header, rows = read_series_csv(path)
+    for name, path in present:
+        if name == scheme:
+            tables.append(rows)
+            continue
+        _, header, sibling = read_series_csv(path)
         if tuple(header) != SERIES_COLUMNS:
             raise ValueError(f"{path}: header is not {','.join(SERIES_COLUMNS)}")
-        tables.append(rows)
-    if len({len(rows) for rows in tables}) != 1:
+        tables.append(sibling)
+    if len({len(table) for table in tables}) != 1:
         # an older join would name a source whose rows have changed
         out.unlink(missing_ok=True)
         return None
 
     metadata = {"function": function}
     header = ["generation"]
-    for scheme, path in present:
-        metadata[f"source_{scheme}"] = path.name
-        header.extend(f"{scheme}_{col}" for col in SERIES_COLUMNS[1:])
+    for name, path in present:
+        metadata[f"source_{name}"] = path.name
+        header.extend(f"{name}_{col}" for col in SERIES_COLUMNS[1:])
     # the first sibling's generation, then every sibling's other cells
-    rows = ([parts[0][0], *(cell for row in parts for cell in row[1:])]
-            for parts in zip(*tables))
-    _write_csv(out, metadata, header, rows)
+    joined = ([parts[0][0], *(cell for row in parts for cell in row[1:])]
+              for parts in zip(*tables))
+    _write_csv(out, metadata, header, joined)
     return out
 
 
@@ -335,9 +348,9 @@ def run_experiment(cfg: CliConfig) -> list[Path]:
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{cfg.function}_{cfg.selection}.csv"
-    write_series_csv(path, _metadata(cfg, g0_effective), table)
+    rows = write_series_csv(path, _metadata(cfg, g0_effective), table)
     written = [path]
-    combined = write_combined_csv(out_dir, cfg.function)
+    combined = write_combined_csv(out_dir, cfg.function, cfg.selection, rows)
     if combined is not None:
         written.append(combined)
     return written

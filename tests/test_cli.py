@@ -58,7 +58,7 @@ def test_run_writes_expected_schema(tmp_path):
 
 def test_metadata_carries_stream_version(tmp_path):
     meta, _, _ = read_series_csv(run_experiment(tiny_cfg(tmp_path))[0])
-    assert meta["stream_version"] == str(engine.STREAM_VERSION) == "2"
+    assert meta["stream_version"] == str(engine.STREAM_VERSION) == "3"
 
 
 def test_run_single_row_csv(tmp_path):
@@ -120,6 +120,29 @@ def test_combined_csv_removed_when_horizons_differ(tmp_path):
     paths = run_experiment(tiny_cfg(tmp_path, selection="proportionate", generations=5))
     assert paths[-1] == combined
     assert len(read_series_csv(combined)[2]) == 5
+
+
+@pytest.mark.parametrize("last", cli.SELECTION_SCHEMES)
+def test_combined_bytes_equal_a_join_that_rereads_every_sibling(tmp_path, last):
+    # the scheme run last is joined from memory, the others from disk
+    for seed, scheme in enumerate(
+        [s for s in cli.SELECTION_SCHEMES if s != last] + [last], start=3
+    ):
+        paths = run_experiment(tiny_cfg(tmp_path, selection=scheme, seed=seed))
+    combined = paths[-1]
+    assert combined == tmp_path / "rastrigin_combined.csv"
+    # the reference: every sibling read back from disk, then joined
+    siblings = [read_series_csv(tmp_path / f"rastrigin_{s}.csv")[2]
+                for s in cli.SELECTION_SCHEMES]
+    lines = ["# function = rastrigin\n"]
+    lines += [f"# source_{s} = rastrigin_{s}.csv\n" for s in cli.SELECTION_SCHEMES]
+    header = ["generation"] + [f"{s}_{col}" for s in cli.SELECTION_SCHEMES
+                               for col in SERIES_COLUMNS[1:]]
+    lines.append(",".join(header) + "\r\n")
+    for parts in zip(*siblings):
+        cells = [parts[0][0], *(cell for row in parts for cell in row[1:])]
+        lines.append(",".join(cells) + "\r\n")
+    assert combined.read_bytes() == "".join(lines).encode()
 
 
 def test_config_file_and_flag_precedence(tmp_path):

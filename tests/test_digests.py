@@ -9,7 +9,7 @@ part of the stream. A schedule CSV is hashed whole. ``verify_report.txt``
 is hashed whole, on the pass path and on three failure paths, so its
 suite lines, worst margins and first-failure line are pinned too.
 
-The series digests were made with stream version 2 (the draw order that
+The series digests were made with stream version 3 (the draw order that
 ``engine.STREAM_VERSION`` numbers) on numpy 2.4.6 (PCG64); the verify
 digests do not depend on the GA stream. A change that means to alter the
 numbers bumps the stream version where it changes the draws, updates the
@@ -30,7 +30,7 @@ from cauchyga.engine import STREAM_VERSION
 from cauchyga.verify import Tolerances, run_verify
 
 DIGEST_NUMPY = "2.4.6"
-DIGEST_STREAM = 2
+DIGEST_STREAM = 3
 
 # (pop_size, elitism, crossover_prob): the odd pool exercises the leftover
 # pairing, the even one elitism and always-on crossover
@@ -40,42 +40,42 @@ GRID = {
 }
 
 SERIES_DIGESTS = {
-    "pop21/rastrigin/proportionate": "054913486e2b3f99edc3c0bd037fe26a9110e0d08c55fbdf4186fc8f675ef6bb",
-    "pop21/rastrigin/boltzmann_const": "46016396f97da66be6316d776fcec0d06a5577ee06c35fbec684251452a87d72",
-    "pop21/rastrigin/cauchy_boltzmann": "9be7d8eae415d068538daafea51edcb4110ff3e9e8c663ed091b30c80569d401",
-    "pop21/griewangk/proportionate": "ab121ec9552760fb18ede59db6ec67644da15c55eb70d0cf035318f32d5db2ae",
-    "pop21/griewangk/boltzmann_const": "8c1033fa603529fe6c843f90279bcd161767c4656e9746ddc5bfe5c242613a78",
-    "pop21/griewangk/cauchy_boltzmann": "27b67059cfbdb1dafa4c76bd8ba7b70b08d1e0c06aa8a029ce10af34226eca40",
-    "pop21/ackley/proportionate": "b58268eccebda5a38bcc05789e651517afd749221713be4b163847bdbd6351be",
-    "pop21/ackley/boltzmann_const": "398e3f60b1671a092c9da921344630756216bd23d7734573d1a2a1f189a139aa",
-    "pop21/ackley/cauchy_boltzmann": "1637160ddf1091147b09f7eafc8ea42999b59d414c438e74bbe609dbf4be508c",
-    "pop21/schwefel/proportionate": "ea5761f4691335d0cbaf24332290faaff3fc952751579d8c0deaabbf9d794006",
-    "pop21/schwefel/boltzmann_const": "da38c6b455c43f6e5acb8ef75780d2c76eefcfc029ce0ee45c0846e769d8c89e",
-    "pop21/schwefel/cauchy_boltzmann": "8c27ae83f3948ca61120a461791f347b97bd4596d41e45fd0e1c9aa437dd23ff",
-    "pop20-elite/rastrigin/proportionate": "7215887a7efdeb95c3e0e7b7dc00e3e80fc019930dbbd140ae2d53cf7a74d278",
-    "pop20-elite/rastrigin/boltzmann_const": "ae361be6735e1fd0dfd4e4d5d78c3e2dce7bd5bba96231843061c0e5d251c13c",
-    "pop20-elite/rastrigin/cauchy_boltzmann": "6a3c994fae8948970faf2efc67acb06f87747360ac521698f02642f60c0b9e21",
-    "pop20-elite/griewangk/proportionate": "7c84918b7a096ed303b5128115c0c28707e6ac3f66a02f7d4c29a17ed3954cae",
-    "pop20-elite/griewangk/boltzmann_const": "420bc901c6b98494dc8673552569b0947dbc5f2302dafd96048028e4b8895820",
-    "pop20-elite/griewangk/cauchy_boltzmann": "bcdd6238a6a730a26d240d9df11d8adb5956170f99bd8653808b60676fe7dd47",
-    "pop20-elite/ackley/proportionate": "210037afd5215abcad7ae4e057c23eff08f697250b0189a58310f4e11d40501e",
-    "pop20-elite/ackley/boltzmann_const": "a01620da28f9bf8eae56cab15235b33d70bcb84769441c0cf036802a7574b5f2",
-    "pop20-elite/ackley/cauchy_boltzmann": "e1699ddb5671c76fcb0389b45b50df0395c8ee174c9e6e7616b10066424a2865",
-    "pop20-elite/schwefel/proportionate": "4e9bfc76b9cfbab3473146c3479a77e3f9af2a51ea89c9a365141c398570ecbe",
-    "pop20-elite/schwefel/boltzmann_const": "3e86685e5506d5d50165bfa52f6d4f93fcae6c1dd4c71b50c959902930e391cc",
-    "pop20-elite/schwefel/cauchy_boltzmann": "afecd23fd03b786fe447b6bee69d95b6e4d97711af4ab710e652bf5e26b26c7d",
+    "pop21/rastrigin/proportionate": "099041b7cba02f659c8230b2f9b61474765470712a5a27c0396aabce20898a5c",
+    "pop21/rastrigin/boltzmann_const": "d2949ea8e61ab4d6b8bdbbef162d1078ccabb82af2f8a7d3b82ef0021c5488d9",
+    "pop21/rastrigin/cauchy_boltzmann": "64373f26e80c6808ef5b3afaa5c283c90f523a3a4de87dea740597f250bb04ea",
+    "pop21/griewangk/proportionate": "351bd0ab08f8e1926d8d37529184aa268aef12cfd20f616c02487a99581b27be",
+    "pop21/griewangk/boltzmann_const": "21484e83dfd2225eb27090d95210d99a4729da39072b5a9e50ea74cbf6538b6f",
+    "pop21/griewangk/cauchy_boltzmann": "6422446c2d3a29b6f63acfd86c81d33213223f8567a4a7b5d8a19d2e64aedc3a",
+    "pop21/ackley/proportionate": "e307ea0e9da5f6f4646ae77e0deed1fd721e7037bf1d1e84da8f78a3ab57ebab",
+    "pop21/ackley/boltzmann_const": "998555a7aaf81c728c1570793b7dc452088668df736d05263badc46a9dc383d5",
+    "pop21/ackley/cauchy_boltzmann": "d415c4293f1b98c8d40c4d7ec66940349fef0e34b7608f6bb443b85e8b39cf9a",
+    "pop21/schwefel/proportionate": "40e2efa0a9d6e2b85fea10da4cfba8178f62020587a87b23afa34743d681780e",
+    "pop21/schwefel/boltzmann_const": "c1232251af0b016793c715a7c060a33df0c64c322ccdafc4b9aae40d94a3e0df",
+    "pop21/schwefel/cauchy_boltzmann": "ccefe66784f3eeb984f7565a6836f43fffb485d2a91d9813386765b51de5e7f1",
+    "pop20-elite/rastrigin/proportionate": "549288623448ab04c36658dd5e7cc05a0085e5bc97968cee997696f2fb342cf8",
+    "pop20-elite/rastrigin/boltzmann_const": "118827cd22da065dc9d9cf8488a38c02778c27b1ac73391afeb9d515f7d28db6",
+    "pop20-elite/rastrigin/cauchy_boltzmann": "a6ea899099a9cc4aa9cf14e71d3ad75bae866e968be1a30299b330d9fc25c2da",
+    "pop20-elite/griewangk/proportionate": "52fc5499bf050b2faf6f178b5d58be85e06b94688c980e999f5f6d83872d7648",
+    "pop20-elite/griewangk/boltzmann_const": "703bfe73b838a050efe75a0486e3bd0e70d36de303bfb541b7e9a24f975f8d6c",
+    "pop20-elite/griewangk/cauchy_boltzmann": "c99a542a95bec1a765135c8fba0b2c8284ee83d988f3757a620312d61b4c64bd",
+    "pop20-elite/ackley/proportionate": "8566a5d0a642ae2c8250200eda3227c6834bc33385529c267856e48351a878ca",
+    "pop20-elite/ackley/boltzmann_const": "c93e198a441a996e728d7dd1cd9e20479521438328db61c4a4b9926091f97c70",
+    "pop20-elite/ackley/cauchy_boltzmann": "f878d9245dc096b424b0b3ffb1843ceb03c5df871e3081897326e7c71719a53d",
+    "pop20-elite/schwefel/proportionate": "653e0ad426c49663bc12eb9101150711937e26026164d260956532248cc8aaa5",
+    "pop20-elite/schwefel/boltzmann_const": "6dc83323a9f3d48ebe3355c26aab0aee77394ceb5706ef415d7cf06933f9fe88",
+    "pop20-elite/schwefel/cauchy_boltzmann": "de1f43b237423dd7871d7a465d3c8fc0a9ae99f11dbf5f03756c7366956957cd",
 }
 
 # the joins the grid above leaves: all three schemes of each function
 COMBINED_DIGESTS = {
-    "pop21/rastrigin": "7880500fdd7df5eb5330b382831fa79f3b8eaba2e34a142937df67efb624374a",
-    "pop21/griewangk": "d92cc855347dac0d5326ea9c72df588928d76cf59c9387a14ec7a08db3d2a8d0",
-    "pop21/ackley": "b9f5402479baada6b4dce1788ce60ae06c59ea6b5be594cf90fa671fc484487b",
-    "pop21/schwefel": "07d6f530f21129972f92398a1d7f4ed997bd4418955ef1d68b93f87a372e66d9",
-    "pop20-elite/rastrigin": "fbf9d7e7cf9c72d5d80c19e40cdb4032c6aea582cb885130d2f854919def2891",
-    "pop20-elite/griewangk": "eb7147620f5c802a947a33a80149f8082ed5e88a572900f1147bb01e3ddfbc0e",
-    "pop20-elite/ackley": "81416800ad34e43cd4e1e4046077bf9c76e98a808a5a4ae4510a9fbc36730bcf",
-    "pop20-elite/schwefel": "613b3fe18b22bb12649aae95de1955aa5592bafa21d6e32f1a945fb45addd0b8",
+    "pop21/rastrigin": "bfa77b29c25931f5955fa9bfe93951ead52c6a1bf43099e4b9d2be2b450cec84",
+    "pop21/griewangk": "db4bb4fc5e36e4a581bb0df7a9ed4cd69596cdc8498e88874a33200c7f28c49c",
+    "pop21/ackley": "bb503c2148e9c057505eedee1bf8257f767d018c2f8525898725075b9e570197",
+    "pop21/schwefel": "33a1bc7c8f5d9ee3b2c6fdae4275e7da145a8843228785179c85bb2a757a987c",
+    "pop20-elite/rastrigin": "c50403643ce4b1e9cac12c90ff6971192bdcbb6aa1a858d477d3b1f4354d59b9",
+    "pop20-elite/griewangk": "93123eac419089bea7aa206adaf5126b9776e8ec9fba3d46b2a74e1d6f65b05c",
+    "pop20-elite/ackley": "cbd5a9aa765a50368655b853eb4d337d01bee234dc2894bc290d055f407b89ca",
+    "pop20-elite/schwefel": "590643327557d5e8ec0a66ff05e0bd1e0fa239049b222d2149080f6bb95c1a44",
 }
 
 # 100-step schedules calibrated to gamma 300; alpha 1.0000001 names its

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
 from cauchyga import engine
 from cauchyga.annealing import cauchy_schedule, constant_schedule
@@ -242,6 +242,7 @@ def test_mutate_edge_probabilities():
     g = random_bits(rng, 20)
     assert np.array_equal(mutate(g, 0.0, rng), g)
     assert np.array_equal(mutate(g, 1.0, rng), 1 - g)
+    assert mutate(g[:0], 0.5, rng).shape == (0, 75)
     with pytest.raises(ValueError, match="mutation probability"):
         mutate(g, 1.5, rng)
 
@@ -656,3 +657,144 @@ def test_realized_strength_without_selection_has_its_floor():
         for _ in range(4000)
     ]
     assert abs(np.mean(strengths) - 2.0 * (1.0 - 1.0 / 150) ** 150) <= 0.004
+
+
+# (function, schedule, pop_size, elitism, crossover_prob, mutation_prob)
+LOCKSTEP_CASES = [
+    ("rastrigin", None, 20, False, 0.8, 0.01),
+    ("griewangk", constant_schedule(5.0), 21, True, 1.0, 0.01),
+    ("ackley", cauchy_schedule(1.0, 2.0), 21, False, 0.0, 0.05),
+    ("schwefel", constant_schedule(5.0), 20, True, 0.8, 0.0),
+    ("rastrigin", cauchy_schedule(1.0, 1.5), 21, True, 0.0, 0.0),
+    ("ackley", None, 20, False, 1.0, 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "name, schedule, pop_size, elitism, crossover_prob, mutation_prob", LOCKSTEP_CASES
+)
+def test_lockstep_run_is_byte_identical_alone_or_stacked(
+    name, schedule, pop_size, elitism, crossover_prob, mutation_prob
+):
+    cfg = GaConfig(
+        objective=make_objective(name, 3), schedule=schedule, pop_size=pop_size,
+        generations=6, crossover_prob=crossover_prob,
+        mutation_prob_per_bit=mutation_prob, runs=17, master_seed=23, elitism=elitism,
+    )
+    alone = [run(cfg, i) for i in range(cfg.runs)]
+    assert alone[0].shape == (cfg.generations, 5)
+    for indices in (range(3), range(17), (16, 4, 9)):
+        stack = engine._run_stack(cfg, indices)
+        assert stack.shape == (len(indices), cfg.generations, 5)
+        for i, records in zip(indices, stack):
+            assert records.tobytes() == alone[i].tobytes(), (indices, i)
+
+
+def test_parents_paired_in_draw_order_have_the_product_law():
+    # Without crossover or mutation the children are the pool in draw
+    # order, so child rows 2i and 2i + 1 are pair i. On a fixed population
+    # of distinct genomes their joint counts must follow p x p, with p the
+    # selection probabilities (chi-square at the 0.1% level, 36 cells).
+    cfg = small_config(
+        objective=make_objective("rastrigin", 1), schedule=constant_schedule(3.0),
+        pop_size=6, crossover_prob=0.0, mutation_prob_per_bit=0.0,
+    )
+    genomes = np.array([[(v >> s) & 1 for s in range(4, -1, -1)]
+                        for v in (0, 5, 11, 16, 22, 31)], np.uint8)
+    runs, steps = 40, 100
+    pop = make_population(np.repeat(genomes[None], runs, axis=0), cfg.objective, 5)
+    p = selection_probabilities(pop.fitness[0], 3.0)
+    rngs = [np.random.default_rng(1000 + r) for r in range(runs)]
+    counts = np.zeros((6, 6))
+    for gen in range(1, steps + 1):
+        nxt, _ = step_generation(pop, cfg, gen, rngs, np.full(runs, np.inf))
+        ids = (nxt.bits[:, :, None, :] == genomes).all(axis=-1).argmax(axis=-1)
+        np.add.at(counts, (ids[:, 0::2].ravel(), ids[:, 1::2].ravel()), 1)
+    expected = np.outer(p, p) * counts.sum()
+    assert expected.min() >= 5
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert chi2.sf(stat, counts.size - 1) > 1e-3
+
+
+def chi_square_binomial_sf(counts: np.ndarray, trials: int, p: float) -> float:
+    """Chi-square goodness of fit of flip counts against Binomial(trials, p).
+
+    Values whose expected frequency is below 5 are pooled into the tails.
+    """
+    k = np.arange(trials + 1)
+    expected = binom.pmf(k, trials, p) * counts.size
+    observed = np.bincount(counts, minlength=trials + 1).astype(float)
+    keep = np.flatnonzero(expected >= 5)
+    lo, hi = keep[0], keep[-1]
+    exp = np.concatenate(([expected[: lo + 1].sum()], expected[lo + 1 : hi],
+                          [expected[hi:].sum()]))
+    obs = np.concatenate(([observed[: lo + 1].sum()], observed[lo + 1 : hi],
+                          [observed[hi:].sum()]))
+    return float(chi2.sf(((obs - exp) ** 2 / exp).sum(), exp.size - 1))
+
+
+class QuarterGaps:
+    """A generator whose geometric draws come a quarter of the size asked.
+
+    The gaps stay i.i.d. Geometric(p), but a chunk now falls short of the
+    flip count about every time, so the top-up path runs on most draws.
+    """
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def geometric(self, p, size):
+        self.calls += 1
+        return self.rng.geometric(p, max(1, size // 4))
+
+
+@pytest.mark.parametrize("size, p", [(300, 0.05), (40, 0.3), (2250, 0.01)])
+@pytest.mark.parametrize("source", ["generator", "quartered"])
+def test_flip_count_is_binomial_and_positions_uniform(size, p, source):
+    rng = np.random.default_rng(size) if source == "generator" else QuarterGaps(size)
+    draws = [engine._flip_positions(rng, size, p) for _ in range(4000)]
+    if source == "quartered":
+        assert rng.calls > 1.5 * len(draws)  # the top-up path did run
+    counts = np.array([d.size for d in draws])
+    for d in draws:
+        assert d.dtype.kind == "i" and np.all(np.diff(d) > 0)
+        assert d.size == 0 or (d[0] >= 0 and d[-1] < size)
+    # mean and variance of Binomial(size, p) within five standard errors
+    mean, var = size * p, size * p * (1 - p)
+    assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / counts.size)
+    assert abs(counts.var() - var) <= 5 * var * math.sqrt(2 / counts.size)
+    assert chi_square_binomial_sf(counts, size, p) > 1e-3
+    # every position equally likely to flip
+    hits = np.bincount(np.concatenate(draws), minlength=size)
+    stat = float(((hits - hits.mean()) ** 2).sum() / hits.mean())
+    assert chi2.sf(stat, size - 1) > 1e-3
+
+
+class OnesFirst:
+    """A generator whose first geometric chunk is all ones, then real gaps."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def geometric(self, p, size):
+        self.sizes.append(size)
+        if len(self.sizes) == 1:
+            return np.ones(size, dtype=np.int64)
+        return self.rng.geometric(p, size)
+
+
+def test_flip_positions_tops_up_a_chunk_that_falls_short():
+    # gaps of 1 put the first chunk's flips at 0 .. chunk - 1, short of the
+    # end, so a second chunk continues from the last of them
+    size, p = 2000, 0.01
+    rng = OnesFirst(5)
+    flips = engine._flip_positions(rng, size, p)
+    chunk = rng.sizes[0]
+    assert chunk < size and len(rng.sizes) >= 2
+    assert flips[:chunk].tolist() == list(range(chunk))
+    assert np.all(np.diff(flips) > 0) and flips[-1] < size
+    reference = np.random.default_rng(5).geometric(p, rng.sizes[1]).cumsum() + chunk - 1
+    tail = flips[chunk:]
+    assert tail.tolist() == reference[: tail.size].tolist()
