@@ -22,9 +22,11 @@ float32 holds every integer up to 2**24.
 
 Every random decision of a run comes from one numpy PCG64 generator seeded
 from (master_seed, run_index), so replays are bit-identical and distinct
-runs are independent streams. The draws come in a fixed order, numbered
-by ``STREAM_VERSION``: the initial bit matrix, then per generation, all
-taken before any of them is used (:func:`_draw_generation`):
+runs are independent streams. Only :func:`_run_stack` turns the
+generators into draws, through :func:`_draw_generation`; the operators and
+:func:`step_generation` take the draws as arrays. They come in a fixed
+order, numbered by ``STREAM_VERSION``: the initial bit matrix, then per
+generation, all taken before any of them is used:
 
 1. one call of n + ceil(n / 2) doubles: the roulette doubles (one per
    parent, looked up in the cumulative probabilities as
@@ -93,17 +95,15 @@ class Population:
     """One generation as row-aligned arrays; row i is individual i.
 
     A stack of runs stepped in lockstep has a leading run axis on all three
-    arrays. ``raw`` and ``fitness`` are exactly what decode / evaluate /
-    fitness mapping produce for ``bits``; recomputing them reproduces the
-    stored values bit-for-bit.
+    arrays, so the population size is ``raw.shape[-1]`` either way. ``raw``
+    and ``fitness`` are exactly what decode / evaluate / fitness mapping
+    produce for ``bits``; recomputing them reproduces the stored values
+    bit-for-bit.
     """
 
     bits: np.ndarray  # ([runs,] n, dims * bits_per_var) uint8 values in {0, 1}
     raw: np.ndarray  # ([runs,] n) raw objective values
     fitness: np.ndarray  # ([runs,] n) fitness values in [0, 1]
-
-    def __len__(self) -> int:
-        return len(self.raw)
 
 
 def _check_bits_per_var(bits_per_var: int) -> None:
@@ -365,30 +365,22 @@ def selection_probabilities(fitness: np.ndarray, gamma_n: float | None) -> np.nd
 
 
 def select_parents(
-    fitness: np.ndarray,
-    gamma_n: float | None,
-    rng: np.random.Generator | np.ndarray,
-    count: int | None = None,
+    fitness: np.ndarray, gamma_n: float | None, draws: np.ndarray
 ) -> np.ndarray:
     """Indices of parents drawn i.i.d. with replacement by roulette.
 
-    Multinomial roulette: ``count`` draws (population size by default) from
-    the categorical distribution of :func:`selection_probabilities`. Each
-    draw is one double looked up in the normalized cumulative sums, the
-    algorithm of ``rng.choice(len(p), count, p=p)``: the same doubles drawn
-    and the same indices. ``rng`` is the generator to draw the doubles
-    from, or the doubles already drawn, one row per population of a
-    (runs, n) stack.
+    Multinomial roulette from the categorical distribution of
+    :func:`selection_probabilities`, one parent per double of ``draws``,
+    looked up in the normalized cumulative sums: the algorithm of
+    ``rng.choice(len(p), k, p=p)``, which gives the same indices from the
+    k doubles ``rng.random(k)`` would draw. A (runs, n) stack of
+    populations takes a (runs, k) stack of doubles.
 
     Raises:
         ValueError: As :func:`selection_probabilities`, or if a probability
             is negative or their sum is not finite and positive.
     """
     p = selection_probabilities(fitness, gamma_n)
-    if isinstance(rng, np.ndarray):
-        draws = rng
-    else:
-        draws = rng.random(p.shape[-1] if count is None else count)
     cdf = p.cumsum(axis=-1)
     totals = cdf[..., -1].ravel().tolist()
     if not all(0.0 < t < math.inf for t in totals) or p.min() < 0.0:
@@ -402,16 +394,12 @@ def select_parents(
     return np.array([c.searchsorted(u, side="right") for c, u in zip(cdf, draws)])
 
 
-def _mask_words(length: int) -> int:
-    """Raw 64-bit words of swap mask per pair: one bit per position, rounded up."""
-    return (length + 63) // 64
-
-
 def uniform_crossover(
     a: np.ndarray,
     b: np.ndarray,
     crossover_prob: float,
-    rng: np.random.Generator | tuple[np.ndarray, np.ndarray],
+    decisions: np.ndarray,
+    masks: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform crossover of row-aligned integer (bit) matrices, row i with row i.
 
@@ -419,27 +407,18 @@ def uniform_crossover(
     position independently swaps between the pair with probability 1/2;
     otherwise both parents pass through unchanged. Per position the
     children's bit pair is always a permutation of the parents' pair.
-    The draws are one double per pair (the pair crosses when it is below
-    crossover_prob), then a swap mask for every pair, crossing or not:
-    ceil(L / 64) raw 64-bit words of the bit generator per row, whose bytes
-    (in the machine's order) unpack to exact fair bits, the first L used.
-    ``rng`` is the generator to draw them from, or those draws already
-    taken: the (..., m) doubles and the (..., m, 8 * ceil(L / 64)) mask
-    bytes of (..., m, L) parent stacks.
+    A pair crosses when its double in ``decisions`` is below crossover_prob;
+    its swap mask bytes in ``masks``, drawn crossing or not, mark with their
+    first L bits (most significant first) the positions that swap. For
+    (..., m, L) parent stacks they are (..., m) doubles and (..., m, k)
+    bytes, 8 * k >= L.
 
     Raises:
         ValueError: On parent matrices of different shapes.
     """
     if a.shape != b.shape:
         raise ValueError(f"genome length mismatch: {a.shape} vs {b.shape}")
-    length = a.shape[-1]
-    if isinstance(rng, tuple):
-        decisions, masks = rng
-    else:
-        decisions = rng.random(a.shape[0])
-        words = rng.bit_generator.random_raw(a.shape[0] * _mask_words(length))
-        masks = words.view(np.uint8).reshape(a.shape[0], -1)
-    swaps = np.unpackbits(masks, axis=-1, count=length)
+    swaps = np.unpackbits(masks, axis=-1, count=a.shape[-1])
     swaps &= (decisions < crossover_prob)[..., None]
     diff = (a ^ b) & swaps
     return a ^ diff, b ^ diff
@@ -455,7 +434,12 @@ def _flip_positions(rng: np.random.Generator, size: int, p: float) -> np.ndarray
     (plus 8), topped up chunk by chunk while their sum falls short of
     ``size``. A gap is capped at size + 1, which ends the process just as
     the longer gap would and keeps the sums small.
+
+    Raises:
+        ValueError: On p outside [0, 1].
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("mutation probability must be in [0, 1]")
     if p == 0.0:
         return np.empty(0, dtype=np.int64)
     mean = size * p
@@ -469,25 +453,14 @@ def _flip_positions(rng: np.random.Generator, size: int, p: float) -> np.ndarray
     return positions[: positions.searchsorted(size)]
 
 
-def mutate(
-    bits: np.ndarray,
-    mutation_prob_per_bit: float,
-    rng: np.random.Generator | np.ndarray,
-) -> np.ndarray:
-    """Flip each bit independently with the given probability.
+def mutate(bits: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """Flip the bits at the given flat positions.
 
-    The flips sit at the positions of a Bernoulli(p) process over the flat
-    bits (:func:`_flip_positions`): exactly the law of one Bernoulli(p) draw
-    per bit. ``rng`` is the generator to draw them from, or the flat
-    positions already drawn. Returns a copy; ``bits`` itself is not
+    With ``flips`` the positions of a Bernoulli(p) process over the flat
+    bits (:func:`_flip_positions`), this is exactly the law of one
+    Bernoulli(p) draw per bit. Returns a copy; ``bits`` itself is not
     modified.
     """
-    if not 0.0 <= mutation_prob_per_bit <= 1.0:
-        raise ValueError("mutation probability must be in [0, 1]")
-    if isinstance(rng, np.ndarray):
-        flips = rng
-    else:
-        flips = _flip_positions(rng, bits.size, mutation_prob_per_bit)
     out = bits.copy()
     out.reshape(-1)[flips] ^= 1
     return out
@@ -508,7 +481,7 @@ def _draw_generation(
     """
     runs, pairs, size = len(rngs), (n + 1) // 2, n * length
     doubles = np.empty((runs, n + pairs))
-    words = np.empty((runs, pairs * _mask_words(length)), dtype=np.uint64)
+    words = np.empty((runs, pairs * ((length + 63) // 64)), dtype=np.uint64)
     partners, flips = [], []
     for row, rng in enumerate(rngs):
         rng.random(out=doubles[row])
@@ -527,20 +500,19 @@ def step_generation(
     population: Population,
     config: GaConfig,
     generation_index: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    best_so_far: float | np.ndarray = np.inf,
+    draws: tuple[np.ndarray, ...],
+    best_so_far: float | np.ndarray,
 ) -> tuple[Population, GenerationRecord]:
-    """Advance one generation and report its record.
+    """Advance a stack of runs one generation in lockstep; its records.
 
-    ``population`` is one run's, stepped with its generator ``rng``, or a
-    stack of runs with a leading run axis, stepped in lockstep with one
-    generator per run in the sequence ``rng``; then ``best_so_far`` and
-    every record field are (runs,) arrays. ``best_so_far`` is the running
-    minimum raw objective entering the generation; the returned record
-    folds in the new population. The generation's gamma is taken from the
-    schedule at ``generation_index`` (a constant schedule is the alpha =
-    inf one, whose gamma_n is g0); proportionate selection, which has no
-    schedule, records gamma as 0.
+    ``population`` has a leading run axis, ``draws`` is the generation's
+    draws as :func:`_draw_generation` returns them, row r for run r, and
+    ``best_so_far`` is each run's running minimum raw objective entering
+    the generation. Every field of the returned record is a (runs,) array;
+    its best so far folds in the new population. The generation's gamma is
+    taken from the schedule at ``generation_index`` (a constant schedule is
+    the alpha = inf one, whose gamma_n is g0); proportionate selection,
+    which has no schedule, records gamma as 0.
 
     The crossover pairs the selected pool in draw order, rows 2i and
     2i + 1. With an odd pool the leftover is paired against a random
@@ -548,19 +520,11 @@ def step_generation(
     the best parent (first on ties) replaces the worst child (first on
     ties).
     """
-    if population.raw.ndim == 1:
-        stack = Population(population.bits[None], population.raw[None],
-                           population.fitness[None])
-        nxt, record = step_generation(stack, config, generation_index, (rng,), best_so_far)
-        return (Population(nxt.bits[0], nxt.raw[0], nxt.fitness[0]),
-                GenerationRecord(*(float(field[0]) for field in record)))
     runs, n = population.raw.shape
     if n != config.pop_size:
         raise ValueError("population size does not match config")
     length = population.bits.shape[-1]
-    roulette, crosses, masks, partners, flips = _draw_generation(
-        rng, n, length, config.mutation_prob_per_bit
-    )
+    roulette, crosses, masks, partners, flips = draws
 
     schedule = config.schedule
     gamma_n = None if schedule is None else gamma_at(schedule, generation_index)
@@ -575,10 +539,10 @@ def step_generation(
         chosen = chosen + np.arange(0, runs * n, n)[:, None]
     pool = population.bits.reshape(runs * n, length)[chosen.reshape(runs, -1, 2)]
     pool[:, :, 0], pool[:, :, 1] = uniform_crossover(
-        pool[:, :, 0], pool[:, :, 1], config.crossover_prob, (crosses, masks)
+        pool[:, :, 0], pool[:, :, 1], config.crossover_prob, crosses, masks
     )
     children = pool.reshape(runs, -1, length)[:, :n]
-    bits = mutate(children, config.mutation_prob_per_bit, flips)
+    bits = mutate(children, flips)
     nxt = make_population(bits, config.objective, config.bits_per_var)
 
     if config.elitism:
@@ -608,14 +572,15 @@ def _run_stack(config: GaConfig, run_indices: Iterable[int]) -> np.ndarray:
     """The (runs, generations, 5) records of the given runs, in lockstep."""
     rngs = [np.random.Generator(np.random.PCG64(run_seed(config.master_seed, i)))
             for i in run_indices]
-    shape = (config.pop_size, config.genome_length)
-    bits = np.stack([rng.integers(0, 2, size=shape, dtype=np.uint8) for rng in rngs])
+    n, length = config.pop_size, config.genome_length
+    bits = np.stack([rng.integers(0, 2, size=(n, length), dtype=np.uint8) for rng in rngs])
     population = make_population(bits, config.objective, config.bits_per_var)
     best = population.raw.min(axis=1)
 
     records = np.empty((config.generations, len(GenerationRecord._fields), len(rngs)))
     for gen in range(1, config.generations + 1):
-        population, record = step_generation(population, config, gen, rngs, best)
+        draws = _draw_generation(rngs, n, length, config.mutation_prob_per_bit)
+        population, record = step_generation(population, config, gen, draws, best)
         records[gen - 1] = record
         best = record.best_so_far_raw
     return np.ascontiguousarray(records.transpose(2, 0, 1))

@@ -188,7 +188,7 @@ def test_sampling_consistency():
             (gamma, lambda p: boltzmann_apply(p, gamma)),
             (None, proportionate_apply),
         ):
-            drawn = select_parents(fitness, gamma_n, rng, count=100_000)
+            drawn = select_parents(fitness, gamma_n, rng.random(100_000))
             d = distance(population_nfd(fitness[drawn]), operator(phi))
             worst = max(worst, d)
             assert d <= 0.02

@@ -48,6 +48,24 @@ def random_bits(rng, rows: int, length: int = 75) -> np.ndarray:
     return rng.integers(0, 2, size=(rows, length), dtype=np.uint8)
 
 
+def crossover_draws(rng, pairs: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """A crossover double per pair, then each pair's swap mask bytes.
+
+    The mask bytes are ceil(length / 64) raw 64-bit words of the bit
+    generator per pair, as in the GA's stream.
+    """
+    decisions = rng.random(pairs)
+    words = rng.bit_generator.random_raw(pairs * -(-length // 64))
+    return decisions, words.view(np.uint8).reshape(pairs, -1)
+
+
+def generation_draws(rngs, cfg: GaConfig) -> tuple[np.ndarray, ...]:
+    """One generation's draws of a stack of runs, one generator per run."""
+    return engine._draw_generation(
+        rngs, cfg.pop_size, cfg.genome_length, cfg.mutation_prob_per_bit
+    )
+
+
 def small_config(**kw) -> GaConfig:
     base = dict(
         objective=make_objective("rastrigin", 3),
@@ -109,8 +127,8 @@ def test_individual_fields_recompute_bit_exactly():
     # each row recomputed on its own matches the batch it was evaluated in
     rng = np.random.default_rng(61)
     pop = make_population(random_bits(rng, 150), RAST, 5)
-    assert pop.bits.shape == (150, 75) and len(pop) == 150
-    for i in range(len(pop)):
+    assert pop.bits.shape == (150, 75) and pop.raw.shape[-1] == 150
+    for i in range(150):
         raw = evaluate_raw_batch(RAST, decode_batch(pop.bits[i : i + 1], RAST, 5))
         assert raw[0] == pop.raw[i]
         assert to_fitness_batch(RAST, raw)[0] == pop.fitness[i]
@@ -119,7 +137,7 @@ def test_individual_fields_recompute_bit_exactly():
 def test_select_parents_single_individual():
     rng = np.random.default_rng(67)
     pop = make_population(np.zeros((1, 75), dtype=np.uint8), RAST, 5)
-    out = select_parents(pop.fitness, 2.0, rng, count=5)
+    out = select_parents(pop.fitness, 2.0, rng.random(5))
     assert out.tolist() == [0] * 5
 
 
@@ -136,7 +154,7 @@ def test_boltzmann_selection_two_individuals_hand_computed():
     p = selection_probabilities(fitness, math.log(3.0))
     assert p[1] == pytest.approx(0.75, abs=1e-12)
     rng = np.random.default_rng(73)
-    draws = select_parents(fitness, math.log(3.0), rng, count=100_000)
+    draws = select_parents(fitness, math.log(3.0), rng.random(100_000))
     frac = np.count_nonzero(fitness[draws] == 1.0) / 100_000
     assert frac == pytest.approx(0.75, abs=0.01)
 
@@ -164,7 +182,7 @@ def test_sampling_matches_operator_expectation():
         (3.0, lambda p: boltzmann_apply(p, 3.0)),
         (None, proportionate_apply),
     ):
-        drawn = select_parents(fitness, gamma_n, rng, count=100_000)
+        drawn = select_parents(fitness, gamma_n, rng.random(100_000))
         empirical = population_nfd(fitness[drawn])
         assert distance(empirical, operator(phi)) <= 0.02
 
@@ -172,7 +190,7 @@ def test_sampling_matches_operator_expectation():
 def test_crossover_identical_parents_fixed():
     rng = np.random.default_rng(89)
     a = random_bits(rng, 50)
-    ca, cb = uniform_crossover(a, a.copy(), 1.0, rng)
+    ca, cb = uniform_crossover(a, a.copy(), 1.0, *crossover_draws(rng, 50, 75))
     assert np.array_equal(ca, a)
     assert np.array_equal(cb, a)
 
@@ -180,14 +198,14 @@ def test_crossover_identical_parents_fixed():
 def test_crossover_probability_zero_is_identity():
     rng = np.random.default_rng(97)
     a, b = random_bits(rng, 50), random_bits(rng, 50)
-    ca, cb = uniform_crossover(a, b, 0.0, rng)
+    ca, cb = uniform_crossover(a, b, 0.0, *crossover_draws(rng, 50, 75))
     assert np.array_equal(ca, a) and np.array_equal(cb, b)
 
 
 def test_crossover_preserves_positionwise_multiset():
     rng = np.random.default_rng(101)
     a, b = random_bits(rng, 50), random_bits(rng, 50)
-    ca, cb = uniform_crossover(a, b, 1.0, rng)
+    ca, cb = uniform_crossover(a, b, 1.0, *crossover_draws(rng, 50, 75))
     assert ca.dtype == np.uint8 and cb.dtype == np.uint8
     assert np.array_equal(ca + cb, a + b)
     assert not np.array_equal(ca, a)  # the pairs did cross
@@ -196,7 +214,7 @@ def test_crossover_preserves_positionwise_multiset():
 def test_crossover_complementary_parents_stay_complementary():
     rng = np.random.default_rng(103)
     a = random_bits(rng, 50)
-    ca, cb = uniform_crossover(a, 1 - a, 1.0, rng)
+    ca, cb = uniform_crossover(a, 1 - a, 1.0, *crossover_draws(rng, 50, 75))
     assert np.array_equal(ca, 1 - cb)
 
 
@@ -204,7 +222,8 @@ def test_crossover_rejects_length_mismatch():
     rng = np.random.default_rng(107)
     with pytest.raises(ValueError, match="length mismatch"):
         uniform_crossover(
-            np.zeros((1, 75), np.uint8), np.zeros((1, 70), np.uint8), 0.5, rng
+            np.zeros((1, 75), np.uint8), np.zeros((1, 70), np.uint8), 0.5,
+            *crossover_draws(rng, 1, 75),
         )
 
 
@@ -215,7 +234,8 @@ def test_crossover_rate_and_fair_swaps(crossover_prob):
     # deviations (4 for the two fractions, 5 for the worst of 75 loci)
     n, length = 20_000, 75
     a = np.zeros((n, length), np.uint8)
-    ca, _ = uniform_crossover(a, 1 - a, crossover_prob, np.random.default_rng(151))
+    draws = crossover_draws(np.random.default_rng(151), n, length)
+    ca, _ = uniform_crossover(a, 1 - a, crossover_prob, *draws)
     crossing = ca.any(axis=1)  # a crossing row swaps nothing with chance 2**-75
     m = int(crossing.sum())
     sd = math.sqrt(crossover_prob * (1 - crossover_prob) / n)
@@ -229,9 +249,10 @@ def test_crossover_rate_and_fair_swaps(crossover_prob):
     "bit_generator", [np.random.Philox, np.random.MT19937, np.random.SFC64]
 )
 def test_crossover_keeps_positionwise_law_on_any_bit_generator(bit_generator):
+    # the masks are that bit generator's own raw words
     rng = np.random.Generator(bit_generator(167))
     a, b = random_bits(rng, 50), random_bits(rng, 50)
-    ca, cb = uniform_crossover(a, b, 0.7, rng)
+    ca, cb = uniform_crossover(a, b, 0.7, *crossover_draws(rng, 50, 75))
     assert np.array_equal(np.minimum(ca, cb), np.minimum(a, b))
     assert np.array_equal(np.maximum(ca, cb), np.maximum(a, b))
     assert not np.array_equal(ca, a)  # the pairs did cross
@@ -240,16 +261,17 @@ def test_crossover_keeps_positionwise_law_on_any_bit_generator(bit_generator):
 def test_mutate_edge_probabilities():
     rng = np.random.default_rng(109)
     g = random_bits(rng, 20)
-    assert np.array_equal(mutate(g, 0.0, rng), g)
-    assert np.array_equal(mutate(g, 1.0, rng), 1 - g)
-    assert mutate(g[:0], 0.5, rng).shape == (0, 75)
+    assert np.array_equal(mutate(g, engine._flip_positions(rng, g.size, 0.0)), g)
+    assert np.array_equal(mutate(g, engine._flip_positions(rng, g.size, 1.0)), 1 - g)
+    assert mutate(g[:0], engine._flip_positions(rng, 0, 0.5)).shape == (0, 75)
     with pytest.raises(ValueError, match="mutation probability"):
-        mutate(g, 1.5, rng)
+        engine._flip_positions(rng, g.size, 1.5)
 
 
 def test_mutate_flip_count_matches_binomial_mean():
     rng = np.random.default_rng(113)
-    flips = mutate(np.zeros((100_000, 75), dtype=np.uint8), 0.01, rng).sum(axis=1)
+    bits = np.zeros((100_000, 75), dtype=np.uint8)
+    flips = mutate(bits, engine._flip_positions(rng, bits.size, 0.01)).sum(axis=1)
     assert np.mean(flips) == pytest.approx(0.75, abs=0.03)
     assert np.var(flips) == pytest.approx(75 * 0.01 * 0.99, abs=0.03)
 
@@ -257,7 +279,9 @@ def test_mutate_flip_count_matches_binomial_mean():
 def test_mutate_flip_positions_are_uniform():
     # chi-square goodness of fit of the flip counts per locus and per block
     # of 100 rows against the uniform law, each at the 0.1% level
-    flips = mutate(np.zeros((20_000, 75), np.uint8), 0.01, np.random.default_rng(157))
+    bits = np.zeros((20_000, 75), np.uint8)
+    rng = np.random.default_rng(157)
+    flips = mutate(bits, engine._flip_positions(rng, bits.size, 0.01))
     for counts in (flips.sum(axis=0), flips.reshape(200, -1).sum(axis=1)):
         expected = counts.sum() / counts.size
         stat = float(((counts - expected) ** 2).sum() / expected)
@@ -268,7 +292,8 @@ def test_mutate_flip_positions_are_uniform():
 def test_mutate_leaves_its_input_unchanged(mutation_prob):
     bits = random_bits(np.random.default_rng(161), 30)
     kept = bits.copy()
-    out = mutate(bits, mutation_prob, np.random.default_rng(163))
+    rng = np.random.default_rng(163)
+    out = mutate(bits, engine._flip_positions(rng, bits.size, mutation_prob))
     assert np.array_equal(bits, kept)
     assert not np.array_equal(out, kept)
 
@@ -278,10 +303,10 @@ def test_step_no_variation_point_mass_is_stationary():
     bits = np.tile(
         np.random.default_rng(127).integers(0, 2, 15, dtype=np.uint8), (20, 1)
     )
-    pop = make_population(bits, cfg.objective, 5)
+    pop = make_population(bits[None], cfg.objective, 5)
     rng = np.random.default_rng(131)
-    nxt, rec = step_generation(pop, cfg, 1, rng)
-    assert rec.strength == 0.0
+    nxt, rec = step_generation(pop, cfg, 1, generation_draws([rng], cfg), np.inf)
+    assert rec.strength.tolist() == [0.0]
     assert np.array_equal(nxt.bits, pop.bits)
 
 
@@ -293,19 +318,20 @@ def test_step_huge_gamma_takes_over():
     )
     rng = np.random.default_rng(137)
     bits = rng.integers(0, 2, size=(20, 15), dtype=np.uint8)
-    pop = make_population(bits, cfg.objective, 5)
-    nxt, _ = step_generation(pop, cfg, 1, rng)
+    pop = make_population(bits[None], cfg.objective, 5)
+    nxt, _ = step_generation(pop, cfg, 1, generation_draws([rng], cfg), np.inf)
     assert np.all(nxt.fitness == pop.fitness.max())
 
 
 def test_step_preserves_population_size():
+    # on a stack of 3 runs the population size is the last axis, not the runs
     for pop_size in (20, 21):  # even and odd pairing paths
         cfg = small_config(pop_size=pop_size)
-        rng = np.random.default_rng(139)
-        bits = rng.integers(0, 2, size=(pop_size, 15), dtype=np.uint8)
+        rngs = [np.random.default_rng(139 + r) for r in range(3)]
+        bits = np.stack([random_bits(rng, pop_size, 15) for rng in rngs])
         pop = make_population(bits, cfg.objective, 5)
-        nxt, _ = step_generation(pop, cfg, 1, rng)
-        assert len(nxt) == pop_size
+        nxt, _ = step_generation(pop, cfg, 1, generation_draws(rngs, cfg), np.inf)
+        assert nxt.raw.shape == nxt.fitness.shape == (3, pop_size)
         assert nxt.bits.shape == pop.bits.shape and nxt.bits.dtype == np.uint8
 
 
@@ -327,12 +353,12 @@ def test_run_rows_are_the_generation_records():
     )
     cfg = small_config(generations=4)
     rng = np.random.Generator(np.random.PCG64(engine.run_seed(cfg.master_seed, 2)))
-    pop = make_population(random_bits(rng, cfg.pop_size, 15), cfg.objective, 5)
-    best, records = float(pop.raw.min()), []
+    pop = make_population(random_bits(rng, cfg.pop_size, 15)[None], cfg.objective, 5)
+    best, records = pop.raw.min(axis=1), []
     for gen in range(1, cfg.generations + 1):
-        pop, record = step_generation(pop, cfg, gen, rng, best)
+        pop, record = step_generation(pop, cfg, gen, generation_draws([rng], cfg), best)
         best = record.best_so_far_raw
-        records.append(list(record))
+        records.append([float(field[0]) for field in record])
     assert run(cfg, 2).tolist() == records
 
 
@@ -394,14 +420,14 @@ def test_elitism_keeps_best_from_worsening():
 def test_elitism_carries_best_parent_row():
     cfg = small_config(elitism=True, mutation_prob_per_bit=0.1)
     rng = np.random.default_rng(141)
-    pop = make_population(random_bits(rng, 20, 15), cfg.objective, 5)
-    best = int(np.argmin(pop.raw))
-    nxt, rec = step_generation(pop, cfg, 1, rng)
-    row = np.flatnonzero((nxt.bits == pop.bits[best]).all(axis=1))
+    pop = make_population(random_bits(rng, 20, 15)[None], cfg.objective, 5)
+    best = int(np.argmin(pop.raw[0]))
+    nxt, rec = step_generation(pop, cfg, 1, generation_draws([rng], cfg), np.inf)
+    row = np.flatnonzero((nxt.bits[0] == pop.bits[0, best]).all(axis=1))
     assert row.size >= 1
-    assert nxt.raw[row[0]] == pop.raw[best]
-    assert nxt.fitness[row[0]] == pop.fitness[best]
-    assert rec.gen_best_raw <= pop.raw[best]
+    assert nxt.raw[0, row[0]] == pop.raw[0, best]
+    assert nxt.fitness[0, row[0]] == pop.fitness[0, best]
+    assert rec.gen_best_raw[0] <= pop.raw[0, best]
 
 
 def test_config_validation():
@@ -517,46 +543,37 @@ def test_roulette_matches_generator_choice(selection, gamma, count):
         fitness[zero_rows] = 0.0
     gamma_n = None if selection == "proportionate" else gamma
     p = selection_probabilities(fitness, gamma_n)
+    size = 150 if count is None else count  # None: one parent per individual
     ours, reference = np.random.default_rng(137), np.random.default_rng(137)
-    got = select_parents(fitness, gamma_n, ours, count=count)
-    want = reference.choice(150, size=150 if count is None else count, replace=True, p=p)
+    got = select_parents(fitness, gamma_n, ours.random(size))
+    want = reference.choice(150, size=size, replace=True, p=p)
     assert got.tolist() == want.tolist()
+    # choice consumed exactly the doubles the roulette looked up
     assert ours.random() == reference.random()
     if selection == "proportionate":
         assert not np.isin(got, zero_rows).any()
-
-
-class FixedDraws:
-    """Stands in for a generator whose next doubles are known."""
-
-    def __init__(self, doubles):
-        self.doubles = np.asarray(doubles, dtype=np.float64)
-
-    def random(self, size):
-        assert size == len(self.doubles)
-        return self.doubles
 
 
 def test_roulette_double_on_a_cumulative_sum_picks_the_next_row():
     # as in Generator.choice, so a zero-probability row is never drawn,
     # not even by the double 0.0
     fitness = np.array([0.0, 0.5, 0.5])
-    got = select_parents(fitness, None, FixedDraws([0.0, 0.5, 0.75]))
+    got = select_parents(fitness, None, np.array([0.0, 0.5, 0.75]))
     assert got.tolist() == [1, 2, 2]
 
 
 def test_roulette_rejects_nan_or_negative_probabilities():
-    rng = np.random.default_rng(139)
+    draws = np.random.default_rng(139).random(2)
     message = "selection probabilities must be nonnegative"
     with pytest.raises(ValueError, match=message):
-        select_parents(np.array([0.5, math.nan]), None, rng)
+        select_parents(np.array([0.5, math.nan]), None, draws)
     with pytest.raises(ValueError, match=message):
-        select_parents(np.array([1.0, -0.5]), None, rng)
+        select_parents(np.array([1.0, -0.5]), None, draws)
     with pytest.raises(ValueError, match=message):
-        select_parents(np.array([0.5, math.nan]), 2.0, rng)
+        select_parents(np.array([0.5, math.nan]), 2.0, draws)
     for gamma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="inverse temperature must be finite"):
-            select_parents(np.array([0.5, 0.25]), gamma, rng)
+            select_parents(np.array([0.5, 0.25]), gamma, draws)
 
 
 def python_table_index(bits, dims, bits_per_var) -> list[list[int]]:
@@ -653,7 +670,7 @@ def test_realized_strength_without_selection_has_its_floor():
     fitness = np.random.default_rng(1).random(150)
     rng = np.random.default_rng(2)
     strengths = [
-        engine.realized_strength(fitness, select_parents(fitness, 0.0, rng))
+        engine.realized_strength(fitness, select_parents(fitness, 0.0, rng.random(150)))
         for _ in range(4000)
     ]
     assert abs(np.mean(strengths) - 2.0 * (1.0 - 1.0 / 150) ** 150) <= 0.004
@@ -707,7 +724,7 @@ def test_parents_paired_in_draw_order_have_the_product_law():
     rngs = [np.random.default_rng(1000 + r) for r in range(runs)]
     counts = np.zeros((6, 6))
     for gen in range(1, steps + 1):
-        nxt, _ = step_generation(pop, cfg, gen, rngs, np.full(runs, np.inf))
+        nxt, _ = step_generation(pop, cfg, gen, generation_draws(rngs, cfg), np.inf)
         ids = (nxt.bits[:, :, None, :] == genomes).all(axis=-1).argmax(axis=-1)
         np.add.at(counts, (ids[:, 0::2].ravel(), ids[:, 1::2].ravel()), 1)
     expected = np.outer(p, p) * counts.sum()
@@ -798,3 +815,56 @@ def test_flip_positions_tops_up_a_chunk_that_falls_short():
     reference = np.random.default_rng(5).geometric(p, rng.sizes[1]).cumsum() + chunk - 1
     tail = flips[chunk:]
     assert tail.tolist() == reference[: tail.size].tolist()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05])
+@pytest.mark.parametrize("n", [20, 21])
+@pytest.mark.parametrize("runs", [1, 3])
+def test_draw_generation_is_stream_3_replayed_by_hand(runs, n, p):
+    # each run's generation draws, taken by hand from a fresh generator on
+    # the same seed: the doubles, the mask words, the odd leftover's
+    # partner, then the flip positions, offset to run r's bits
+    length = 75
+    pairs, size = -(-n // 2), n * length
+    seeds = [engine.run_seed(11, r) for r in range(runs)]
+    roulette, crosses, masks, partners, flips = engine._draw_generation(
+        [np.random.Generator(np.random.PCG64(seed)) for seed in seeds], n, length, p
+    )
+    assert roulette.shape == (runs, n) and crosses.shape == (runs, pairs)
+    assert masks.shape == (runs, pairs, 16) and masks.dtype == np.uint8
+    expected_flips = []
+    for r, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        doubles = rng.random(n + pairs)
+        assert roulette[r].tobytes() == doubles[:n].tobytes()
+        assert crosses[r].tobytes() == doubles[n:].tobytes()
+        words = rng.bit_generator.random_raw(pairs * -(-length // 64))
+        assert masks[r].tobytes() == words.tobytes()
+        if n % 2:
+            assert partners[r] == rng.integers(0, n - 1)
+        expected_flips.append(engine._flip_positions(rng, size, p) + r * size)
+    assert partners.shape == ((runs,) if n % 2 else (0,))
+    assert flips.tolist() == np.concatenate(expected_flips).tolist()
+    assert (flips.size > 0) == (p > 0)
+
+
+GA_PHASES = ("select_parents", "uniform_crossover", "mutate", "make_population",
+             "step_generation")
+
+
+def test_each_ga_phase_is_called_once_per_generation(monkeypatch):
+    # The benchmark times these phases by wrapping them where the engine
+    # looks them up, so a phase that step_generation inlines, or a
+    # step_generation that the run loop inlines, would vanish from its
+    # per-layer spans.
+    calls = dict.fromkeys(GA_PHASES, 0)
+    for name in GA_PHASES:
+        def counted(*args, _name=name, _original=getattr(engine, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
+    cfg = small_config(generations=4, runs=3, pop_size=21)
+    engine.multi_run(cfg)
+    g = cfg.generations
+    assert calls == {"select_parents": g, "uniform_crossover": g, "mutate": g,
+                     "make_population": g + 1, "step_generation": g}
