@@ -7,8 +7,8 @@ gamma_n. One generation is: roulette selection with replacement (row
 indices) -> pairing in draw order -> uniform crossover -> per-bit mutation
 -> evaluation. The realized selection strength of a generation is the L1
 distance between the population's NFD before selection and the NFD of the
-selected parent pool; both are counted on the fitness array
-(:func:`realized_strength`), with no NFD objects built.
+selected parents; both are counted on the fitness array
+(:func:`_strengths`), with no NFD objects built.
 
 A genome decodes onto a fixed lattice of 2**bits_per_var levels per
 variable (bits_per_var in [1, 16]). The lattice points and the objective's
@@ -28,19 +28,19 @@ generators into draws, through :func:`_draw_generation`; the operators and
 order, numbered by ``STREAM_VERSION``: the initial bit matrix, then per
 generation, all taken before any of them is used:
 
-1. one call of n + ceil(n / 2) doubles: the roulette doubles (one per
-   parent, looked up in the cumulative probabilities as
-   ``Generator.choice`` does), then the crossover decisions (one per pair,
-   the odd leftover's last);
+1. one call of 3 * ceil(n / 2) doubles: the 2 * ceil(n / 2) roulette
+   doubles (one per parent, looked up in the cumulative probabilities as
+   ``Generator.choice`` does), then the crossover decisions (one per pair);
 2. the swap masks, ceil(L / 64) raw 64-bit words of the bit generator
-   (``random_raw``) per pair, whose bytes in the machine's order unpack to
-   the mask bits, the first L of them used;
-3. with an odd n, the leftover's partner, an index into the pool before it;
-4. the mutation flip positions, running sums of Geometric(p) gaps
+   (``random_raw``) per pair, whose little-endian bytes unpack to the mask
+   bits, the first L of them used;
+3. the mutation flip positions, running sums of Geometric(p) gaps
    (:func:`_flip_positions`).
 
 The parent pool is paired in draw order, rows 2i and 2i + 1: the roulette
-draws are i.i.d., so no shuffle changes the law of the pairs.
+draws are i.i.d., so no shuffle changes the law of the pairs. With an odd
+n the pool holds one parent more than n, and the last pair's second child
+is dropped; the realized strength counts the first n parents.
 
 The runs of an experiment step in lockstep: the population of every run
 is one stack of arrays with a leading run axis, and each step of a
@@ -72,7 +72,7 @@ from .nfd import NFD, distance
 from .selection import _check_gamma
 
 GENERATOR_NAME = "numpy-PCG64"
-STREAM_VERSION = 3  # the draw order of the module docstring; bumped when it changes
+STREAM_VERSION = 4  # the draw order of the module docstring; bumped when it changes
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _U64 = 0xFFFFFFFFFFFFFFFF
 MAX_BITS_PER_VAR = 16  # a lattice table has at most 2**16 rows
@@ -148,7 +148,7 @@ class GaConfig:
 
 
 class GenerationRecord(NamedTuple):
-    """One generation of one run; a row of the array :func:`run` returns."""
+    """One generation of one run; a row of one run's :func:`_run_stack` records."""
 
     gamma: float
     best_so_far_raw: float
@@ -269,49 +269,14 @@ def population_nfd(fitness: np.ndarray) -> NFD:
     return NFD.from_values(np.asarray(fitness).tolist())
 
 
-def realized_strength(fitness: np.ndarray, chosen: np.ndarray) -> float | np.ndarray:
-    """L1 distance between the NFDs of ``fitness`` and of ``fitness[chosen]``.
-
-    That is the distance to the drawn pool, which is positive even with no
-    selection: n uniform draws from n distinct values give 2 * (1 - 1/n)**n
-    on average, about 0.733 at n = 150. Bit-identical to
-    ``distance(population_nfd(fitness), population_nfd(fitness[chosen]))``,
-    counted on arrays instead (the distinct values come from one sort and a
-    neighbour comparison): every mass is the same correctly rounded count /
-    size, and ``fsum`` is exactly rounded, so neither term order nor zero
-    terms change the sum. As with the NFDs, 0.0 and -0.0 count as one
-    fitness value.
-
-    A (runs, n) stack of populations with (runs, k) picks gives the (runs,)
-    array of each row's distance (:func:`_strengths`).
-
-    Raises:
-        ValueError: On an empty population or selection, or a negative or
-            non-finite fitness value.
-    """
-    fits = np.asarray(fitness, dtype=np.float64)
-    picks = np.asarray(chosen)
-    if fits.size == 0 or picks.size == 0:
-        raise ValueError("empty population")
-    # NaN makes the minimum and the maximum NaN, and fails either test
-    if not (fits.min() >= 0.0 and fits.max() < math.inf):
-        negative = fits[fits < 0.0]
-        if negative.size:
-            raise ValueError(f"negative fitness: {float(negative[0])}")
-        raise ValueError(f"non-finite fitness: {float(fits[~np.isfinite(fits)][0])}")
-    # picks index as in fitness[chosen]: a negative one wraps, one out of range raises
-    picks = np.arange(fits.shape[-1])[picks]
-    if fits.ndim == 1:
-        return _strengths(fits[None], picks[None])[0]
-    return np.array(_strengths(fits, picks))
-
-
 def _strengths(fits: np.ndarray, picks: np.ndarray) -> list[float]:
-    """:func:`realized_strength` of each row of a (runs, n) stack, unchecked.
+    """The realized strength of each row of a (runs, n) stack, unchecked.
 
-    The fitness values must be finite and nonnegative, as fitness mapping
-    leaves them. Each row's distinct values get their own bins of one flat
-    count, so one sort and two counts serve every row.
+    Row r's is the L1 distance between the NFDs of ``fits[r]`` and of
+    ``fits[r][picks[r]]``, bit for bit the dict NFDs' ``distance`` (each
+    mass is the same rounded count / size, ``fsum`` is exactly rounded, and
+    0.0 and -0.0 are one value). The fitness must be finite and nonnegative,
+    as fitness mapping leaves it; one sort and two flat counts serve all rows.
     """
     runs, n = fits.shape
     order = fits.argsort(axis=1, kind="stable")
@@ -347,7 +312,8 @@ def selection_probabilities(fitness: np.ndarray, gamma_n: float | None) -> np.nd
 
     Raises:
         ValueError: On an empty population, a negative or non-finite
-            gamma_n, or all-zero fitness under proportionate selection.
+            gamma_n, all-zero fitness under proportionate selection, or a
+            NaN fitness (a negative one too under proportionate selection).
     """
     fits = np.asarray(fitness, dtype=np.float64)
     if fits.size == 0:
@@ -355,13 +321,19 @@ def selection_probabilities(fitness: np.ndarray, gamma_n: float | None) -> np.nd
     # one row, alone or a stack of one, reduces to scalars: numpy's cheapest path
     per_row = {} if fits.size == fits.shape[-1] else {"axis": -1, "keepdims": True}
     if gamma_n is None:
-        total = fits.sum(**per_row)
-        if total.min() <= 0.0:
-            raise ValueError("degenerate population")
-        return fits / total
-    _check_gamma(gamma_n)
-    w = np.exp(gamma_n * (fits - fits.max(**per_row)))
-    return w / w.sum(**per_row)
+        w = fits
+    else:
+        _check_gamma(gamma_n)
+        w = np.exp(gamma_n * (fits - fits.max(**per_row)))
+    total = w.sum(**per_row)
+    least, most = (total.min(), total.max()) if per_row else (total, total)
+    if least <= 0.0:  # only proportionate: a Boltzmann max weighs 1
+        raise ValueError("degenerate population")
+    if not (w.min() >= 0.0 and most < math.inf):  # NaN fails both
+        raise ValueError(
+            "selection probabilities must be nonnegative with a finite positive sum"
+        )
+    return w / total
 
 
 def select_parents(
@@ -377,18 +349,16 @@ def select_parents(
     populations takes a (runs, k) stack of doubles.
 
     Raises:
-        ValueError: As :func:`selection_probabilities`, or if a probability
-            is negative or their sum is not finite and positive.
+        ValueError: As :func:`selection_probabilities`, or on a double
+            outside [0, 1).
     """
     p = selection_probabilities(fitness, gamma_n)
+    draws = np.asarray(draws)
+    if draws.size and not (draws.min() >= 0.0 and draws.max() < 1.0):  # NaN fails
+        raise ValueError("roulette draws must be in [0, 1)")
     cdf = p.cumsum(axis=-1)
-    totals = cdf[..., -1].ravel().tolist()
-    if not all(0.0 < t < math.inf for t in totals) or p.min() < 0.0:
-        raise ValueError(
-            "selection probabilities must be nonnegative with a finite positive sum"
-        )
-    if len(totals) == 1:  # one population, alone or a stack of one
-        cdf /= totals[0]
+    if cdf.size == cdf.shape[-1]:  # one population, alone or a stack of one
+        cdf /= cdf.flat[-1]
         return cdf.ravel().searchsorted(draws, side="right")
     cdf /= cdf[:, -1:]
     return np.array([c.searchsorted(u, side="right") for c, u in zip(cdf, draws)])
@@ -414,10 +384,13 @@ def uniform_crossover(
     bytes, 8 * k >= L.
 
     Raises:
-        ValueError: On parent matrices of different shapes.
+        ValueError: On parent matrices of different shapes, or masks of
+            fewer than L bits.
     """
     if a.shape != b.shape:
         raise ValueError(f"genome length mismatch: {a.shape} vs {b.shape}")
+    if masks.shape[-1] * 8 < a.shape[-1]:
+        raise ValueError(f"{masks.shape[-1]} mask bytes cannot cover {a.shape[-1]} bits")
     swaps = np.unpackbits(masks, axis=-1, count=a.shape[-1])
     swaps &= (decisions < crossover_prob)[..., None]
     diff = (a ^ b) & swaps
@@ -472,28 +445,24 @@ def _draw_generation(
     """Take every draw of one generation, run by run, in stream order.
 
     A generation's draws do not depend on its data, so each run's come
-    from its own generator in one pass: the n + pairs doubles in one call,
-    the mask words, the odd leftover's partner, then the flip positions.
-    Returns, row r for run r: the (runs, n) roulette doubles, the (runs,
-    pairs) crossover doubles, the (runs, pairs, 8 * ceil(L / 64)) mask
-    bytes, the (runs,) partners (empty for an even n) and the flat flip
-    positions in the (runs, n, L) children.
+    from its own generator in one pass: the 3 * pairs doubles in one call,
+    the mask words, then the flip positions. Returns, row r for run r: the
+    (runs, 2 * pairs) roulette doubles, the (runs, pairs) crossover
+    doubles, the (runs, pairs, 8 * ceil(L / 64)) mask bytes and the flat
+    flip positions in the (runs, n, L) children.
     """
     runs, pairs, size = len(rngs), (n + 1) // 2, n * length
-    doubles = np.empty((runs, n + pairs))
-    words = np.empty((runs, pairs * ((length + 63) // 64)), dtype=np.uint64)
-    partners, flips = [], []
+    doubles = np.empty((runs, 3 * pairs))
+    words = np.empty((runs, pairs * ((length + 63) // 64)), dtype="<u8")
+    flips = []
     for row, rng in enumerate(rngs):
         rng.random(out=doubles[row])
         words[row] = rng.bit_generator.random_raw(words.shape[1])
-        if n % 2:
-            partners.append(rng.integers(0, n - 1))
         flips.append(_flip_positions(rng, size, mutation_prob))
     if runs > 1:  # run r's bits start at r * n * L of the flat children
         flips = [positions + row * size for row, positions in enumerate(flips)]
     masks = words.view(np.uint8).reshape(runs, pairs, -1)
-    partners = np.array(partners, dtype=np.intp)
-    return doubles[:, :n], doubles[:, n:], masks, partners, np.concatenate(flips)
+    return doubles[:, : 2 * pairs], doubles[:, 2 * pairs :], masks, np.concatenate(flips)
 
 
 def step_generation(
@@ -514,27 +483,23 @@ def step_generation(
     the alpha = inf one, whose gamma_n is g0); proportionate selection,
     which has no schedule, records gamma as 0.
 
-    The crossover pairs the selected pool in draw order, rows 2i and
-    2i + 1. With an odd pool the leftover is paired against a random
-    earlier parent and only the leftover-side child is kept. With elitism
-    the best parent (first on ties) replaces the worst child (first on
-    ties).
+    The crossover pairs the 2 * ceil(n / 2) selected parents in draw
+    order, rows 2i and 2i + 1, and the first n children are kept. With
+    elitism the best parent (first on ties) replaces the worst child
+    (first on ties).
     """
     runs, n = population.raw.shape
     if n != config.pop_size:
         raise ValueError("population size does not match config")
     length = population.bits.shape[-1]
-    roulette, crosses, masks, partners, flips = draws
+    roulette, crosses, masks, flips = draws
 
     schedule = config.schedule
     gamma_n = None if schedule is None else gamma_at(schedule, generation_index)
     chosen = select_parents(population.fitness, gamma_n, roulette)
-    # fitness mapping has checked the values realized_strength would
-    strength = np.array(_strengths(population.fitness, chosen))
+    # fitness mapping has checked the values _strengths reads
+    strength = np.array(_strengths(population.fitness, chosen[:, :n]))
 
-    if n % 2 == 1:
-        partner = chosen[np.arange(runs), partners, None]
-        chosen = np.concatenate((chosen, partner), axis=1)
     if runs > 1:  # run r's rows start at r * n of the flat population
         chosen = chosen + np.arange(0, runs * n, n)[:, None]
     pool = population.bits.reshape(runs * n, length)[chosen.reshape(runs, -1, 2)]
@@ -569,7 +534,8 @@ def run_seed(master_seed: int, run_index: int) -> int:
 
 
 def _run_stack(config: GaConfig, run_indices: Iterable[int]) -> np.ndarray:
-    """The (runs, generations, 5) records of the given runs, in lockstep."""
+    """The (runs, generations, 5) records of the given runs, in lockstep;
+    a run's row g - 1 is its :class:`GenerationRecord` of generation g."""
     rngs = [np.random.Generator(np.random.PCG64(run_seed(config.master_seed, i)))
             for i in run_indices]
     n, length = config.pop_size, config.genome_length
@@ -586,22 +552,12 @@ def _run_stack(config: GaConfig, run_indices: Iterable[int]) -> np.ndarray:
     return np.ascontiguousarray(records.transpose(2, 0, 1))
 
 
-def run(config: GaConfig, run_index: int) -> np.ndarray:
-    """Execute one full GA run, deterministic in (master_seed, run_index).
-
-    Returns a (generations, 5) float64 array; row g - 1 holds the
-    :class:`GenerationRecord` of generation g. The run is the one-run
-    stack of :func:`multi_run`'s lockstep path.
-    """
-    return _run_stack(config, (run_index,))[0]
-
-
 def aggregate(stack: np.ndarray) -> np.ndarray:
     """The series table of a (runs, generations, 5) stack of runs.
 
-    ``stack[i]`` is :func:`run`'s array for one run. Returns a (generations,
-    6) float64 array whose columns are ``SERIES_COLUMNS[1:]``: run 0's gamma
-    (a mean of equal doubles need not round back to the same double), then
+    ``stack[i]`` is one run's records (:func:`_run_stack`). Returns a
+    (generations, 6) float64 array whose columns are ``SERIES_COLUMNS[1:]``:
+    run 0's gamma (a mean of equal doubles need not round back), then
     the mean and std across runs of the best-so-far raw value and of the
     mean raw value, and the mean strength. Standard deviations are
     population-style (ddof=0), so a single run has zero spread. Each

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +59,13 @@ def test_run_writes_expected_schema(tmp_path):
 
 def test_metadata_carries_stream_version(tmp_path):
     meta, _, _ = read_series_csv(run_experiment(tiny_cfg(tmp_path))[0])
-    assert meta["stream_version"] == str(engine.STREAM_VERSION) == "3"
+    assert meta["stream_version"] == str(engine.STREAM_VERSION) == "4"
+
+
+def test_readme_names_the_current_stream_version():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"stream version {engine.STREAM_VERSION}" in readme
+    assert f"# stream_version = {engine.STREAM_VERSION}" in readme
 
 
 def test_run_single_row_csv(tmp_path):
@@ -276,7 +283,7 @@ def test_unknown_scheme_is_rejected_before_anything_runs(tmp_path, capsys):
 def test_each_scheme_name_maps_to_one_schedule(tmp_path, scheme):
     cfg = tiny_cfg(tmp_path, selection=scheme, gamma=7.0, alpha=1.5)
     ga, g0_effective = cli.build_ga_config(cfg)
-    gammas = engine.run(ga, 0)[:, 0].tolist()
+    gammas = engine._run_stack(ga, (0,))[0][:, 0].tolist()
     if scheme == cli.PROPORTIONATE:
         assert ga.schedule is None and g0_effective is None
         assert gammas == [0.0] * cfg.generations

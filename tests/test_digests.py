@@ -9,11 +9,14 @@ part of the stream. A schedule CSV is hashed whole. ``verify_report.txt``
 is hashed whole, on the pass path and on three failure paths, so its
 suite lines, worst margins and first-failure line are pinned too.
 
-The series digests were made with stream version 3 (the draw order that
-``engine.STREAM_VERSION`` numbers) on numpy 2.4.6 (PCG64); the verify
-digests do not depend on the GA stream. A change that means to alter the
-numbers bumps the stream version where it changes the draws, updates the
-digests here and says so in CHANGES.md.
+The series digests were made with stream version 4 (the draw order that
+``engine.STREAM_VERSION`` numbers) on numpy 2.4.6 (PCG64), with numpy
+dispatching its SIMD kernels to X86_V3, X86_V4, AVX512_ICL and AVX512_SPR;
+the verify digests do not depend on the GA stream. The targets matter:
+``np.exp`` gives different last bits under the AVX-512 kernels than under
+the X86_V3 ones, and ackley's values and the Boltzmann weights read it.
+A change that means to alter the numbers bumps the stream version where it
+changes the draws, updates the digests here and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -30,28 +33,29 @@ from cauchyga.engine import STREAM_VERSION
 from cauchyga.verify import Tolerances, run_verify
 
 DIGEST_NUMPY = "2.4.6"
-DIGEST_STREAM = 3
+DIGEST_STREAM = 4
+DIGEST_TARGETS = "X86_V3, X86_V4, AVX512_ICL, AVX512_SPR"
 
-# (pop_size, elitism, crossover_prob): the odd pool exercises the leftover
-# pairing, the even one elitism and always-on crossover
+# (pop_size, elitism, crossover_prob): the odd size exercises the dropped
+# last child, the even one elitism and always-on crossover
 GRID = {
     "pop21": (21, False, 0.8),
     "pop20-elite": (20, True, 1.0),
 }
 
 SERIES_DIGESTS = {
-    "pop21/rastrigin/proportionate": "099041b7cba02f659c8230b2f9b61474765470712a5a27c0396aabce20898a5c",
-    "pop21/rastrigin/boltzmann_const": "d2949ea8e61ab4d6b8bdbbef162d1078ccabb82af2f8a7d3b82ef0021c5488d9",
-    "pop21/rastrigin/cauchy_boltzmann": "64373f26e80c6808ef5b3afaa5c283c90f523a3a4de87dea740597f250bb04ea",
-    "pop21/griewangk/proportionate": "351bd0ab08f8e1926d8d37529184aa268aef12cfd20f616c02487a99581b27be",
-    "pop21/griewangk/boltzmann_const": "21484e83dfd2225eb27090d95210d99a4729da39072b5a9e50ea74cbf6538b6f",
-    "pop21/griewangk/cauchy_boltzmann": "6422446c2d3a29b6f63acfd86c81d33213223f8567a4a7b5d8a19d2e64aedc3a",
-    "pop21/ackley/proportionate": "e307ea0e9da5f6f4646ae77e0deed1fd721e7037bf1d1e84da8f78a3ab57ebab",
-    "pop21/ackley/boltzmann_const": "998555a7aaf81c728c1570793b7dc452088668df736d05263badc46a9dc383d5",
-    "pop21/ackley/cauchy_boltzmann": "d415c4293f1b98c8d40c4d7ec66940349fef0e34b7608f6bb443b85e8b39cf9a",
-    "pop21/schwefel/proportionate": "40e2efa0a9d6e2b85fea10da4cfba8178f62020587a87b23afa34743d681780e",
-    "pop21/schwefel/boltzmann_const": "c1232251af0b016793c715a7c060a33df0c64c322ccdafc4b9aae40d94a3e0df",
-    "pop21/schwefel/cauchy_boltzmann": "ccefe66784f3eeb984f7565a6836f43fffb485d2a91d9813386765b51de5e7f1",
+    "pop21/rastrigin/proportionate": "4c09a8c84df7d27cc6eabb571cb6ca835bbfcfc3a08d452c1e436091bee14c5c",
+    "pop21/rastrigin/boltzmann_const": "cb0a940d1fbdeaa29b87d9024ac3d24a37f65ff356503ad825f4dc988178fbda",
+    "pop21/rastrigin/cauchy_boltzmann": "3452fdd06970e24f29b203371accb0dcc43292648fc42a16c2009a07a07c506d",
+    "pop21/griewangk/proportionate": "1a29239b19abf3766c2324618780c5e4686106d0cc6fa14c66a1181bec7e70bf",
+    "pop21/griewangk/boltzmann_const": "3efcd2db4d736c348a21e4f34435e62aad9d7be39dc95a68496fafb8076286d6",
+    "pop21/griewangk/cauchy_boltzmann": "1705e2dd45fc3193fa1a2a74744ad86be99b3a732d6f46fb4cfecc141903f8f2",
+    "pop21/ackley/proportionate": "11d9c3418a93ca3ac55c00e953fc04b7ccbed01baf1305f4da67a1e54d961e4d",
+    "pop21/ackley/boltzmann_const": "9734ce277cf32deb0c6de945f3325b104669dd0c7036b215951383ed11c6353c",
+    "pop21/ackley/cauchy_boltzmann": "3fdcbdb8409df7714e0b12eaf4dee34879b3b6103f7996d3b9c583ff2d316d26",
+    "pop21/schwefel/proportionate": "dd9aa31b7fe72a13700a9341a146d7e34f68c25d5a54f2b01241f09291ecceb9",
+    "pop21/schwefel/boltzmann_const": "d4280f6d8a4ecf57a91e226e248e0f5816ca464ceb2229b23dc40da8c1dad1fb",
+    "pop21/schwefel/cauchy_boltzmann": "9a82f9581aae5daa949cfd1ba3dadd921a8200d5ee8c71e811811a84f1d881f1",
     "pop20-elite/rastrigin/proportionate": "549288623448ab04c36658dd5e7cc05a0085e5bc97968cee997696f2fb342cf8",
     "pop20-elite/rastrigin/boltzmann_const": "118827cd22da065dc9d9cf8488a38c02778c27b1ac73391afeb9d515f7d28db6",
     "pop20-elite/rastrigin/cauchy_boltzmann": "a6ea899099a9cc4aa9cf14e71d3ad75bae866e968be1a30299b330d9fc25c2da",
@@ -68,10 +72,10 @@ SERIES_DIGESTS = {
 
 # the joins the grid above leaves: all three schemes of each function
 COMBINED_DIGESTS = {
-    "pop21/rastrigin": "bfa77b29c25931f5955fa9bfe93951ead52c6a1bf43099e4b9d2be2b450cec84",
-    "pop21/griewangk": "db4bb4fc5e36e4a581bb0df7a9ed4cd69596cdc8498e88874a33200c7f28c49c",
-    "pop21/ackley": "bb503c2148e9c057505eedee1bf8257f767d018c2f8525898725075b9e570197",
-    "pop21/schwefel": "33a1bc7c8f5d9ee3b2c6fdae4275e7da145a8843228785179c85bb2a757a987c",
+    "pop21/rastrigin": "3fc43c8879a9fc320bb8b8e17e47788a4b48dbbc3a843566189b72e884deb9ae",
+    "pop21/griewangk": "01f3cae40f0220094552e027121c6b92b81452896a11491cb78efcf41353f2aa",
+    "pop21/ackley": "8607a8099954bce0d00f056ec4e9476dff40268e6edda0bc3a7c8ba6c4ca7b14",
+    "pop21/schwefel": "a1e6c3492a951ff3c895cb79b0d4d8be0b79c9468680e91a66d0e36b651d047d",
     "pop20-elite/rastrigin": "c50403643ce4b1e9cac12c90ff6971192bdcbb6aa1a858d477d3b1f4354d59b9",
     "pop20-elite/griewangk": "93123eac419089bea7aa206adaf5126b9776e8ec9fba3d46b2a74e1d6f65b05c",
     "pop20-elite/ackley": "cbd5a9aa765a50368655b853eb4d337d01bee234dc2894bc290d055f407b89ca",
@@ -180,11 +184,18 @@ def report_digests(out_dir: Path) -> dict[str, str]:
     return digests
 
 
+def _dispatch_targets() -> str:
+    """The SIMD targets numpy dispatches to on this CPU, in numpy's order."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath  # numpy 2, or 1
+    return ", ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
 def _why(what: str) -> str:
     return (
         f"{what} differs from the stored digest (made with stream version "
-        f"{DIGEST_STREAM} on numpy {DIGEST_NUMPY}; running stream version "
-        f"{STREAM_VERSION} on numpy {np.__version__})"
+        f"{DIGEST_STREAM} on numpy {DIGEST_NUMPY} dispatching to {DIGEST_TARGETS}; "
+        f"running stream version {STREAM_VERSION} on numpy {np.__version__} "
+        f"dispatching to {_dispatch_targets()})"
     )
 
 

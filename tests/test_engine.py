@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import binom, chi2
 
 from cauchyga import engine
-from cauchyga.annealing import cauchy_schedule, constant_schedule
+from cauchyga.annealing import cauchy_schedule, constant_schedule, gamma_at
 from cauchyga.benchmarks import (
     FUNCTION_NAMES,
     evaluate_raw_batch,
@@ -27,7 +27,6 @@ from cauchyga.engine import (
     multi_run,
     mutate,
     population_nfd,
-    run,
     select_parents,
     selection_probabilities,
     step_generation,
@@ -337,14 +336,15 @@ def test_step_preserves_population_size():
 
 def test_run_single_generation_series():
     cfg = small_config(generations=1)
-    series = run(cfg, 0)
+    series = engine._run_stack(cfg, (0,))[0]
     assert series.shape == (1, 5) and series.dtype == np.float64
 
 
 def test_run_is_deterministic():
     cfg = small_config()
-    assert np.array_equal(run(cfg, 0), run(cfg, 0))
-    assert not np.array_equal(run(cfg, 0), run(cfg, 1))
+    first, again, other = (engine._run_stack(cfg, (i,))[0] for i in (0, 0, 1))
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, other)
 
 
 def test_run_rows_are_the_generation_records():
@@ -359,12 +359,12 @@ def test_run_rows_are_the_generation_records():
         pop, record = step_generation(pop, cfg, gen, generation_draws([rng], cfg), best)
         best = record.best_so_far_raw
         records.append([float(field[0]) for field in record])
-    assert run(cfg, 2).tolist() == records
+    assert engine._run_stack(cfg, (2,))[0].tolist() == records
 
 
 def test_best_so_far_nonincreasing():
     cfg = small_config(generations=40)
-    _, best, gen_best, _, _ = run(cfg, 3).T
+    _, best, gen_best, _, _ = engine._run_stack(cfg, (3,))[0].T
     assert all(b <= a for a, b in zip(best, best[1:]))
     assert all(b <= g for b, g in zip(best, gen_best))
 
@@ -384,7 +384,7 @@ def test_multi_run_single_run_zero_std():
 def test_multi_run_reproducible_and_order_independent():
     cfg = small_config(runs=3)
     # a run depends only on its index, not on which runs ran before it
-    runs = {i: run(cfg, i) for i in reversed(range(cfg.runs))}
+    runs = {i: engine._run_stack(cfg, (i,))[0] for i in reversed(range(cfg.runs))}
     a = multi_run(cfg)
     b = aggregate(np.stack([runs[i] for i in range(cfg.runs)]))
     assert a.shape == b.shape == (cfg.generations, len(SERIES_COLUMNS) - 1)
@@ -413,7 +413,7 @@ def test_aggregate_reduces_each_quantity_as_a_contiguous_column(runs, generation
 
 def test_elitism_keeps_best_from_worsening():
     cfg = small_config(elitism=True, generations=30, mutation_prob_per_bit=0.05)
-    gen_best = run(cfg, 0)[:, 2]
+    gen_best = engine._run_stack(cfg, (0,))[0][:, 2]
     assert all(b <= a + 1e-12 for a, b in zip(gen_best, gen_best[1:]))
 
 
@@ -456,7 +456,7 @@ def test_config_is_frozen_and_replace_rechecks_it():
 
 
 def test_config_rejects_single_individual():
-    # one individual has no partner for the odd leftover's crossover
+    # one individual leaves selection nothing to choose between
     with pytest.raises(ValueError, match="pop_size must be >= 2"):
         small_config(pop_size=1)
     assert small_config(pop_size=2).pop_size == 2
@@ -464,13 +464,13 @@ def test_config_rejects_single_individual():
 
 def test_cauchy_scheme_uses_schedule_gamma():
     cfg = small_config(schedule=cauchy_schedule(1.0, 2.0), generations=3)
-    gammas = run(cfg, 0)[:, 0].tolist()
+    gammas = engine._run_stack(cfg, (0,))[0][:, 0].tolist()
     assert gammas == pytest.approx([1.0, 1.25, 1.0 + 0.25 + 1 / 9], abs=1e-12)
 
 
 def test_proportionate_records_zero_gamma():
     cfg = small_config(schedule=None, generations=2)
-    assert run(cfg, 0)[:, 0].tolist() == [0.0, 0.0]
+    assert engine._run_stack(cfg, (0,))[0][:, 0].tolist() == [0.0, 0.0]
 
 
 def reference_decode(bits, spec, bits_per_var) -> np.ndarray:
@@ -576,6 +576,34 @@ def test_roulette_rejects_nan_or_negative_probabilities():
             select_parents(np.array([0.5, 0.25]), gamma, draws)
 
 
+@pytest.mark.parametrize("gamma_n", [None, 2.0])
+def test_selection_probabilities_reject_nan_fitness(gamma_n):
+    message = "selection probabilities must be nonnegative with a finite positive sum"
+    with pytest.raises(ValueError, match=message):
+        selection_probabilities(np.array([0.5, math.nan]), gamma_n)
+    with pytest.raises(ValueError, match=message):  # one bad row of a stack
+        selection_probabilities(np.array([[0.5, 0.25], [0.5, math.nan]]), gamma_n)
+
+
+@pytest.mark.parametrize("bad", [1.0, -0.5, math.nan])
+def test_roulette_rejects_a_double_outside_0_1(bad):
+    # 1.0 looked up past the last row, -0.5 silently picked row 0
+    with pytest.raises(ValueError, match=r"roulette draws must be in \[0, 1\)"):
+        select_parents(np.array([0.5, 0.5]), None, np.array([bad, 0.3]))
+    with pytest.raises(ValueError, match=r"roulette draws must be in \[0, 1\)"):
+        select_parents(np.full((2, 2), 0.5), 1.0, np.array([[0.3, 0.3], [0.3, bad]]))
+    assert select_parents(np.array([0.5, 0.5]), None, np.array([0.0, 0.9])).tolist() == [0, 1]
+
+
+def test_crossover_rejects_masks_narrower_than_the_genome():
+    # 8 bytes at L = 75 swapped positions 0-63 and silently never 64-74
+    a, b = np.zeros((1, 75), np.uint8), np.ones((1, 75), np.uint8)
+    with pytest.raises(ValueError, match="8 mask bytes cannot cover 75 bits"):
+        uniform_crossover(a, b, 1.0, np.array([0.0]), np.full((1, 8), 255, np.uint8))
+    ca, _ = uniform_crossover(a, b, 1.0, np.array([0.0]), np.full((1, 10), 255, np.uint8))
+    assert ca.sum() == 75
+
+
 def python_table_index(bits, dims, bits_per_var) -> list[list[int]]:
     """Flat table index level * dims + column of every gene, read bit by bit."""
     rows = []
@@ -633,34 +661,18 @@ def test_points_path_past_the_table_size_limit_matches_a_bitwise_read():
     assert pop.raw.tobytes() == evaluate_raw_batch(spec, points).tobytes()
 
 
-@pytest.mark.parametrize(
-    "fitness,message",
-    [
-        ([0.5, -1.0, 0.25], "negative fitness: -1.0"),
-        ([0.5, -math.inf, 0.25], "negative fitness: -inf"),
-        ([0.5, math.inf, 0.25], "non-finite fitness: inf"),
-        ([0.5, math.nan, 0.25], "non-finite fitness: nan"),
-        # a negative value is reported before any non-finite one
-        ([math.nan, math.inf, -2.0, -1.0], "negative fitness: -2.0"),
-        # and the first in array order among its kind
-        ([0.5, math.inf, math.nan], "non-finite fitness: inf"),
-        ([0.5, math.nan, math.inf], "non-finite fitness: nan"),
-        ([math.nan], "non-finite fitness: nan"),
-    ],
-)
-def test_realized_strength_names_the_first_bad_fitness(fitness, message):
-    with pytest.raises(ValueError) as exc:
-        engine.realized_strength(np.array(fitness), np.array([0, 0]))
-    assert str(exc.value) == message
+def strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
+    """The realized strength of one population, as a stack of one."""
+    return engine._strengths(fitness[None], np.asarray(chosen)[None])[0]
 
 
 def test_realized_strength_counts_negative_zero_as_zero():
     signed = np.array([-0.0, 0.0, 0.5])
-    both = engine.realized_strength(signed, np.array([0, 1]))
-    assert both == engine.realized_strength(signed, np.array([1, 1]))
-    assert both == engine.realized_strength(np.array([0.0, 0.0, 0.5]), np.array([0, 1]))
+    both = strength(signed, [0, 1])
+    assert both == strength(signed, [1, 1])
+    assert both == strength(np.array([0.0, 0.0, 0.5]), [0, 1])
     assert both == math.fsum([1.0 - 2 / 3, 1 / 3])
-    assert engine.realized_strength(np.array([-0.0]), np.array([0])) == 0.0
+    assert strength(np.array([-0.0]), [0]) == 0.0
 
 
 def test_realized_strength_without_selection_has_its_floor():
@@ -670,7 +682,7 @@ def test_realized_strength_without_selection_has_its_floor():
     fitness = np.random.default_rng(1).random(150)
     rng = np.random.default_rng(2)
     strengths = [
-        engine.realized_strength(fitness, select_parents(fitness, 0.0, rng.random(150)))
+        strength(fitness, select_parents(fitness, 0.0, rng.random(150)))
         for _ in range(4000)
     ]
     assert abs(np.mean(strengths) - 2.0 * (1.0 - 1.0 / 150) ** 150) <= 0.004
@@ -698,7 +710,7 @@ def test_lockstep_run_is_byte_identical_alone_or_stacked(
         generations=6, crossover_prob=crossover_prob,
         mutation_prob_per_bit=mutation_prob, runs=17, master_seed=23, elitism=elitism,
     )
-    alone = [run(cfg, i) for i in range(cfg.runs)]
+    alone = [engine._run_stack(cfg, (i,))[0] for i in range(cfg.runs)]
     assert alone[0].shape == (cfg.generations, 5)
     for indices in (range(3), range(17), (16, 4, 9)):
         stack = engine._run_stack(cfg, indices)
@@ -820,32 +832,54 @@ def test_flip_positions_tops_up_a_chunk_that_falls_short():
 @pytest.mark.parametrize("p", [0.0, 0.05])
 @pytest.mark.parametrize("n", [20, 21])
 @pytest.mark.parametrize("runs", [1, 3])
-def test_draw_generation_is_stream_3_replayed_by_hand(runs, n, p):
+def test_draw_generation_replays_the_stream_by_hand(runs, n, p):
     # each run's generation draws, taken by hand from a fresh generator on
-    # the same seed: the doubles, the mask words, the odd leftover's
-    # partner, then the flip positions, offset to run r's bits
+    # the same seed: 2 * pairs roulette doubles and a crossover double per
+    # pair in one call, the mask words, then the flip positions, offset to
+    # run r's bits; no other draw is taken
     length = 75
     pairs, size = -(-n // 2), n * length
     seeds = [engine.run_seed(11, r) for r in range(runs)]
-    roulette, crosses, masks, partners, flips = engine._draw_generation(
-        [np.random.Generator(np.random.PCG64(seed)) for seed in seeds], n, length, p
-    )
-    assert roulette.shape == (runs, n) and crosses.shape == (runs, pairs)
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    roulette, crosses, masks, flips = engine._draw_generation(rngs, n, length, p)
+    assert roulette.shape == (runs, 2 * pairs) and crosses.shape == (runs, pairs)
     assert masks.shape == (runs, pairs, 16) and masks.dtype == np.uint8
     expected_flips = []
     for r, seed in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(seed))
-        doubles = rng.random(n + pairs)
-        assert roulette[r].tobytes() == doubles[:n].tobytes()
-        assert crosses[r].tobytes() == doubles[n:].tobytes()
+        doubles = rng.random(3 * pairs)
+        assert roulette[r].tobytes() == doubles[: 2 * pairs].tobytes()
+        assert crosses[r].tobytes() == doubles[2 * pairs :].tobytes()
         words = rng.bit_generator.random_raw(pairs * -(-length // 64))
-        assert masks[r].tobytes() == words.tobytes()
-        if n % 2:
-            assert partners[r] == rng.integers(0, n - 1)
+        assert masks[r].tobytes() == words.astype("<u8").tobytes()
         expected_flips.append(engine._flip_positions(rng, size, p) + r * size)
-    assert partners.shape == ((runs,) if n % 2 else (0,))
+        assert rngs[r].random() == rng.random()  # both streams are at one place
     assert flips.tolist() == np.concatenate(expected_flips).tolist()
     assert (flips.size > 0) == (p > 0)
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_odd_population_keeps_the_first_child_of_the_last_pair(runs):
+    # With n odd the pool holds n + 1 roulette parents; pair (n - 1, n)
+    # crosses under the last mask and only its first child, row n - 1, is
+    # kept. The realized strength counts the first n parents alone.
+    n, length = 21, 15
+    cfg = small_config(pop_size=n, crossover_prob=1.0, mutation_prob_per_bit=0.0)
+    rngs = [np.random.default_rng(173 + r) for r in range(runs)]
+    pop = make_population(np.stack([random_bits(rng, n, length) for rng in rngs]),
+                          cfg.objective, 5)
+    draws = generation_draws(rngs, cfg)
+    nxt, rec = step_generation(pop, cfg, 1, draws, np.inf)
+    roulette, _, masks, _ = draws
+    gamma_n = gamma_at(cfg.schedule, 1)
+    for r in range(runs):
+        chosen = select_parents(pop.fitness[r], gamma_n, roulette[r])
+        assert chosen.shape == (n + 1,)
+        a, b = pop.bits[r, chosen[n - 1]], pop.bits[r, chosen[n]]
+        swap = np.unpackbits(masks[r, -1])[:length].astype(bool)
+        assert (np.where(swap, b, a) != np.where(swap, a, b)).any()  # children differ
+        assert nxt.bits[r, n - 1].tolist() == np.where(swap, b, a).tolist()
+        assert rec.strength[r] == strength(pop.fitness[r], chosen[:n])
 
 
 GA_PHASES = ("select_parents", "uniform_crossover", "mutate", "make_population",

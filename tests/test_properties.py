@@ -1,9 +1,10 @@
 """Hypothesis property tests: fast paths, and the operator algebra's edges.
 
-``realized_strength``, ``distance``, ``boltzmann_apply``,
-``cauchy_tail_profile``, ``random_nfd`` and the lemma-2 ``choice`` each
-replaced a slower reference that is kept here; they must equal it bit for
-bit, so those tests compare with ``==``. The operator tests use the
+The GA's realized strength (``engine._strengths``, here on a stack of one
+population), ``distance``, ``boltzmann_apply``, ``cauchy_tail_profile``,
+``random_nfd`` and the lemma-2 ``choice`` each replaced a slower reference
+that is kept here; they must equal it bit for bit, so those tests compare
+with ``==``. The operator tests use the
 tolerances the rest of the suite uses (``Tolerances.semigroup_tol`` for the
 semigroup law).
 
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cauchyga.annealing import cauchy_schedule, gamma_at
-from cauchyga.engine import population_nfd, realized_strength
+from cauchyga.engine import _strengths, population_nfd
 from cauchyga.nfd import NFD, distance
 from cauchyga.selection import boltzmann_apply, proportionate_apply
 from cauchyga.theory import cauchy_tail_profile
@@ -58,6 +59,11 @@ def counted_nfd(fitness: np.ndarray) -> NFD:
 def nfd_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
     """The reference: two dict NFDs and their L1 distance."""
     return distance(counted_nfd(fitness), counted_nfd(fitness[chosen]))
+
+
+def realized_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
+    """The GA's realized strength of one population, as a stack of one."""
+    return _strengths(fitness[None], chosen[None])[0]
 
 
 @PROPERTY
@@ -96,41 +102,6 @@ def test_realized_strength_one_point_support_is_zero(value, n, picks):
     fitness = np.full(n, value)
     chosen = np.array(picks) % n
     assert realized_strength(fitness, chosen) == nfd_strength(fitness, chosen) == 0.0
-
-
-@PROPERTY
-@given(
-    populations(),
-    st.floats(max_value=-5e-324, min_value=-1e6, allow_nan=False),
-    st.data(),
-)
-def test_realized_strength_rejects_negative_fitness(case, negative, data):
-    fitness, chosen = case
-    fitness[data.draw(st.integers(0, len(fitness) - 1))] = negative
-    with pytest.raises(ValueError, match="negative fitness"):
-        nfd_strength(fitness, chosen)
-    with pytest.raises(ValueError, match="negative fitness"):
-        realized_strength(fitness, chosen)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_realized_strength_rejects_non_finite_fitness(bad):
-    fitness = np.array([0.5, bad, bad])
-    chosen = np.array([0, 0, 1])
-    with pytest.raises(ValueError, match="non-finite fitness"):
-        nfd_strength(fitness, chosen)
-    with pytest.raises(ValueError, match="non-finite fitness"):
-        realized_strength(fitness, chosen)
-
-
-def test_realized_strength_rejects_empty_population():
-    empty = np.array([], dtype=np.float64)
-    none = np.array([], dtype=np.intp)
-    for fitness, chosen in ((empty, none), (np.ones(3), none)):
-        with pytest.raises(ValueError, match="empty population"):
-            nfd_strength(fitness, chosen)
-        with pytest.raises(ValueError, match="empty population"):
-            realized_strength(fitness, chosen)
 
 
 def renormalized(masses: dict[float, float]) -> NFD:
