@@ -1,54 +1,56 @@
 """Binary-encoded generational GA with proportionate or Boltzmann selection.
 
-A population is three row-aligned arrays: the bit matrix, the raw
-objective values and the fitness values. ``GaConfig.schedule`` is the
-selection scheme: None is proportionate, a schedule is Boltzmann at its
-gamma_n. One generation is: roulette selection with replacement (row
-indices) -> pairing in draw order -> uniform crossover -> per-bit mutation
--> evaluation. The realized selection strength of a generation is the L1
-distance between the population's NFD before selection and the NFD of the
-selected parents; both are counted on the fitness array
-(:func:`_strengths`), with no NFD objects built.
+A population is three row-aligned arrays: the gene levels, the raw
+objective values and the fitness values. A genome is ``dims`` genes of
+``bits_per_var`` bits (in [1, 16]), stored as the genes' levels: uint8 up
+to 8 bits per variable, uint16 above, a gene's bits being its level's
+low bits_per_var bits. ``GaConfig.schedule`` is the selection scheme:
+None is proportionate, a schedule is Boltzmann at its gamma_n. One
+generation is: roulette selection with replacement (row indices) ->
+pairing -> uniform crossover -> per-bit mutation -> evaluation. The
+realized selection strength of a generation is the L1 distance between
+the population's NFD before selection and the NFD of the selected
+parents, both counted on the fitness array (:func:`_strengths`).
 
-A genome decodes onto a fixed lattice of 2**bits_per_var levels per
-variable (bits_per_var in [1, 16]). The lattice points and the objective's
-elementwise terms at them are computed once per (objective, bits_per_var)
-and cached (terms up to 2**20 table entries, levels x dims); a generation
-gathers its genomes' terms from those tables and reduces them row by row,
-the same values as evaluating the decoded points. Each gene's index in
-the flat tables comes from one float32 matrix-vector product, exact
-because every partial sum is an integer below the 2**20 table limit and
-float32 holds every integer up to 2**24.
+A level v sits on a fixed lattice of 2**bits_per_var points per variable.
+The lattice points and the objective's elementwise terms at them are
+computed once per (objective, bits_per_var) and cached (terms up to 2**20
+table entries, levels x dims, column by column); a generation gathers its
+genes' terms at column * levels + v and reduces them row by row, the same
+values as evaluating the decoded points.
 
 Every random decision of a run comes from one numpy PCG64 generator seeded
 from (master_seed, run_index), so replays are bit-identical and distinct
 runs are independent streams. Only :func:`_run_stack` turns the
-generators into draws, through :func:`_draw_generation`; the operators and
-:func:`step_generation` take the draws as arrays. They come in a fixed
-order, numbered by ``STREAM_VERSION``: the initial bit matrix, then per
-generation, all taken before any of them is used:
+generators into draws; the operators and :func:`step_generation` take
+them as arrays. They come in a fixed order, numbered by
+``STREAM_VERSION``: the initial genes (drawn as the masks of step 2 are),
+then per block of ``count`` <= ``BLOCK`` = 16 generations, all taken
+before any of them is used (:func:`_draw_block`):
 
-1. one call of 3 * ceil(n / 2) doubles: the 2 * ceil(n / 2) roulette
-   doubles (one per parent, looked up in the cumulative probabilities as
-   ``Generator.choice`` does), then the crossover decisions (one per pair);
-2. the swap masks, ceil(L / 64) raw 64-bit words of the bit generator
-   (``random_raw``) per pair, whose little-endian bytes unpack to the mask
-   bits, the first L of them used;
-3. the mutation flip positions, running sums of Geometric(p) gaps
-   (:func:`_flip_positions`).
+1. one call of count * 3 * ceil(n / 2) doubles, generation by generation:
+   the 2 * ceil(n / 2) roulette doubles (one per parent, looked up in the
+   cumulative probabilities as ``Generator.choice`` does), then the
+   crossover decisions (one per pair);
+2. one ``random_raw`` call whose little-endian bytes are the swap masks,
+   generation by generation and pair by pair: a gene takes one byte, or
+   two above 8 bits per variable, and keeps its low bits_per_var bits;
+3. one Bernoulli(p) process of mutation flips over the count * n * L bits
+   of the block (:func:`_flip_positions`), generation by generation, a
+   genome's bits being its genes' bits in turn, most significant first.
 
-The parent pool is paired in draw order, rows 2i and 2i + 1: the roulette
-draws are i.i.d., so no shuffle changes the law of the pairs. With an odd
-n the pool holds one parent more than n, and the last pair's second child
-is dropped; the realized strength counts the first n parents.
+The pool of 2 * ceil(n / 2) roulette draws is paired in halves, draw i
+with draw ceil(n / 2) + i: the draws are i.i.d., so no shuffle changes the
+law of the pairs. With an odd n the last pair's second child is dropped,
+and the realized strength counts the first n parents.
 
-The runs of an experiment step in lockstep: the population of every run
-is one stack of arrays with a leading run axis, and each step of a
-generation but the draws works on the whole stack at once (only the
-roulette lookup and the exactly rounded strength sum go row by row). A
-run's draws come from its own generator, and each run's values are
-reduced on its own row, so a run's records depend only on (master_seed,
-run_index), not on the other runs of the stack.
+The runs of an experiment step in lockstep as one stack of arrays with a
+leading run axis; every step of a generation but the draws works on the
+whole stack at once (only the roulette lookup and the exactly rounded
+strength sum go row by row), and a block's records are reduced after it
+has run. A run's draws come from its own generator and its values are
+reduced on their own rows, so its records depend only on (master_seed,
+run_index), not on the other runs of the stack or on the blocks.
 
 :func:`aggregate` reduces a stack of runs to one series table, a row per
 generation under the columns ``SERIES_COLUMNS`` names.
@@ -59,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,12 +74,15 @@ from .nfd import NFD, distance
 from .selection import _check_gamma
 
 GENERATOR_NAME = "numpy-PCG64"
-STREAM_VERSION = 4  # the draw order of the module docstring; bumped when it changes
+STREAM_VERSION = 5  # the draw order of the module docstring; bumped when it changes
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _U64 = 0xFFFFFFFFFFFFFFFF
 MAX_BITS_PER_VAR = 16  # a lattice table has at most 2**16 rows
 _MAX_TABLE = 1 << 20  # entries (levels * dims) per cached term table: 8 MB
+BLOCK = 16  # generations per batch of draws and strengths; part of the stream
 
+# the columns of one run's records, a row per generation (_run_stack)
+RECORD_COLUMNS = ("gamma", "best_so_far_raw", "gen_best_raw", "mean_raw", "strength")
 # a series CSV's columns: the generation number, then aggregate's table
 SERIES_COLUMNS = (
     "generation",
@@ -97,11 +102,11 @@ class Population:
     A stack of runs stepped in lockstep has a leading run axis on all three
     arrays, so the population size is ``raw.shape[-1]`` either way. ``raw``
     and ``fitness`` are exactly what decode / evaluate / fitness mapping
-    produce for ``bits``; recomputing them reproduces the stored values
+    produce for ``genes``; recomputing them reproduces the stored values
     bit-for-bit.
     """
 
-    bits: np.ndarray  # ([runs,] n, dims * bits_per_var) uint8 values in {0, 1}
+    genes: np.ndarray  # ([runs,] n, dims) gene levels in [0, 2**bits_per_var)
     raw: np.ndarray  # ([runs,] n) raw objective values
     fitness: np.ndarray  # ([runs,] n) fitness values in [0, 1]
 
@@ -147,49 +152,20 @@ class GaConfig:
         return self.objective.dims * self.bits_per_var
 
 
-class GenerationRecord(NamedTuple):
-    """One generation of one run; a row of one run's :func:`_run_stack` records."""
-
-    gamma: float
-    best_so_far_raw: float
-    gen_best_raw: float
-    mean_raw: float
-    strength: float
+def _gene_dtype(bits_per_var: int) -> np.dtype:
+    """The dtype of gene levels: uint8 up to 8 bits per variable, uint16 above."""
+    return np.dtype(np.uint8 if bits_per_var <= 8 else "<u2")
 
 
-def _gene_slices(bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> np.ndarray:
-    """The (n * dims, bits_per_var) view of a bit matrix, one gene per row."""
-    if bits.shape[1] != spec.dims * bits_per_var:
-        raise ValueError(
-            f"genome length {bits.shape[1]} != dims*bits_per_var "
-            f"{spec.dims * bits_per_var}"
-        )
-    return bits.reshape(-1, bits_per_var)
-
-
-@functools.lru_cache(maxsize=8)
-def _index_weights(dims: int, bits_per_var: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 big-endian gene weights times ``dims``, and the column offsets."""
-    weights = (dims << np.arange(bits_per_var - 1, -1, -1)).astype(np.float32)
-    offsets = np.arange(dims, dtype=np.float32)
-    weights.flags.writeable = offsets.flags.writeable = False
-    return weights, offsets
-
-
-def _table_index(bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> np.ndarray:
-    """Index of every gene in the flat (levels, dims) term tables, (n, dims).
-
-    The index is level * dims + column: one float32 matrix-vector product
-    of the gene slices against big-endian weights times dims, plus the
-    column. It is exact whatever order the product sums in, as long as the
-    tables fit ``_MAX_TABLE``: every term and partial sum is then an
-    integer below 2**20, and float32 holds every integer up to 2**24.
-    """
-    weights, offsets = _index_weights(spec.dims, bits_per_var)
-    slices = _gene_slices(bits, spec, bits_per_var).astype(np.float32)
-    flat = slices.dot(weights).reshape(-1, spec.dims)
-    flat += offsets
-    return flat.astype(np.intp)
+def _check_genes(genes: np.ndarray, spec: ObjectiveSpec, bits_per_var: int) -> None:
+    """The genome rule: dims integer genes, each a level in [0, 2**bits_per_var)."""
+    if genes.shape[-1] != spec.dims:
+        raise ValueError(f"genome length {genes.shape[-1]} != dims {spec.dims}")
+    kind = genes.dtype.kind
+    if kind not in "ui" or genes.size and not (
+        (kind == "u" or genes.min() >= 0) and genes.max() < 1 << bits_per_var
+    ):
+        raise ValueError(f"gene levels must be integers in [0, {1 << bits_per_var})")
 
 
 @functools.lru_cache(maxsize=8)
@@ -200,9 +176,9 @@ def _lattice(
 
     Level v sits at lower + v / (levels - 1) * (upper - lower), so v = 0
     hits the lower bound and v = levels - 1 the upper bound exactly. The
-    terms are the objective's elementwise terms on the (levels, dims) grid
-    of those points; None when the grid has more than ``_MAX_TABLE``
-    entries.
+    tables hold the objective's elementwise terms on the (levels, dims)
+    grid of those points, column by column (level v of column c at c *
+    levels + v); None past ``_MAX_TABLE`` entries.
     """
     _check_bits_per_var(bits_per_var)
     levels = 2**bits_per_var
@@ -213,55 +189,55 @@ def _lattice(
     if levels * spec.dims > _MAX_TABLE:
         return points, None
     terms = _terms(spec, np.repeat(points[:, None], spec.dims, axis=1))
-    for table in terms:
+    tables = tuple(t.T.ravel() for t in terms)
+    for table in tables:
         table.flags.writeable = False
-    return points, tuple(t.ravel() for t in terms)
+    return points, tables
 
 
 def decode_batch(
-    bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int
+    genes: np.ndarray, spec: ObjectiveSpec, bits_per_var: int
 ) -> np.ndarray:
-    """Decode a (n, dims * bits_per_var) bit matrix into (n, dims) points.
+    """Decode a (n, dims) array of gene levels into (n, dims) points.
 
-    Each gene slice is read big-endian as an unsigned integer v and mapped
-    linearly so v = 0 hits the lower bound and v = 2**bits_per_var - 1 hits
-    the upper bound exactly (a gather from the cached lattice points).
+    A gather from the cached lattice points, so level 0 hits the lower
+    bound and level 2**bits_per_var - 1 the upper bound exactly.
 
     Raises:
-        ValueError: On a genome length other than dims * bits_per_var,
-            bits_per_var outside [1, 16], or a bit other than 0 or 1.
+        ValueError: On bits_per_var outside [1, 16], or genes outside
+            the genome rule (:func:`_check_genes`).
     """
     points, _ = _lattice(spec, bits_per_var)
-    bits = np.asarray(bits)
-    if ((bits != 0) & (bits != 1)).any():
-        raise ValueError("bits must be 0 or 1")
-    weights = 1 << np.arange(bits_per_var - 1, -1, -1, dtype=np.intp)
-    levels = _gene_slices(bits, spec, bits_per_var) @ weights
-    return points[levels.reshape(-1, spec.dims)]
+    genes = np.asarray(genes)
+    _check_genes(genes, spec, bits_per_var)
+    return points[genes]
 
 
 def make_population(
-    bits: np.ndarray, spec: ObjectiveSpec, bits_per_var: int
+    genes: np.ndarray, spec: ObjectiveSpec, bits_per_var: int
 ) -> Population:
-    """Decode, evaluate and map to fitness every row of a bit matrix or stack.
+    """Evaluate and map to fitness every row of a gene array or stack.
 
     The raw values are bit for bit ``evaluate_raw_batch(spec,
-    decode_batch(bits, ...))``, and past the table size limit they are
-    computed that way. Otherwise the terms of each row are gathered from
-    the cached lattice tables, the genes read as float32 table indices
-    (:func:`_table_index`), and reduced row by row. The population holds
-    ``bits`` itself, not a copy.
+    decode_batch(genes, ...))``, and past the table size limit they are
+    computed that way. Otherwise the terms of each gene are gathered from
+    the cached lattice tables at column * levels + level and reduced row
+    by row. The population holds ``genes`` itself, not a copy.
+
+    Raises:
+        ValueError: As :func:`decode_batch`.
     """
     _, tables = _lattice(spec, bits_per_var)
-    rows = bits.reshape(-1, bits.shape[-1])  # a stack of runs is evaluated as one matrix
+    rows = genes.reshape(-1, genes.shape[-1])  # a stack of runs is evaluated as one matrix
     if tables is None:
         raw = evaluate_raw_batch(spec, decode_batch(rows, spec, bits_per_var))
     else:
-        index = _table_index(rows, spec, bits_per_var)
-        raw = _reduce(spec, tuple(t[index] for t in tables))
+        _check_genes(rows, spec, bits_per_var)  # a level past the column would read the next
+        index = rows + np.arange(0, tables[0].size, 1 << bits_per_var)
+        raw = _reduce(spec, tuple(t.take(index) for t in tables))
     fitness = to_fitness_batch(spec, raw)
-    return Population(bits=bits, raw=raw.reshape(bits.shape[:-1]),
-                      fitness=fitness.reshape(bits.shape[:-1]))
+    shape = genes.shape[:-1]
+    return Population(genes=genes, raw=raw.reshape(shape), fitness=fitness.reshape(shape))
 
 
 def population_nfd(fitness: np.ndarray) -> NFD:
@@ -270,20 +246,21 @@ def population_nfd(fitness: np.ndarray) -> NFD:
 
 
 def _strengths(fits: np.ndarray, picks: np.ndarray) -> list[float]:
-    """The realized strength of each row of a (runs, n) stack, unchecked.
+    """The realized strength of each row of a (rows, n) stack, unchecked.
 
     Row r's is the L1 distance between the NFDs of ``fits[r]`` and of
-    ``fits[r][picks[r]]``, bit for bit the dict NFDs' ``distance`` (each
-    mass is the same rounded count / size, ``fsum`` is exactly rounded, and
-    0.0 and -0.0 are one value). The fitness must be finite and nonnegative,
-    as fitness mapping leaves it; one sort and two flat counts serve all rows.
+    ``fits[r][picks[r]]``, bit for bit the dict NFDs' ``distance``: each
+    mass is the same rounded count / size, 0.0 and -0.0 are one value, and
+    the sum is exactly rounded. Every gap is a whole number of units in the
+    last place of the smallest mass, so up to 1024 individuals and picks a
+    row's units fit 64 bits and are summed exactly, then rounded once (past
+    that, by ``fsum``). The fitness must be finite and nonnegative, as
+    fitness mapping leaves it; one sort and two flat counts serve all rows.
     """
     runs, n = fits.shape
-    order = fits.argsort(axis=1, kind="stable")
-    if runs > 1:  # row r's entries start at r * n of the flat arrays
-        offsets = np.arange(0, runs * n, n)[:, None]
-        order, picks = order + offsets, picks + offsets
-    order = order.ravel()
+    order = fits.argsort(axis=1)  # any order of equal values groups them alike
+    offsets = np.arange(0, runs * n, n)[:, None]  # row r starts at r * n of the flat arrays
+    order, picks = (order + offsets).ravel(), picks + offsets
     ordered = fits.ravel()[order]
     new_value = np.empty(order.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=new_value[1:])
@@ -293,10 +270,12 @@ def _strengths(fits: np.ndarray, picks: np.ndarray) -> list[float]:
     drawn = np.bincount(picks.ravel(), minlength=order.size)[order]
     before = np.bincount(bins) / n
     after = np.bincount(bins, weights=drawn) / picks.shape[1]
-    gaps = np.abs(before - after).tolist()
-    if runs == 1:
-        return [math.fsum(gaps)]
-    ends = (bins[n - 1 :: n] + 1).tolist()
+    gaps, ends = np.abs(before - after), bins[n - 1 :: n] + 1
+    unit = 2.0 ** (math.frexp(1.0 / max(n, picks.shape[1]))[1] - 53)
+    if 2.0 / unit <= 2.0**63:  # bounds a row's units: each side's masses sum to ~1
+        units = np.add.reduceat((gaps / unit).astype(np.uint64), np.r_[0, ends[:-1]])
+        return (units.astype(np.float64) * unit).tolist()
+    gaps, ends = gaps.tolist(), ends.tolist()
     return [math.fsum(gaps[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
@@ -349,11 +328,16 @@ def select_parents(
     populations takes a (runs, k) stack of doubles.
 
     Raises:
-        ValueError: As :func:`selection_probabilities`, or on a double
+        ValueError: As :func:`selection_probabilities`, on draws with
+            other leading dimensions than the populations', or on a double
             outside [0, 1).
     """
     p = selection_probabilities(fitness, gamma_n)
     draws = np.asarray(draws)
+    if draws.shape[:-1] != p.shape[:-1]:
+        raise ValueError(
+            f"roulette draws of shape {draws.shape} for populations of shape {p.shape}"
+        )
     if draws.size and not (draws.min() >= 0.0 and draws.max() < 1.0):  # NaN fails
         raise ValueError("roulette draws must be in [0, 1)")
     cdf = p.cumsum(axis=-1)
@@ -371,29 +355,29 @@ def uniform_crossover(
     decisions: np.ndarray,
     masks: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform crossover of row-aligned integer (bit) matrices, row i with row i.
+    """Uniform crossover of row-aligned gene arrays, row i with row i.
 
     Each pair crosses with probability crossover_prob, and then every bit
-    position independently swaps between the pair with probability 1/2;
-    otherwise both parents pass through unchanged. Per position the
-    children's bit pair is always a permutation of the parents' pair.
-    A pair crosses when its double in ``decisions`` is below crossover_prob;
-    its swap mask bytes in ``masks``, drawn crossing or not, mark with their
-    first L bits (most significant first) the positions that swap. For
-    (..., m, L) parent stacks they are (..., m) doubles and (..., m, k)
-    bytes, 8 * k >= L.
+    of every gene independently swaps between the pair with probability
+    1/2; otherwise both parents pass through unchanged. A pair crosses
+    when its double in ``decisions`` is below crossover_prob; its masks,
+    drawn crossing or not, set the bits that swap, gene by gene: both
+    parents are XORed with ``(a ^ b) & mask``. For (..., m, dims) parent
+    stacks they are (..., m) doubles and (..., m, dims) masks.
 
     Raises:
-        ValueError: On parent matrices of different shapes, or masks of
-            fewer than L bits.
+        ValueError: On parent arrays of different shapes, or decisions or
+            masks whose shape does not fit the pairs'.
     """
     if a.shape != b.shape:
         raise ValueError(f"genome length mismatch: {a.shape} vs {b.shape}")
-    if masks.shape[-1] * 8 < a.shape[-1]:
-        raise ValueError(f"{masks.shape[-1]} mask bytes cannot cover {a.shape[-1]} bits")
-    swaps = np.unpackbits(masks, axis=-1, count=a.shape[-1])
-    swaps &= (decisions < crossover_prob)[..., None]
-    diff = (a ^ b) & swaps
+    if decisions.shape != a.shape[:-1] or masks.shape != a.shape:
+        raise ValueError(
+            f"decisions of shape {decisions.shape} and masks of shape "
+            f"{masks.shape} do not fit pairs of shape {a.shape}"
+        )
+    diff = (a ^ b) & masks
+    diff *= (decisions < crossover_prob)[..., None]
     return a ^ diff, b ^ diff
 
 
@@ -426,106 +410,100 @@ def _flip_positions(rng: np.random.Generator, size: int, p: float) -> np.ndarray
     return positions[: positions.searchsorted(size)]
 
 
-def mutate(bits: np.ndarray, flips: np.ndarray) -> np.ndarray:
-    """Flip the bits at the given flat positions.
+def _gene_flips(positions: np.ndarray, bits_per_var: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat gene index and one-bit gene value of each flat bit position,
+    a genome's bits being its genes' bits in turn, most significant first."""
+    index, bit = np.divmod(positions, bits_per_var)
+    values = np.right_shift(1 << (bits_per_var - 1), bit).astype(_gene_dtype(bits_per_var))
+    return index, values
 
-    With ``flips`` the positions of a Bernoulli(p) process over the flat
-    bits (:func:`_flip_positions`), this is exactly the law of one
-    Bernoulli(p) draw per bit. Returns a copy; ``bits`` itself is not
-    modified.
+
+def mutate(genes: np.ndarray, flips: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """A copy of ``genes`` with the bits of ``flips`` flipped.
+
+    ``flips`` holds flat gene indices and one-bit values (:func:`_gene_flips`);
+    a gene may be hit twice. With the positions of a Bernoulli(p) process
+    over the genomes' bits (:func:`_flip_positions`), this is exactly the
+    law of one Bernoulli(p) draw per bit.
     """
-    out = bits.copy()
-    out.reshape(-1)[flips] ^= 1
+    index, values = flips
+    out = genes.copy()
+    np.bitwise_xor.at(out.reshape(-1), index, values)
     return out
 
 
-def _draw_generation(
-    rngs: Sequence[np.random.Generator], n: int, length: int, mutation_prob: float
-) -> tuple[np.ndarray, ...]:
-    """Take every draw of one generation, run by run, in stream order.
+def _draw_genes(rng: np.random.Generator, size: int, bits_per_var: int) -> np.ndarray:
+    """``size`` gene levels from one ``random_raw`` call: each takes a byte of
+    the little-endian words (two above 8 bits per variable), its low bits kept."""
+    dtype = _gene_dtype(bits_per_var)
+    words = rng.bit_generator.random_raw(-(-size * dtype.itemsize // 8))
+    return words.astype("<u8", copy=False).view(dtype)[:size] & (1 << bits_per_var) - 1
 
-    A generation's draws do not depend on its data, so each run's come
-    from its own generator in one pass: the 3 * pairs doubles in one call,
-    the mask words, then the flip positions. Returns, row r for run r: the
-    (runs, 2 * pairs) roulette doubles, the (runs, pairs) crossover
-    doubles, the (runs, pairs, 8 * ceil(L / 64)) mask bytes and the flat
-    flip positions in the (runs, n, L) children.
+
+def _draw_block(
+    rngs: Sequence[np.random.Generator], config: GaConfig, count: int
+) -> list[tuple]:
+    """Take every draw of ``count`` generations, run by run, in stream order.
+
+    Returns one tuple per generation, as :func:`step_generation` takes it,
+    row r for run r: the (runs, 2 * pairs) roulette doubles, the (runs,
+    pairs) crossover doubles, the (runs, pairs, dims) masks and the flips
+    in the (runs, n, dims) children.
     """
-    runs, pairs, size = len(rngs), (n + 1) // 2, n * length
-    doubles = np.empty((runs, 3 * pairs))
-    words = np.empty((runs, pairs * ((length + 63) // 64)), dtype="<u8")
-    flips = []
+    runs, n, dims = len(rngs), config.pop_size, config.objective.dims
+    pairs, size = (n + 1) // 2, n * config.genome_length  # size: one run's bits
+    doubles = np.empty((runs, count, 3 * pairs))
+    masks = np.empty((runs, count, pairs, dims), _gene_dtype(config.bits_per_var))
+    positions = []
     for row, rng in enumerate(rngs):
         rng.random(out=doubles[row])
-        words[row] = rng.bit_generator.random_raw(words.shape[1])
-        flips.append(_flip_positions(rng, size, mutation_prob))
-    if runs > 1:  # run r's bits start at r * n * L of the flat children
-        flips = [positions + row * size for row, positions in enumerate(flips)]
-    masks = words.view(np.uint8).reshape(runs, pairs, -1)
-    return doubles[:, : 2 * pairs], doubles[:, 2 * pairs :], masks, np.concatenate(flips)
+        masks[row] = _draw_genes(rng, masks[row].size, config.bits_per_var).reshape(
+            masks.shape[1:])
+        flips = _flip_positions(rng, count * size, config.mutation_prob_per_bit)
+        # generation g, run r, bit q: g * runs * size + r * size + q
+        positions.append(flips + (flips // size * (runs - 1) + row) * size)
+    positions = np.concatenate(positions)
+    positions.sort()  # generation by generation, then run by run
+    bounds = positions.searchsorted(np.arange(1, count) * runs * size)
+    index, values = _gene_flips(positions % (runs * size), config.bits_per_var)
+    flips = zip(np.split(index, bounds), np.split(values, bounds))
+    return [(doubles[:, k, : 2 * pairs], doubles[:, k, 2 * pairs :], masks[:, k], f)
+            for k, f in enumerate(flips)]
 
 
 def step_generation(
-    population: Population,
-    config: GaConfig,
-    generation_index: int,
-    draws: tuple[np.ndarray, ...],
-    best_so_far: float | np.ndarray,
-) -> tuple[Population, GenerationRecord]:
-    """Advance a stack of runs one generation in lockstep; its records.
+    population: Population, config: GaConfig, gamma_n: float | None, draws: tuple
+) -> tuple[Population, np.ndarray]:
+    """Advance a stack of runs one generation in lockstep.
 
-    ``population`` has a leading run axis, ``draws`` is the generation's
-    draws as :func:`_draw_generation` returns them, row r for run r, and
-    ``best_so_far`` is each run's running minimum raw objective entering
-    the generation. Every field of the returned record is a (runs,) array;
-    its best so far folds in the new population. The generation's gamma is
-    taken from the schedule at ``generation_index`` (a constant schedule is
-    the alpha = inf one, whose gamma_n is g0); proportionate selection,
-    which has no schedule, records gamma as 0.
-
-    The crossover pairs the 2 * ceil(n / 2) selected parents in draw
-    order, rows 2i and 2i + 1, and the first n children are kept. With
-    elitism the best parent (first on ties) replaces the worst child
-    (first on ties).
+    ``population`` has a leading run axis, ``draws`` is one generation of
+    :func:`_draw_block`, and ``gamma_n`` the inverse temperature (None:
+    proportionate). Returns the next population and the (runs, n) parents
+    whose realized strength is ``_strengths(population.fitness, parents)``.
+    The parents pair in halves and the first n children are kept. With
+    elitism the best parent replaces the worst child, each first on ties.
     """
     runs, n = population.raw.shape
     if n != config.pop_size:
         raise ValueError("population size does not match config")
-    length = population.bits.shape[-1]
+    dims = population.genes.shape[-1]
     roulette, crosses, masks, flips = draws
 
-    schedule = config.schedule
-    gamma_n = None if schedule is None else gamma_at(schedule, generation_index)
     chosen = select_parents(population.fitness, gamma_n, roulette)
-    # fitness mapping has checked the values _strengths reads
-    strength = np.array(_strengths(population.fitness, chosen[:, :n]))
-
-    if runs > 1:  # run r's rows start at r * n of the flat population
-        chosen = chosen + np.arange(0, runs * n, n)[:, None]
-    pool = population.bits.reshape(runs * n, length)[chosen.reshape(runs, -1, 2)]
-    pool[:, :, 0], pool[:, :, 1] = uniform_crossover(
-        pool[:, :, 0], pool[:, :, 1], config.crossover_prob, crosses, masks
-    )
-    children = pool.reshape(runs, -1, length)[:, :n]
-    bits = mutate(children, flips)
-    nxt = make_population(bits, config.objective, config.bits_per_var)
+    rows = chosen + np.arange(0, runs * n, n)[:, None] if runs > 1 else chosen
+    pool = population.genes.reshape(runs * n, dims)[rows]
+    a, b = pool[:, : (n + 1) // 2], pool[:, (n + 1) // 2 :]
+    a[...], b[...] = uniform_crossover(a, b, config.crossover_prob, crosses, masks)
+    genes = mutate(pool[:, :n], flips)
+    nxt = make_population(genes, config.objective, config.bits_per_var)
 
     if config.elitism:
         each = np.arange(runs)
         worst, best = nxt.raw.argmax(axis=1), population.raw.argmin(axis=1)
-        nxt.bits[each, worst] = population.bits[each, best]
+        nxt.genes[each, worst] = population.genes[each, best]
         nxt.raw[each, worst] = population.raw[each, best]
         nxt.fitness[each, worst] = population.fitness[each, best]
-
-    gen_best = nxt.raw.min(axis=1)
-    record = GenerationRecord(
-        gamma=np.full(runs, 0.0 if gamma_n is None else gamma_n),
-        best_so_far_raw=np.minimum(best_so_far, gen_best),
-        gen_best_raw=gen_best,
-        mean_raw=nxt.raw.sum(axis=1) / n,  # what mean(axis=1) computes
-        strength=strength,
-    )
-    return nxt, record
+    return nxt, chosen[:, :n]
 
 
 def run_seed(master_seed: int, run_index: int) -> int:
@@ -534,21 +512,43 @@ def run_seed(master_seed: int, run_index: int) -> int:
 
 
 def _run_stack(config: GaConfig, run_indices: Iterable[int]) -> np.ndarray:
-    """The (runs, generations, 5) records of the given runs, in lockstep;
-    a run's row g - 1 is its :class:`GenerationRecord` of generation g."""
+    """The (runs, generations, 5) records of the given runs, in lockstep.
+
+    A run's row g - 1 holds its ``RECORD_COLUMNS`` of generation g. The
+    generations run in blocks of up to ``BLOCK``: a block's draws are taken
+    before it runs and its records reduced after, the strengths in one
+    :func:`_strengths` call that reduces each row on its own.
+    """
     rngs = [np.random.Generator(np.random.PCG64(run_seed(config.master_seed, i)))
             for i in run_indices]
-    n, length = config.pop_size, config.genome_length
-    bits = np.stack([rng.integers(0, 2, size=(n, length), dtype=np.uint8) for rng in rngs])
-    population = make_population(bits, config.objective, config.bits_per_var)
+    n, dims, schedule = config.pop_size, config.objective.dims, config.schedule
+    genes = np.stack([_draw_genes(rng, n * dims, config.bits_per_var).reshape(n, dims)
+                      for rng in rngs])
+    population = make_population(genes, config.objective, config.bits_per_var)
     best = population.raw.min(axis=1)
 
-    records = np.empty((config.generations, len(GenerationRecord._fields), len(rngs)))
-    for gen in range(1, config.generations + 1):
-        draws = _draw_generation(rngs, n, length, config.mutation_prob_per_bit)
-        population, record = step_generation(population, config, gen, draws, best)
-        records[gen - 1] = record
-        best = record.best_so_far_raw
+    records = np.empty((config.generations, len(RECORD_COLUMNS), len(rngs)))
+    for start in range(0, config.generations, BLOCK):
+        count = min(BLOCK, config.generations - start)
+        gammas, fits, parents, raws = [], [], [], []
+        for gen, draws in enumerate(_draw_block(rngs, config, count), start + 1):
+            gamma_n = None if schedule is None else gamma_at(schedule, gen)
+            fits.append(population.fitness)
+            population, chosen = step_generation(population, config, gamma_n, draws)
+            gammas.append(0.0 if gamma_n is None else gamma_n)
+            parents.append(chosen)
+            raws.append(population.raw)
+        raw = np.stack(raws)  # (count, runs, n)
+        gen_best = raw.min(axis=2)
+        block = records[start : start + count]
+        block[:, 0] = np.array(gammas)[:, None]
+        block[:, 1] = np.minimum.accumulate(np.vstack((best, gen_best)))[1:]
+        block[:, 2] = gen_best
+        block[:, 3] = raw.sum(axis=2) / n  # what mean(axis=2) computes
+        # fitness mapping has checked the values _strengths reads
+        strengths = _strengths(np.concatenate(fits), np.concatenate(parents))
+        block[:, 4] = np.reshape(strengths, (count, -1))
+        best = block[-1, 1]
     return np.ascontiguousarray(records.transpose(2, 0, 1))
 
 

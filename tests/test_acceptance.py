@@ -181,7 +181,8 @@ def test_sampling_consistency():
     worst = 0.0
     for _ in range(50):
         bits = rng.integers(0, 2, size=(150, 5), dtype=np.uint8)
-        fitness = make_population(bits, spec, 5).fitness
+        genes = bits @ (1 << np.arange(4, -1, -1))[:, None]  # the bits' big-endian level
+        fitness = make_population(genes, spec, 5).fitness
         phi = population_nfd(fitness)
         gamma = float(rng.uniform(0.0, 10.0))
         for gamma_n, operator in (

@@ -59,7 +59,7 @@ def test_run_writes_expected_schema(tmp_path):
 
 def test_metadata_carries_stream_version(tmp_path):
     meta, _, _ = read_series_csv(run_experiment(tiny_cfg(tmp_path))[0])
-    assert meta["stream_version"] == str(engine.STREAM_VERSION) == "4"
+    assert meta["stream_version"] == str(engine.STREAM_VERSION) == "5"
 
 
 def test_readme_names_the_current_stream_version():

@@ -9,12 +9,19 @@ part of the stream. A schedule CSV is hashed whole. ``verify_report.txt``
 is hashed whole, on the pass path and on three failure paths, so its
 suite lines, worst margins and first-failure line are pinned too.
 
-The series digests were made with stream version 4 (the draw order that
+The series digests were made with stream version 5 (the draw order that
 ``engine.STREAM_VERSION`` numbers) on numpy 2.4.6 (PCG64), with numpy
 dispatching its SIMD kernels to X86_V3, X86_V4, AVX512_ICL and AVX512_SPR;
 the verify digests do not depend on the GA stream. The targets matter:
 ``np.exp`` gives different last bits under the AVX-512 kernels than under
 the X86_V3 ones, and ackley's values and the Boltzmann weights read it.
+With ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` set for
+the test process (numpy then dispatches to X86_V3 alone), 2 of these 6
+tests fail under stream version 5: the series digests of
+``pop21/ackley/boltzmann_const`` and ``pop21/ackley/cauchy_boltzmann``,
+and the combined digest of ``pop21/ackley``. Under stream version 4 the
+same two tests failed, on ``pop21/ackley/proportionate`` and
+``pop21/ackley``.
 A change that means to alter the numbers bumps the stream version where it
 changes the draws, updates the digests here and says so in CHANGES.md.
 """
@@ -33,7 +40,7 @@ from cauchyga.engine import STREAM_VERSION
 from cauchyga.verify import Tolerances, run_verify
 
 DIGEST_NUMPY = "2.4.6"
-DIGEST_STREAM = 4
+DIGEST_STREAM = 5
 DIGEST_TARGETS = "X86_V3, X86_V4, AVX512_ICL, AVX512_SPR"
 
 # (pop_size, elitism, crossover_prob): the odd size exercises the dropped
@@ -44,42 +51,42 @@ GRID = {
 }
 
 SERIES_DIGESTS = {
-    "pop21/rastrigin/proportionate": "4c09a8c84df7d27cc6eabb571cb6ca835bbfcfc3a08d452c1e436091bee14c5c",
-    "pop21/rastrigin/boltzmann_const": "cb0a940d1fbdeaa29b87d9024ac3d24a37f65ff356503ad825f4dc988178fbda",
-    "pop21/rastrigin/cauchy_boltzmann": "3452fdd06970e24f29b203371accb0dcc43292648fc42a16c2009a07a07c506d",
-    "pop21/griewangk/proportionate": "1a29239b19abf3766c2324618780c5e4686106d0cc6fa14c66a1181bec7e70bf",
-    "pop21/griewangk/boltzmann_const": "3efcd2db4d736c348a21e4f34435e62aad9d7be39dc95a68496fafb8076286d6",
-    "pop21/griewangk/cauchy_boltzmann": "1705e2dd45fc3193fa1a2a74744ad86be99b3a732d6f46fb4cfecc141903f8f2",
-    "pop21/ackley/proportionate": "11d9c3418a93ca3ac55c00e953fc04b7ccbed01baf1305f4da67a1e54d961e4d",
-    "pop21/ackley/boltzmann_const": "9734ce277cf32deb0c6de945f3325b104669dd0c7036b215951383ed11c6353c",
-    "pop21/ackley/cauchy_boltzmann": "3fdcbdb8409df7714e0b12eaf4dee34879b3b6103f7996d3b9c583ff2d316d26",
-    "pop21/schwefel/proportionate": "dd9aa31b7fe72a13700a9341a146d7e34f68c25d5a54f2b01241f09291ecceb9",
-    "pop21/schwefel/boltzmann_const": "d4280f6d8a4ecf57a91e226e248e0f5816ca464ceb2229b23dc40da8c1dad1fb",
-    "pop21/schwefel/cauchy_boltzmann": "9a82f9581aae5daa949cfd1ba3dadd921a8200d5ee8c71e811811a84f1d881f1",
-    "pop20-elite/rastrigin/proportionate": "549288623448ab04c36658dd5e7cc05a0085e5bc97968cee997696f2fb342cf8",
-    "pop20-elite/rastrigin/boltzmann_const": "118827cd22da065dc9d9cf8488a38c02778c27b1ac73391afeb9d515f7d28db6",
-    "pop20-elite/rastrigin/cauchy_boltzmann": "a6ea899099a9cc4aa9cf14e71d3ad75bae866e968be1a30299b330d9fc25c2da",
-    "pop20-elite/griewangk/proportionate": "52fc5499bf050b2faf6f178b5d58be85e06b94688c980e999f5f6d83872d7648",
-    "pop20-elite/griewangk/boltzmann_const": "703bfe73b838a050efe75a0486e3bd0e70d36de303bfb541b7e9a24f975f8d6c",
-    "pop20-elite/griewangk/cauchy_boltzmann": "c99a542a95bec1a765135c8fba0b2c8284ee83d988f3757a620312d61b4c64bd",
-    "pop20-elite/ackley/proportionate": "8566a5d0a642ae2c8250200eda3227c6834bc33385529c267856e48351a878ca",
-    "pop20-elite/ackley/boltzmann_const": "c93e198a441a996e728d7dd1cd9e20479521438328db61c4a4b9926091f97c70",
-    "pop20-elite/ackley/cauchy_boltzmann": "f878d9245dc096b424b0b3ffb1843ceb03c5df871e3081897326e7c71719a53d",
-    "pop20-elite/schwefel/proportionate": "653e0ad426c49663bc12eb9101150711937e26026164d260956532248cc8aaa5",
-    "pop20-elite/schwefel/boltzmann_const": "6dc83323a9f3d48ebe3355c26aab0aee77394ceb5706ef415d7cf06933f9fe88",
-    "pop20-elite/schwefel/cauchy_boltzmann": "de1f43b237423dd7871d7a465d3c8fc0a9ae99f11dbf5f03756c7366956957cd",
+    "pop21/rastrigin/proportionate": "6d6ed20977b15bb51f898baaaf3152f2a9dd643193193f0bc704a00be74136be",
+    "pop21/rastrigin/boltzmann_const": "47448d16648a7935d0f12e10ffe85ef04757cfb43f371e0c743b411d95a000a1",
+    "pop21/rastrigin/cauchy_boltzmann": "01bc0df82e26582537649411baf4a724e9434cdcdc44b2461f6ac81d9188a247",
+    "pop21/griewangk/proportionate": "ec8dba2ecb224fe66fcf10834fefa21faef3ec03f9f9661885fd023ac599dca4",
+    "pop21/griewangk/boltzmann_const": "787bc2ed2177fd757f9f35d4dd8a00ba6f9c6375c5fb5cbebe7eecc3ef7dbb68",
+    "pop21/griewangk/cauchy_boltzmann": "f4839bf709ee3c2183da683bda6161b32d265b80957bc9225b423bc0976a473a",
+    "pop21/ackley/proportionate": "a9274b35105c4268105733997f171e293d5813028844792216adb78b5627b681",
+    "pop21/ackley/boltzmann_const": "94c36a44dda53e4aec12ae9d71ef95f329354f2a3f57d82a0d5c067f06c7134c",
+    "pop21/ackley/cauchy_boltzmann": "bc6e50aee2af1e024cb86549b34757ae85453ef98efc799a40155569f3d21854",
+    "pop21/schwefel/proportionate": "3a564acf48e662485009630aed49e0e2ed5444841ec589a9e643cbfe568191a1",
+    "pop21/schwefel/boltzmann_const": "ce892cc4439b46b3ca575e3bf97f6746aa0cf89963819bcb6fe3996b0eb4f166",
+    "pop21/schwefel/cauchy_boltzmann": "e4fbcffa8f54ba0f29c28d374b56f7edd2effdc847cc0a8db6699356d5388fcc",
+    "pop20-elite/rastrigin/proportionate": "004ec549fb8344e40f9f7b71b06e53284c2f0056d95d9d837380bdad53499b25",
+    "pop20-elite/rastrigin/boltzmann_const": "efdcc7c4ef24b548fc428d88abba60b60a314e649a383629615afaa619805d68",
+    "pop20-elite/rastrigin/cauchy_boltzmann": "bc07d4144f29969c128dd1a109329feeda37948e34e340f4382f6321500d6845",
+    "pop20-elite/griewangk/proportionate": "c96259f290c009a9155eb81d6ca6f85b7ec39a1017e810c0b58bd5321cea8409",
+    "pop20-elite/griewangk/boltzmann_const": "9e186e563b1d4579fce40307a3083bafad36b3fbbd8ad60b02504ab2fdd2fcbf",
+    "pop20-elite/griewangk/cauchy_boltzmann": "619e964701b2ab2c44c41c7e363dc6b2e673f1f12494f20fefc2b1639c067d7e",
+    "pop20-elite/ackley/proportionate": "10efb1e7eb6654c061233a2ef2ef76c6e78b96945de90fcfd9015b9fe5556475",
+    "pop20-elite/ackley/boltzmann_const": "48b7b1b8d2df0e365fdff0d272595398977a945ab3557beee524beafba849ddc",
+    "pop20-elite/ackley/cauchy_boltzmann": "71aa1d7fb423a9cb639b1c166baac2e01f37b02513a5e42acfff353a158f218e",
+    "pop20-elite/schwefel/proportionate": "cedd8761bf70838870f99f138b912909c2edd9c3dbca0bf9905f277544b127d8",
+    "pop20-elite/schwefel/boltzmann_const": "06d265851f234dff737cfb6f73ea40758471b169639da974e9a619db9f206372",
+    "pop20-elite/schwefel/cauchy_boltzmann": "d2ebf883c97ff464035f99fb3cc317e15b9e133ecec89b1e5b5e2901d1e7893a",
 }
 
 # the joins the grid above leaves: all three schemes of each function
 COMBINED_DIGESTS = {
-    "pop21/rastrigin": "3fc43c8879a9fc320bb8b8e17e47788a4b48dbbc3a843566189b72e884deb9ae",
-    "pop21/griewangk": "01f3cae40f0220094552e027121c6b92b81452896a11491cb78efcf41353f2aa",
-    "pop21/ackley": "8607a8099954bce0d00f056ec4e9476dff40268e6edda0bc3a7c8ba6c4ca7b14",
-    "pop21/schwefel": "a1e6c3492a951ff3c895cb79b0d4d8be0b79c9468680e91a66d0e36b651d047d",
-    "pop20-elite/rastrigin": "c50403643ce4b1e9cac12c90ff6971192bdcbb6aa1a858d477d3b1f4354d59b9",
-    "pop20-elite/griewangk": "93123eac419089bea7aa206adaf5126b9776e8ec9fba3d46b2a74e1d6f65b05c",
-    "pop20-elite/ackley": "cbd5a9aa765a50368655b853eb4d337d01bee234dc2894bc290d055f407b89ca",
-    "pop20-elite/schwefel": "590643327557d5e8ec0a66ff05e0bd1e0fa239049b222d2149080f6bb95c1a44",
+    "pop21/rastrigin": "18be673d9f4c3c3fac1062a160a26adef7034468af271c1b17bb91258605c7c1",
+    "pop21/griewangk": "011bdaec3de119d348c892287f56c1ca4ca1cddf739fd363ab09502f588ca630",
+    "pop21/ackley": "eadd18669fc8d4a473c3c6f17008d2abb9348ceab58640d2a4509d30bdd150a0",
+    "pop21/schwefel": "0f7742e5337755088716e6cd7e164677b91cda98796ba086328f03d3f15c2d57",
+    "pop20-elite/rastrigin": "be1087289215dde650f2dd1b456c8d5ae3628c8f9ce898f09dbc5da566179680",
+    "pop20-elite/griewangk": "a84518a08ed666227a08698f0ca509ca8b1aee6220ab7f1df072e50d5c3d6a63",
+    "pop20-elite/ackley": "3fb0858e665a16ca616047fa5217be8b7e1aec58ac005b3273babb0460ea31e7",
+    "pop20-elite/schwefel": "a06913730dad9517fea47d85791bd2ff2bd5915a1afa7db9ece9f61290181356",
 }
 
 # 100-step schedules calibrated to gamma 300; alpha 1.0000001 names its

@@ -13,6 +13,7 @@ from cauchyga import engine
 from cauchyga.annealing import cauchy_schedule, constant_schedule, gamma_at
 from cauchyga.benchmarks import (
     FUNCTION_NAMES,
+    _reduce,
     evaluate_raw_batch,
     make_objective,
     to_fitness_batch,
@@ -20,7 +21,6 @@ from cauchyga.benchmarks import (
 from cauchyga.engine import (
     SERIES_COLUMNS,
     GaConfig,
-    GenerationRecord,
     aggregate,
     decode_batch,
     make_population,
@@ -38,31 +38,63 @@ from cauchyga.selection import boltzmann_apply, proportionate_apply
 RAST = make_objective("rastrigin", 15)
 
 
+def genes_of(bits, bits_per_var: int = 5) -> np.ndarray:
+    """The bit-matrix reference: each gene's bits read big-endian as its level.
+
+    A (..., n, dims * bits_per_var) matrix of 0/1 bits gives the
+    (..., n, dims) gene levels the engine stores, in its dtype.
+    """
+    bits = np.asarray(bits)
+    if ((bits != 0) & (bits != 1)).any():
+        raise ValueError("bits must be 0 or 1")
+    weights = 1 << np.arange(bits_per_var - 1, -1, -1)
+    levels = bits.reshape(*bits.shape[:-1], -1, bits_per_var) @ weights
+    return levels.astype(engine._gene_dtype(bits_per_var))
+
+
+def bits_of(genes, bits_per_var: int = 5) -> np.ndarray:
+    """The inverse of :func:`genes_of`: gene levels written out as bits."""
+    shifts = np.arange(bits_per_var - 1, -1, -1)
+    bits = (np.asarray(genes)[..., None] >> shifts) & 1
+    return bits.astype(np.uint8).reshape(*bits.shape[:-2], -1)
+
+
 def decode_one(bits, spec=RAST) -> np.ndarray:
-    """Decode a single genome through the batch decoder."""
-    return decode_batch(np.asarray([bits], dtype=np.uint8), spec, 5)[0]
+    """Decode a single genome's bits through the batch decoder."""
+    return decode_batch(genes_of([bits]), spec, 5)[0]
 
 
 def random_bits(rng, rows: int, length: int = 75) -> np.ndarray:
     return rng.integers(0, 2, size=(rows, length), dtype=np.uint8)
 
 
-def crossover_draws(rng, pairs: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """A crossover double per pair, then each pair's swap mask bytes.
+def random_genes(rng, rows: int, dims: int = 15) -> np.ndarray:
+    """Uniform 5-bit genomes: the levels of uniform random bits."""
+    return genes_of(random_bits(rng, rows, 5 * dims))
 
-    The mask bytes are ceil(length / 64) raw 64-bit words of the bit
-    generator per pair, as in the GA's stream.
-    """
+
+def crossover_draws(rng, pairs: int, dims: int = 15) -> tuple[np.ndarray, np.ndarray]:
+    """A crossover double per pair, then each pair's 5-bit swap masks, as
+    the GA's stream draws them (one byte of raw words per gene)."""
     decisions = rng.random(pairs)
-    words = rng.bit_generator.random_raw(pairs * -(-length // 64))
-    return decisions, words.view(np.uint8).reshape(pairs, -1)
+    return decisions, engine._draw_genes(rng, pairs * dims, 5).reshape(pairs, dims)
+
+
+def gene_flips(rng, genes: np.ndarray, p: float, bits_per_var: int = 5):
+    """Mutation flips of a Bernoulli(p) process over the genomes' bits."""
+    positions = engine._flip_positions(rng, genes.size * bits_per_var, p)
+    return engine._gene_flips(positions, bits_per_var)
 
 
 def generation_draws(rngs, cfg: GaConfig) -> tuple[np.ndarray, ...]:
-    """One generation's draws of a stack of runs, one generator per run."""
-    return engine._draw_generation(
-        rngs, cfg.pop_size, cfg.genome_length, cfg.mutation_prob_per_bit
-    )
+    """The draws of one generation, a block of one, one generator per run."""
+    return engine._draw_block(rngs, cfg, 1)[0]
+
+
+def step(pop, cfg: GaConfig, gen: int, draws):
+    """step_generation at the config's gamma of generation ``gen``."""
+    gamma_n = None if cfg.schedule is None else gamma_at(cfg.schedule, gen)
+    return step_generation(pop, cfg, gamma_n, draws)
 
 
 def small_config(**kw) -> GaConfig:
@@ -104,45 +136,68 @@ def test_decode_is_bijection_on_gene_slices():
 
 
 def test_decode_rejects_wrong_length():
-    with pytest.raises(ValueError, match="genome length"):
-        decode_one([0] * 74)
+    with pytest.raises(ValueError, match="genome length 14 != dims 15"):
+        decode_batch(np.zeros((1, 14), np.uint8), RAST, 5)
+    with pytest.raises(ValueError, match="genome length 14 != dims 15"):
+        make_population(np.zeros((2, 14), np.uint8), RAST, 5)
 
 
 def test_decode_rejects_bits_other_than_0_or_1():
-    # the first was read as level 2, the second indexed past the lattice
+    # A genome is stored as gene levels, so a bit of 2 can only reach the
+    # engine as a level: [2, 0, 0, 0, 0] read big-endian is level 32, past
+    # a 5-bit lattice, and the bit-matrix reference rejects the bit itself.
     spec = make_objective("rastrigin", 1)
     for row in ([0, 0, 0, 0, 2], [2, 0, 0, 0, 0]):
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
-            decode_batch(np.array([row], np.uint8), spec, 5)
+            genes_of([row])
+    with pytest.raises(ValueError, match=r"gene levels must be integers in \[0, 32\)"):
+        decode_batch(np.array([[32]], np.uint8), spec, 5)
     # past the table size limit make_population decodes through decode_batch
     wide = make_objective("rastrigin", 17)  # 2**16 levels x 17 dims > 2**20 entries
-    bits = np.zeros((2, 17 * 16), np.uint8)
-    bits[1, 5] = 2
-    with pytest.raises(ValueError, match="bits must be 0 or 1"):
-        make_population(bits, wide, 16)
+    genes = np.zeros((2, 17), np.int32)
+    genes[1, 5] = 2**16
+    with pytest.raises(ValueError, match=r"gene levels must be integers in \[0, 65536\)"):
+        make_population(genes, wide, 16)
+
+
+@pytest.mark.parametrize("bits_per_var", [5, 10, 16])
+def test_make_population_rejects_a_gene_level_outside_the_lattice(bits_per_var):
+    # a 3-dim rastrigin bit row with bits[0, 4] = 2 used to evaluate as the
+    # genome 00010; as levels, anything outside [0, 2**bits_per_var) is an
+    # error, where the table gather would read another column's entry or
+    # run past the last column
+    spec = make_objective("rastrigin", 3)
+    top = 2**bits_per_var
+    assert make_population(np.array([[top - 1, 0, 0]]), spec, bits_per_var).raw.shape == (1,)
+    for bad in (np.array([[top, 0, 0]]), np.array([[0, -1, 0]]),
+                np.array([[[0, 0, 0], [0, 0, top + 7]]])):
+        with pytest.raises(ValueError, match=rf"gene levels must be integers in \[0, {top}\)"):
+            make_population(bad, spec, bits_per_var)
+    with pytest.raises(ValueError, match="gene levels must be integers in"):
+        make_population(np.array([[0.5, 0.0, 0.0]]), spec, bits_per_var)
 
 
 def test_individual_fields_recompute_bit_exactly():
     # each row recomputed on its own matches the batch it was evaluated in
     rng = np.random.default_rng(61)
-    pop = make_population(random_bits(rng, 150), RAST, 5)
-    assert pop.bits.shape == (150, 75) and pop.raw.shape[-1] == 150
+    pop = make_population(random_genes(rng, 150), RAST, 5)
+    assert pop.genes.shape == (150, 15) and pop.raw.shape[-1] == 150
     for i in range(150):
-        raw = evaluate_raw_batch(RAST, decode_batch(pop.bits[i : i + 1], RAST, 5))
+        raw = evaluate_raw_batch(RAST, decode_batch(pop.genes[i : i + 1], RAST, 5))
         assert raw[0] == pop.raw[i]
         assert to_fitness_batch(RAST, raw)[0] == pop.fitness[i]
 
 
 def test_select_parents_single_individual():
     rng = np.random.default_rng(67)
-    pop = make_population(np.zeros((1, 75), dtype=np.uint8), RAST, 5)
+    pop = make_population(np.zeros((1, 15), dtype=np.uint8), RAST, 5)
     out = select_parents(pop.fitness, 2.0, rng.random(5))
     assert out.tolist() == [0] * 5
 
 
 def test_gamma_zero_boltzmann_is_uniform():
     rng = np.random.default_rng(71)
-    pop = make_population(random_bits(rng, 10), RAST, 5)
+    pop = make_population(random_genes(rng, 10), RAST, 5)
     p = selection_probabilities(pop.fitness, 0.0)
     assert np.allclose(p, 0.1, atol=1e-15)
 
@@ -160,7 +215,7 @@ def test_boltzmann_selection_two_individuals_hand_computed():
 
 def test_boltzmann_probabilities_shift_invariant():
     rng = np.random.default_rng(79)
-    pop = make_population(random_bits(rng, 30), RAST, 5)
+    pop = make_population(random_genes(rng, 30), RAST, 5)
     p1 = selection_probabilities(pop.fitness, 12.0)
     p2 = selection_probabilities(pop.fitness + 0.37, 12.0)
     assert np.max(np.abs(p1 - p2)) <= 1e-12
@@ -188,41 +243,42 @@ def test_sampling_matches_operator_expectation():
 
 def test_crossover_identical_parents_fixed():
     rng = np.random.default_rng(89)
-    a = random_bits(rng, 50)
-    ca, cb = uniform_crossover(a, a.copy(), 1.0, *crossover_draws(rng, 50, 75))
+    a = random_genes(rng, 50)
+    ca, cb = uniform_crossover(a, a.copy(), 1.0, *crossover_draws(rng, 50))
     assert np.array_equal(ca, a)
     assert np.array_equal(cb, a)
 
 
 def test_crossover_probability_zero_is_identity():
     rng = np.random.default_rng(97)
-    a, b = random_bits(rng, 50), random_bits(rng, 50)
-    ca, cb = uniform_crossover(a, b, 0.0, *crossover_draws(rng, 50, 75))
+    a, b = random_genes(rng, 50), random_genes(rng, 50)
+    ca, cb = uniform_crossover(a, b, 0.0, *crossover_draws(rng, 50))
     assert np.array_equal(ca, a) and np.array_equal(cb, b)
 
 
 def test_crossover_preserves_positionwise_multiset():
+    # per bit, through the bit-matrix reference
     rng = np.random.default_rng(101)
-    a, b = random_bits(rng, 50), random_bits(rng, 50)
-    ca, cb = uniform_crossover(a, b, 1.0, *crossover_draws(rng, 50, 75))
+    a, b = random_genes(rng, 50), random_genes(rng, 50)
+    ca, cb = uniform_crossover(a, b, 1.0, *crossover_draws(rng, 50))
     assert ca.dtype == np.uint8 and cb.dtype == np.uint8
-    assert np.array_equal(ca + cb, a + b)
+    assert np.array_equal(bits_of(ca) + bits_of(cb), bits_of(a) + bits_of(b))
     assert not np.array_equal(ca, a)  # the pairs did cross
 
 
 def test_crossover_complementary_parents_stay_complementary():
     rng = np.random.default_rng(103)
-    a = random_bits(rng, 50)
-    ca, cb = uniform_crossover(a, 1 - a, 1.0, *crossover_draws(rng, 50, 75))
-    assert np.array_equal(ca, 1 - cb)
+    a = random_genes(rng, 50)
+    ca, cb = uniform_crossover(a, a ^ 31, 1.0, *crossover_draws(rng, 50))
+    assert np.array_equal(bits_of(ca), 1 - bits_of(cb))
 
 
 def test_crossover_rejects_length_mismatch():
     rng = np.random.default_rng(107)
     with pytest.raises(ValueError, match="length mismatch"):
         uniform_crossover(
-            np.zeros((1, 75), np.uint8), np.zeros((1, 70), np.uint8), 0.5,
-            *crossover_draws(rng, 1, 75),
+            np.zeros((1, 15), np.uint8), np.zeros((1, 14), np.uint8), 0.5,
+            *crossover_draws(rng, 1),
         )
 
 
@@ -232,14 +288,15 @@ def test_crossover_rate_and_fair_swaps(crossover_prob):
     # exactly where its pair swapped; the bounds are binomial standard
     # deviations (4 for the two fractions, 5 for the worst of 75 loci)
     n, length = 20_000, 75
-    a = np.zeros((n, length), np.uint8)
-    draws = crossover_draws(np.random.default_rng(151), n, length)
-    ca, _ = uniform_crossover(a, 1 - a, crossover_prob, *draws)
+    a = np.zeros((n, 15), np.uint8)
+    draws = crossover_draws(np.random.default_rng(151), n)
+    ca = bits_of(uniform_crossover(a, a ^ 31, crossover_prob, *draws)[0])
     crossing = ca.any(axis=1)  # a crossing row swaps nothing with chance 2**-75
     m = int(crossing.sum())
     sd = math.sqrt(crossover_prob * (1 - crossover_prob) / n)
     assert abs(m / n - crossover_prob) <= 4 * sd
     swaps = ca[crossing].sum(axis=0)
+    assert swaps.size == length
     assert abs(swaps.sum() / (m * length) - 0.5) <= 4 * math.sqrt(0.25 / (m * length))
     assert np.abs(swaps - m / 2).max() <= 5 * math.sqrt(m / 4)
 
@@ -250,27 +307,45 @@ def test_crossover_rate_and_fair_swaps(crossover_prob):
 def test_crossover_keeps_positionwise_law_on_any_bit_generator(bit_generator):
     # the masks are that bit generator's own raw words
     rng = np.random.Generator(bit_generator(167))
-    a, b = random_bits(rng, 50), random_bits(rng, 50)
-    ca, cb = uniform_crossover(a, b, 0.7, *crossover_draws(rng, 50, 75))
-    assert np.array_equal(np.minimum(ca, cb), np.minimum(a, b))
-    assert np.array_equal(np.maximum(ca, cb), np.maximum(a, b))
+    a, b = random_genes(rng, 50), random_genes(rng, 50)
+    ca, cb = uniform_crossover(a, b, 0.7, *crossover_draws(rng, 50))
+    assert np.array_equal(ca & cb, a & b)  # per bit, the minimum
+    assert np.array_equal(ca | cb, a | b)  # and the maximum
     assert not np.array_equal(ca, a)  # the pairs did cross
+
+
+@pytest.mark.parametrize("bits_per_var", [5, 10])
+def test_crossover_swaps_exactly_the_mask_bits_of_crossing_pairs(bits_per_var):
+    # read as bit matrices, a crossing pair swaps the bits its mask sets
+    # and no others; a pair that does not cross keeps its parents
+    rng = np.random.default_rng(171)
+    top = 2**bits_per_var
+    a, b = (rng.integers(0, top, (40, 3)).astype(engine._gene_dtype(bits_per_var))
+            for _ in range(2))
+    decisions = rng.random(40)
+    masks = engine._draw_genes(rng, 120, bits_per_var).reshape(40, 3)
+    ca, cb = uniform_crossover(a, b, 0.5, decisions, masks)
+    swap = bits_of(masks, bits_per_var).astype(bool) & (decisions < 0.5)[:, None]
+    bits_a, bits_b = bits_of(a, bits_per_var), bits_of(b, bits_per_var)
+    assert np.array_equal(bits_of(ca, bits_per_var), np.where(swap, bits_b, bits_a))
+    assert np.array_equal(bits_of(cb, bits_per_var), np.where(swap, bits_a, bits_b))
+    assert ca.dtype == a.dtype
 
 
 def test_mutate_edge_probabilities():
     rng = np.random.default_rng(109)
-    g = random_bits(rng, 20)
-    assert np.array_equal(mutate(g, engine._flip_positions(rng, g.size, 0.0)), g)
-    assert np.array_equal(mutate(g, engine._flip_positions(rng, g.size, 1.0)), 1 - g)
-    assert mutate(g[:0], engine._flip_positions(rng, 0, 0.5)).shape == (0, 75)
+    g = random_genes(rng, 20)
+    assert np.array_equal(mutate(g, gene_flips(rng, g, 0.0)), g)
+    assert np.array_equal(bits_of(mutate(g, gene_flips(rng, g, 1.0))), 1 - bits_of(g))
+    assert mutate(g[:0], gene_flips(rng, g[:0], 0.5)).shape == (0, 15)
     with pytest.raises(ValueError, match="mutation probability"):
         engine._flip_positions(rng, g.size, 1.5)
 
 
 def test_mutate_flip_count_matches_binomial_mean():
     rng = np.random.default_rng(113)
-    bits = np.zeros((100_000, 75), dtype=np.uint8)
-    flips = mutate(bits, engine._flip_positions(rng, bits.size, 0.01)).sum(axis=1)
+    genes = np.zeros((100_000, 15), dtype=np.uint8)
+    flips = bits_of(mutate(genes, gene_flips(rng, genes, 0.01))).sum(axis=1)
     assert np.mean(flips) == pytest.approx(0.75, abs=0.03)
     assert np.var(flips) == pytest.approx(75 * 0.01 * 0.99, abs=0.03)
 
@@ -278,9 +353,9 @@ def test_mutate_flip_count_matches_binomial_mean():
 def test_mutate_flip_positions_are_uniform():
     # chi-square goodness of fit of the flip counts per locus and per block
     # of 100 rows against the uniform law, each at the 0.1% level
-    bits = np.zeros((20_000, 75), np.uint8)
+    genes = np.zeros((20_000, 15), np.uint8)
     rng = np.random.default_rng(157)
-    flips = mutate(bits, engine._flip_positions(rng, bits.size, 0.01))
+    flips = bits_of(mutate(genes, gene_flips(rng, genes, 0.01)))
     for counts in (flips.sum(axis=0), flips.reshape(200, -1).sum(axis=1)):
         expected = counts.sum() / counts.size
         stat = float(((counts - expected) ** 2).sum() / expected)
@@ -289,24 +364,42 @@ def test_mutate_flip_positions_are_uniform():
 
 @pytest.mark.parametrize("mutation_prob", [0.05, 1.0])
 def test_mutate_leaves_its_input_unchanged(mutation_prob):
-    bits = random_bits(np.random.default_rng(161), 30)
-    kept = bits.copy()
+    genes = random_genes(np.random.default_rng(161), 30)
+    kept = genes.copy()
     rng = np.random.default_rng(163)
-    out = mutate(bits, engine._flip_positions(rng, bits.size, mutation_prob))
-    assert np.array_equal(bits, kept)
+    out = mutate(genes, gene_flips(rng, genes, mutation_prob))
+    assert np.array_equal(genes, kept)
     assert not np.array_equal(out, kept)
+
+
+@pytest.mark.parametrize("bits_per_var", [1, 5, 8, 10, 16])
+def test_mutation_flips_the_bit_matrix_positions(bits_per_var):
+    # the flips of flat bit positions, mapped to genes, are exactly the
+    # flips of those positions of the bit matrix, also where two flips hit
+    # one gene
+    rng = np.random.default_rng(173 + bits_per_var)
+    genes = rng.integers(0, 2**bits_per_var, (6, 4)).astype(engine._gene_dtype(bits_per_var))
+    size = genes.size * bits_per_var
+    positions = np.sort(rng.choice(size, size // 3, replace=False))
+    hits = np.bincount(positions // bits_per_var)
+    assert hits.max() == 1 if bits_per_var == 1 else hits.max() >= 2
+    bits = bits_of(genes, bits_per_var)
+    bits.reshape(-1)[positions] ^= 1
+    out = mutate(genes, engine._gene_flips(positions, bits_per_var))
+    assert out.dtype == genes.dtype
+    assert np.array_equal(bits_of(out, bits_per_var), bits)
 
 
 def test_step_no_variation_point_mass_is_stationary():
     cfg = small_config(crossover_prob=0.0, mutation_prob_per_bit=0.0)
-    bits = np.tile(
-        np.random.default_rng(127).integers(0, 2, 15, dtype=np.uint8), (20, 1)
+    genes = np.tile(
+        genes_of(np.random.default_rng(127).integers(0, 2, 15, dtype=np.uint8)), (20, 1)
     )
-    pop = make_population(bits[None], cfg.objective, 5)
+    pop = make_population(genes[None], cfg.objective, 5)
     rng = np.random.default_rng(131)
-    nxt, rec = step_generation(pop, cfg, 1, generation_draws([rng], cfg), np.inf)
-    assert rec.strength.tolist() == [0.0]
-    assert np.array_equal(nxt.bits, pop.bits)
+    nxt, parents = step(pop, cfg, 1, generation_draws([rng], cfg))
+    assert engine._strengths(pop.fitness, parents) == [0.0]
+    assert np.array_equal(nxt.genes, pop.genes)
 
 
 def test_step_huge_gamma_takes_over():
@@ -316,9 +409,8 @@ def test_step_huge_gamma_takes_over():
         schedule=constant_schedule(1e6),
     )
     rng = np.random.default_rng(137)
-    bits = rng.integers(0, 2, size=(20, 15), dtype=np.uint8)
-    pop = make_population(bits[None], cfg.objective, 5)
-    nxt, _ = step_generation(pop, cfg, 1, generation_draws([rng], cfg), np.inf)
+    pop = make_population(random_genes(rng, 20, 3)[None], cfg.objective, 5)
+    nxt, _ = step(pop, cfg, 1, generation_draws([rng], cfg))
     assert np.all(nxt.fitness == pop.fitness.max())
 
 
@@ -327,11 +419,11 @@ def test_step_preserves_population_size():
     for pop_size in (20, 21):  # even and odd pairing paths
         cfg = small_config(pop_size=pop_size)
         rngs = [np.random.default_rng(139 + r) for r in range(3)]
-        bits = np.stack([random_bits(rng, pop_size, 15) for rng in rngs])
-        pop = make_population(bits, cfg.objective, 5)
-        nxt, _ = step_generation(pop, cfg, 1, generation_draws(rngs, cfg), np.inf)
-        assert nxt.raw.shape == nxt.fitness.shape == (3, pop_size)
-        assert nxt.bits.shape == pop.bits.shape and nxt.bits.dtype == np.uint8
+        genes = np.stack([random_genes(rng, pop_size, 3) for rng in rngs])
+        pop = make_population(genes, cfg.objective, 5)
+        nxt, parents = step(pop, cfg, 1, generation_draws(rngs, cfg))
+        assert nxt.raw.shape == nxt.fitness.shape == parents.shape == (3, pop_size)
+        assert nxt.genes.shape == pop.genes.shape and nxt.genes.dtype == np.uint8
 
 
 def test_run_single_generation_series():
@@ -347,19 +439,43 @@ def test_run_is_deterministic():
     assert not np.array_equal(first, other)
 
 
+def hand_records(cfg: GaConfig, run_index: int, bits_per_var: int = 5) -> list[list[float]]:
+    """One run stepped a generation at a time, each record reduced on its own.
+
+    The draws come a block at a time, as the stream takes them; the
+    strength of each generation is its own ``_strengths`` call.
+    """
+    rng = np.random.Generator(np.random.PCG64(engine.run_seed(cfg.master_seed, run_index)))
+    n, dims = cfg.pop_size, cfg.objective.dims
+    genes = engine._draw_genes(rng, n * dims, bits_per_var).reshape(1, n, dims)
+    pop = make_population(genes, cfg.objective, bits_per_var)
+    best, records = pop.raw.min(axis=1), []
+    for start in range(0, cfg.generations, engine.BLOCK):
+        count = min(engine.BLOCK, cfg.generations - start)
+        for gen, draws in enumerate(engine._draw_block([rng], cfg, count), start + 1):
+            nxt, parents = step(pop, cfg, gen, draws)
+            gamma = 0.0 if cfg.schedule is None else gamma_at(cfg.schedule, gen)
+            best = np.minimum(best, nxt.raw.min(axis=1))
+            records.append([gamma, float(best[0]), float(nxt.raw.min()),
+                            float(nxt.raw.sum(axis=1)[0] / n),
+                            engine._strengths(pop.fitness, parents)[0]])
+            pop = nxt
+    return records
+
+
 def test_run_rows_are_the_generation_records():
-    assert GenerationRecord._fields == (
+    # a block's records, its strengths among them, equal the records of
+    # its generations reduced one at a time (compared with ==), alone or
+    # in a stack, for runs of one partial block, one full block, and
+    # blocks that end mid-block
+    assert engine.RECORD_COLUMNS == (
         "gamma", "best_so_far_raw", "gen_best_raw", "mean_raw", "strength"
     )
-    cfg = small_config(generations=4)
-    rng = np.random.Generator(np.random.PCG64(engine.run_seed(cfg.master_seed, 2)))
-    pop = make_population(random_bits(rng, cfg.pop_size, 15)[None], cfg.objective, 5)
-    best, records = pop.raw.min(axis=1), []
-    for gen in range(1, cfg.generations + 1):
-        pop, record = step_generation(pop, cfg, gen, generation_draws([rng], cfg), best)
-        best = record.best_so_far_raw
-        records.append([float(field[0]) for field in record])
-    assert engine._run_stack(cfg, (2,))[0].tolist() == records
+    for generations in (4, 16, 17, 40):
+        cfg = small_config(generations=generations, schedule=cauchy_schedule(1.0, 2.0))
+        records = hand_records(cfg, 2)
+        assert engine._run_stack(cfg, (2,))[0].tolist() == records
+        assert engine._run_stack(cfg, (0, 2, 5))[1].tolist() == records
 
 
 def test_best_so_far_nonincreasing():
@@ -420,14 +536,14 @@ def test_elitism_keeps_best_from_worsening():
 def test_elitism_carries_best_parent_row():
     cfg = small_config(elitism=True, mutation_prob_per_bit=0.1)
     rng = np.random.default_rng(141)
-    pop = make_population(random_bits(rng, 20, 15)[None], cfg.objective, 5)
+    pop = make_population(random_genes(rng, 20, 3)[None], cfg.objective, 5)
     best = int(np.argmin(pop.raw[0]))
-    nxt, rec = step_generation(pop, cfg, 1, generation_draws([rng], cfg), np.inf)
-    row = np.flatnonzero((nxt.bits[0] == pop.bits[0, best]).all(axis=1))
+    nxt, _ = step(pop, cfg, 1, generation_draws([rng], cfg))
+    row = np.flatnonzero((nxt.genes[0] == pop.genes[0, best]).all(axis=1))
     assert row.size >= 1
     assert nxt.raw[0, row[0]] == pop.raw[0, best]
     assert nxt.fitness[0, row[0]] == pop.fitness[0, best]
-    assert rec.gen_best_raw[0] <= pop.raw[0, best]
+    assert nxt.raw[0].min() <= pop.raw[0, best]
 
 
 def test_config_validation():
@@ -492,9 +608,10 @@ def test_lattice_evaluation_equals_decoded_evaluation(name, bits_per_var, dims):
     if bits_per_var <= 8:  # plus one row per level, every gene at that level
         levels = np.arange(2**bits_per_var)[:, None] >> np.arange(bits_per_var)[::-1]
         bits = np.vstack([bits, np.tile(levels & 1, dims).astype(np.uint8)])
-    points = decode_batch(bits, spec, bits_per_var)
+    genes = genes_of(bits, bits_per_var)
+    points = decode_batch(genes, spec, bits_per_var)
     assert points.tobytes() == reference_decode(bits, spec, bits_per_var).tobytes()
-    pop = make_population(bits, spec, bits_per_var)
+    pop = make_population(genes, spec, bits_per_var)
     raw = evaluate_raw_batch(spec, points)
     assert pop.raw.tobytes() == raw.tobytes()
     assert pop.fitness.tobytes() == to_fitness_batch(spec, raw).tobytes()
@@ -506,9 +623,10 @@ def test_lattice_evaluation_equals_decoded_evaluation(name, bits_per_var, dims):
 def test_population_past_the_table_limit_evaluates_decoded_points(name):
     spec = make_objective(name, 17)  # 2**16 levels x 17 dims > 2**20 entries
     assert engine._lattice(spec, 16)[1] is None
-    bits = random_bits(np.random.default_rng(151), 40, 17 * 16)
-    pop = make_population(bits, spec, 16)
-    raw = evaluate_raw_batch(spec, decode_batch(bits, spec, 16))
+    genes = genes_of(random_bits(np.random.default_rng(151), 40, 17 * 16), 16)
+    assert genes.dtype == np.uint16
+    pop = make_population(genes, spec, 16)
+    raw = evaluate_raw_batch(spec, decode_batch(genes, spec, 16))
     assert pop.raw.tobytes() == raw.tobytes()
 
 
@@ -517,7 +635,7 @@ def test_lattice_tables_are_read_only():
     for table in (points, *tables):
         with pytest.raises(ValueError):
             table[0] = 0.0
-    decoded = decode_batch(np.zeros((1, 75), np.uint8), RAST, 5)
+    decoded = decode_batch(np.zeros((1, 15), np.uint8), RAST, 5)
     decoded[0, 0] = 1.0  # a decoded batch is the caller's own array
     assert points[0] == -5.12
 
@@ -527,8 +645,7 @@ def test_config_and_decode_reject_bits_per_var_outside_1_to_16(bits_per_var):
     with pytest.raises(ValueError, match=r"bits_per_var must be in \[1, 16\]"):
         small_config(bits_per_var=bits_per_var)
     with pytest.raises(ValueError, match=r"bits_per_var must be in \[1, 16\]"):
-        decode_batch(np.zeros((1, 3 * bits_per_var), np.uint8),
-                     make_objective("rastrigin", 3), bits_per_var)
+        decode_batch(np.zeros((1, 3), np.uint8), make_objective("rastrigin", 3), bits_per_var)
     assert small_config(bits_per_var=16).genome_length == 48
 
 
@@ -596,16 +713,42 @@ def test_roulette_rejects_a_double_outside_0_1(bad):
 
 
 def test_crossover_rejects_masks_narrower_than_the_genome():
-    # 8 bytes at L = 75 swapped positions 0-63 and silently never 64-74
-    a, b = np.zeros((1, 75), np.uint8), np.ones((1, 75), np.uint8)
-    with pytest.raises(ValueError, match="8 mask bytes cannot cover 75 bits"):
+    # 8 bytes at L = 75 swapped positions 0-63 and silently never 64-74;
+    # masks now come one per gene and must match the parents' shape
+    a, b = np.zeros((1, 15), np.uint8), np.full((1, 15), 31, np.uint8)
+    with pytest.raises(ValueError, match=r"masks of shape \(1, 8\) do not fit pairs"):
         uniform_crossover(a, b, 1.0, np.array([0.0]), np.full((1, 8), 255, np.uint8))
-    ca, _ = uniform_crossover(a, b, 1.0, np.array([0.0]), np.full((1, 10), 255, np.uint8))
-    assert ca.sum() == 75
+    ca, _ = uniform_crossover(a, b, 1.0, np.array([0.0]), np.full((1, 15), 255, np.uint8))
+    assert bits_of(ca).sum() == 75
 
 
-def python_table_index(bits, dims, bits_per_var) -> list[list[int]]:
-    """Flat table index level * dims + column of every gene, read bit by bit."""
+def test_crossover_rejects_decisions_that_do_not_fit_the_pairs():
+    # one decision used to broadcast to every pair: [0.0] crossed all 50
+    rng = np.random.default_rng(179)
+    a, b = random_genes(rng, 50), random_genes(rng, 50)
+    _, masks = crossover_draws(rng, 50)
+    for decisions in (np.array([0.0]), np.zeros(49), np.zeros((50, 1)), np.zeros((2, 50))):
+        with pytest.raises(ValueError, match="do not fit pairs of shape"):
+            uniform_crossover(a, b, 0.5, decisions, masks)
+    with pytest.raises(ValueError, match="do not fit pairs of shape"):
+        uniform_crossover(a, b, 0.5, np.zeros(50), masks[None])
+    ca, _ = uniform_crossover(a, b, 0.5, np.ones(50), masks)
+    assert np.array_equal(ca, a)
+
+
+def test_roulette_rejects_draws_for_another_number_of_populations():
+    # two populations zipped with one row of draws gave shape (1, 2)
+    with pytest.raises(ValueError, match=r"roulette draws of shape \(1, 2\) for populations"):
+        select_parents(np.full((2, 3), 0.5), 1.0, np.array([[0.3, 0.9]]))
+    with pytest.raises(ValueError, match=r"roulette draws of shape \(2, 2\) for populations"):
+        select_parents(np.full(3, 0.5), 1.0, np.full((2, 2), 0.3))
+    with pytest.raises(ValueError, match=r"roulette draws of shape \(2,\) for populations"):
+        select_parents(np.full((2, 3), 0.5), None, np.array([0.3, 0.9]))
+    assert select_parents(np.full((2, 3), 0.5), 1.0, np.full((2, 4), 0.5)).shape == (2, 4)
+
+
+def python_levels(bits, dims, bits_per_var) -> list[list[int]]:
+    """The level of every gene, read bit by bit, most significant first."""
     rows = []
     for genome in bits.tolist():
         row = []
@@ -613,37 +756,46 @@ def python_table_index(bits, dims, bits_per_var) -> list[list[int]]:
             level = 0
             for bit in genome[column * bits_per_var : (column + 1) * bits_per_var]:
                 level = 2 * level + bit
-            row.append(level * dims + column)
+            row.append(level)
         rows.append(row)
     return rows
+
+
+def table_gather(spec, bits_per_var, levels) -> np.ndarray:
+    """Raw values gathered from the term tables at column * levels + level."""
+    _, tables = engine._lattice(spec, bits_per_var)
+    index = np.array([[c * 2**bits_per_var + v for c, v in enumerate(row)] for row in levels])
+    return _reduce(spec, tuple(t[index] for t in tables))
 
 
 @pytest.mark.parametrize("dims", [1, 3, 15])
 @pytest.mark.parametrize("bits_per_var", [1, 2, 5, 8, 16])
 def test_table_index_equals_a_bitwise_big_endian_read(bits_per_var, dims):
+    # the genes are a bitwise big-endian read of the genome, and the table
+    # entries make_population reduces are the ones at those levels
     spec = make_objective("rastrigin", dims)
     bits = random_bits(np.random.default_rng(bits_per_var * 31 + dims), 60,
                        dims * bits_per_var)
     bits[0], bits[1] = 0, 1
-    index = engine._table_index(bits, spec, bits_per_var)
-    assert index.dtype == np.intp
-    assert index.tolist() == python_table_index(bits, dims, bits_per_var)
-    assert index[1].tolist() == [
-        (2**bits_per_var - 1) * dims + c for c in range(dims)
-    ]
+    levels = python_levels(bits, dims, bits_per_var)
+    genes = genes_of(bits, bits_per_var)
+    assert genes.tolist() == levels
+    assert levels[1] == [2**bits_per_var - 1] * dims
+    assert bits_of(genes, bits_per_var).tolist() == bits.tolist()
+    raw = make_population(genes, spec, bits_per_var).raw
+    assert raw.tobytes() == table_gather(spec, bits_per_var, levels).tobytes()
 
 
 def test_table_index_is_exact_at_the_table_size_limit():
     spec = make_objective("rastrigin", 16)  # 2**16 levels x 16 dims = 2**20 entries
     try:
-        assert engine._lattice(spec, 16)[1] is not None
+        assert engine._lattice(spec, 16)[1][0].size == 2**20
         bits = random_bits(np.random.default_rng(157), 40, 16 * 16)
         bits[0], bits[1] = 0, 1
         bits[2] = np.tile([0] + [1] * 15, 16)  # level 2**15 - 1 in every column
-        index = engine._table_index(bits, spec, 16)
-        assert index.tolist() == python_table_index(bits, 16, 16)
-        assert int(index.max()) == 2**20 - 1
-        pop = make_population(bits, spec, 16)
+        levels = python_levels(bits, 16, 16)
+        pop = make_population(genes_of(bits, 16), spec, 16)
+        assert pop.raw.tobytes() == table_gather(spec, 16, levels).tobytes()
         raw = evaluate_raw_batch(spec, reference_decode(bits, spec, 16))
         assert pop.raw.tobytes() == raw.tobytes()
     finally:
@@ -655,9 +807,9 @@ def test_points_path_past_the_table_size_limit_matches_a_bitwise_read():
     assert engine._lattice(spec, 16)[1] is None
     bits = random_bits(np.random.default_rng(163), 20, 17 * 16)
     bits[0], bits[1] = 0, 1
-    levels = np.array(python_table_index(bits, 17, 16)) // 17
+    levels = np.array(python_levels(bits, 17, 16))
     points = spec.lower + levels / float(2**16 - 1) * (spec.upper - spec.lower)
-    pop = make_population(bits, spec, 16)
+    pop = make_population(genes_of(bits, 16), spec, 16)
     assert pop.raw.tobytes() == evaluate_raw_batch(spec, points).tobytes()
 
 
@@ -673,6 +825,19 @@ def test_realized_strength_counts_negative_zero_as_zero():
     assert both == strength(np.array([0.0, 0.0, 0.5]), [0, 1])
     assert both == math.fsum([1.0 - 2 / 3, 1 / 3])
     assert strength(np.array([-0.0]), [0]) == 0.0
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (150, 150), (1024, 1024), (1024, 1025), (1500, 40)])
+def test_realized_strength_sums_exactly_as_integers_or_by_fsum(n, k):
+    # up to 1024 individuals and picks the gaps are summed as 64-bit
+    # integers of one unit; past that through fsum; both equal the dict
+    # NFDs' distance, on rows with many distinct values and on rows with few
+    rng = np.random.default_rng(n + k)
+    rows = [rng.random(n), rng.integers(0, 7, n) / 7.0]
+    picks = [rng.integers(0, n, k), rng.integers(0, n, k)]
+    got = engine._strengths(np.array(rows), np.array(picks))
+    for fitness, chosen, value in zip(rows, picks, got):
+        assert value == distance(population_nfd(fitness), population_nfd(fitness[chosen]))
 
 
 def test_realized_strength_without_selection_has_its_floor():
@@ -705,40 +870,44 @@ LOCKSTEP_CASES = [
 def test_lockstep_run_is_byte_identical_alone_or_stacked(
     name, schedule, pop_size, elitism, crossover_prob, mutation_prob
 ):
-    cfg = GaConfig(
-        objective=make_objective(name, 3), schedule=schedule, pop_size=pop_size,
-        generations=6, crossover_prob=crossover_prob,
-        mutation_prob_per_bit=mutation_prob, runs=17, master_seed=23, elitism=elitism,
-    )
-    alone = [engine._run_stack(cfg, (i,))[0] for i in range(cfg.runs)]
-    assert alone[0].shape == (cfg.generations, 5)
-    for indices in (range(3), range(17), (16, 4, 9)):
-        stack = engine._run_stack(cfg, indices)
-        assert stack.shape == (len(indices), cfg.generations, 5)
-        for i, records in zip(indices, stack):
-            assert records.tobytes() == alone[i].tobytes(), (indices, i)
+    # 6 generations are one partial block; 17 end one generation into the
+    # second block, at 10 bits per variable (two mask bytes per gene)
+    for generations, bits_per_var in ((6, 5), (17, 10)):
+        cfg = GaConfig(
+            objective=make_objective(name, 3), schedule=schedule, pop_size=pop_size,
+            generations=generations, crossover_prob=crossover_prob,
+            mutation_prob_per_bit=mutation_prob, runs=17, master_seed=23,
+            elitism=elitism, bits_per_var=bits_per_var,
+        )
+        alone = [engine._run_stack(cfg, (i,))[0] for i in range(cfg.runs)]
+        assert alone[0].shape == (cfg.generations, 5)
+        for indices in (range(3), range(17), (16, 4, 9)):
+            stack = engine._run_stack(cfg, indices)
+            assert stack.shape == (len(indices), cfg.generations, 5)
+            for i, records in zip(indices, stack):
+                assert records.tobytes() == alone[i].tobytes(), (generations, indices, i)
 
 
 def test_parents_paired_in_draw_order_have_the_product_law():
     # Without crossover or mutation the children are the pool in draw
-    # order, so child rows 2i and 2i + 1 are pair i. On a fixed population
-    # of distinct genomes their joint counts must follow p x p, with p the
-    # selection probabilities (chi-square at the 0.1% level, 36 cells).
+    # order, so child rows i and 3 + i are pair i of the 3 pairs. On a
+    # fixed population of distinct genomes their joint counts must follow
+    # p x p, with p the selection probabilities (chi-square at the 0.1%
+    # level, 36 cells).
     cfg = small_config(
         objective=make_objective("rastrigin", 1), schedule=constant_schedule(3.0),
         pop_size=6, crossover_prob=0.0, mutation_prob_per_bit=0.0,
     )
-    genomes = np.array([[(v >> s) & 1 for s in range(4, -1, -1)]
-                        for v in (0, 5, 11, 16, 22, 31)], np.uint8)
+    genomes = np.array([[0], [5], [11], [16], [22], [31]], np.uint8)
     runs, steps = 40, 100
     pop = make_population(np.repeat(genomes[None], runs, axis=0), cfg.objective, 5)
     p = selection_probabilities(pop.fitness[0], 3.0)
     rngs = [np.random.default_rng(1000 + r) for r in range(runs)]
     counts = np.zeros((6, 6))
     for gen in range(1, steps + 1):
-        nxt, _ = step_generation(pop, cfg, gen, generation_draws(rngs, cfg), np.inf)
-        ids = (nxt.bits[:, :, None, :] == genomes).all(axis=-1).argmax(axis=-1)
-        np.add.at(counts, (ids[:, 0::2].ravel(), ids[:, 1::2].ravel()), 1)
+        nxt, _ = step(pop, cfg, gen, generation_draws(rngs, cfg))
+        ids = (nxt.genes[:, :, None, :] == genomes).all(axis=-1).argmax(axis=-1)
+        np.add.at(counts, (ids[:, :3].ravel(), ids[:, 3:].ravel()), 1)
     expected = np.outer(p, p) * counts.sum()
     assert expected.min() >= 5
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -829,57 +998,89 @@ def test_flip_positions_tops_up_a_chunk_that_falls_short():
     assert tail.tolist() == reference[: tail.size].tolist()
 
 
+def two_byte_genes(rng, size: int) -> list[int]:
+    """``size`` 10-bit genes read by hand from one ``random_raw`` call:
+    two little-endian bytes of the words per gene, low 10 bits kept."""
+    words = rng.bit_generator.random_raw(-(-size // 4))
+    raw = b"".join(int(w).to_bytes(8, "little") for w in words)
+    return [int.from_bytes(raw[2 * i : 2 * i + 2], "little") & 1023 for i in range(size)]
+
+
 @pytest.mark.parametrize("p", [0.0, 0.05])
 @pytest.mark.parametrize("n", [20, 21])
 @pytest.mark.parametrize("runs", [1, 3])
 def test_draw_generation_replays_the_stream_by_hand(runs, n, p):
-    # each run's generation draws, taken by hand from a fresh generator on
-    # the same seed: 2 * pairs roulette doubles and a crossover double per
-    # pair in one call, the mask words, then the flip positions, offset to
-    # run r's bits; no other draw is taken
-    length = 75
-    pairs, size = -(-n // 2), n * length
+    # Stream version 5, taken by hand from a fresh generator per run on
+    # the same seed: the initial genes from one random_raw call, then per
+    # block of up to 16 generations its doubles in one call (per
+    # generation 2 * pairs roulette doubles, then a crossover double per
+    # pair), its mask words in one call, and the flip positions of the
+    # whole block; no other draw is taken. 17 generations end one
+    # generation into the second block, and 10 bits per variable take two
+    # bytes per gene.
+    bits_per_var, dims = 10, 3
+    cfg = small_config(pop_size=n, mutation_prob_per_bit=p, bits_per_var=bits_per_var,
+                       generations=17)
+    pairs, size = -(-n // 2), n * dims * bits_per_var
     seeds = [engine.run_seed(11, r) for r in range(runs)]
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    roulette, crosses, masks, flips = engine._draw_generation(rngs, n, length, p)
-    assert roulette.shape == (runs, 2 * pairs) and crosses.shape == (runs, pairs)
-    assert masks.shape == (runs, pairs, 16) and masks.dtype == np.uint8
-    expected_flips = []
+    initial = [engine._draw_genes(rng, n * dims, bits_per_var) for rng in rngs]
+    blocks = [engine._draw_block(rngs, cfg, count) for count in (16, 1)]
+    flips = {}  # (block, generation): the expected (gene, bit value) flips
     for r, seed in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(seed))
-        doubles = rng.random(3 * pairs)
-        assert roulette[r].tobytes() == doubles[: 2 * pairs].tobytes()
-        assert crosses[r].tobytes() == doubles[2 * pairs :].tobytes()
-        words = rng.bit_generator.random_raw(pairs * -(-length // 64))
-        assert masks[r].tobytes() == words.astype("<u8").tobytes()
-        expected_flips.append(engine._flip_positions(rng, size, p) + r * size)
+        assert initial[r].dtype == np.uint16
+        assert initial[r].tolist() == two_byte_genes(rng, n * dims)
+        for b, block in enumerate(blocks):
+            count = len(block)
+            doubles = rng.random(count * 3 * pairs).reshape(count, 3 * pairs)
+            masks = two_byte_genes(rng, count * pairs * dims)
+            positions = engine._flip_positions(rng, count * size, p).tolist()
+            for k, (roulette, crosses, mask, _) in enumerate(block):
+                assert roulette.shape == (runs, 2 * pairs) and crosses.shape == (runs, pairs)
+                assert roulette[r].tobytes() == doubles[k, : 2 * pairs].tobytes()
+                assert crosses[r].tobytes() == doubles[k, 2 * pairs :].tobytes()
+                assert mask.shape == (runs, pairs, dims) and mask.dtype == np.uint16
+                assert mask[r].ravel().tolist() == masks[k * pairs * dims : (k + 1) * pairs * dims]
+                # bit q of run r's generation: gene (r * size + q) // 10 of
+                # the stacked children, counted from its most significant bit
+                mine = [pos - k * size for pos in positions if 0 <= pos - k * size < size]
+                flips.setdefault((b, k), []).extend(
+                    ((r * size + q) // bits_per_var, 1 << (bits_per_var - 1 - q % bits_per_var))
+                    for q in mine
+                )
         assert rngs[r].random() == rng.random()  # both streams are at one place
-    assert flips.tolist() == np.concatenate(expected_flips).tolist()
-    assert (flips.size > 0) == (p > 0)
+    assert [len(block) for block in blocks] == [16, 1]
+    for b, block in enumerate(blocks):
+        for k, (_, _, _, (index, values)) in enumerate(block):
+            assert list(zip(index.tolist(), values.tolist())) == flips[b, k]
+    assert any(flips.values()) == (p > 0)
 
 
 @pytest.mark.parametrize("runs", [1, 3])
 def test_odd_population_keeps_the_first_child_of_the_last_pair(runs):
-    # With n odd the pool holds n + 1 roulette parents; pair (n - 1, n)
-    # crosses under the last mask and only its first child, row n - 1, is
-    # kept. The realized strength counts the first n parents alone.
-    n, length = 21, 15
+    # With n odd the pool holds n + 1 roulette parents, paired (i, 11 + i);
+    # the last pair (10, 21) crosses under the last mask and only its
+    # first child, row 10, is kept. The realized strength counts the first
+    # n parents alone.
+    n, pairs = 21, 11
     cfg = small_config(pop_size=n, crossover_prob=1.0, mutation_prob_per_bit=0.0)
     rngs = [np.random.default_rng(173 + r) for r in range(runs)]
-    pop = make_population(np.stack([random_bits(rng, n, length) for rng in rngs]),
+    pop = make_population(np.stack([random_genes(rng, n, 3) for rng in rngs]),
                           cfg.objective, 5)
     draws = generation_draws(rngs, cfg)
-    nxt, rec = step_generation(pop, cfg, 1, draws, np.inf)
+    nxt, parents = step(pop, cfg, 1, draws)
     roulette, _, masks, _ = draws
     gamma_n = gamma_at(cfg.schedule, 1)
     for r in range(runs):
         chosen = select_parents(pop.fitness[r], gamma_n, roulette[r])
         assert chosen.shape == (n + 1,)
-        a, b = pop.bits[r, chosen[n - 1]], pop.bits[r, chosen[n]]
-        swap = np.unpackbits(masks[r, -1])[:length].astype(bool)
-        assert (np.where(swap, b, a) != np.where(swap, a, b)).any()  # children differ
-        assert nxt.bits[r, n - 1].tolist() == np.where(swap, b, a).tolist()
-        assert rec.strength[r] == strength(pop.fitness[r], chosen[:n])
+        assert parents[r].tolist() == chosen[:n].tolist()
+        a, b = pop.genes[r, chosen[:pairs]], pop.genes[r, chosen[pairs:]]
+        diff = (a ^ b) & masks[r]
+        assert diff.any()  # some pair swapped bits
+        kept = np.concatenate((a ^ diff, (b ^ diff)[:-1]))
+        assert nxt.genes[r].tolist() == kept.tolist()
 
 
 GA_PHASES = ("select_parents", "uniform_crossover", "mutate", "make_population",
@@ -897,7 +1098,7 @@ def test_each_ga_phase_is_called_once_per_generation(monkeypatch):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(engine, name, counted)
-    cfg = small_config(generations=4, runs=3, pop_size=21)
+    cfg = small_config(generations=17, runs=3, pop_size=21)  # two blocks
     engine.multi_run(cfg)
     g = cfg.generations
     assert calls == {"select_parents": g, "uniform_crossover": g, "mutate": g,
