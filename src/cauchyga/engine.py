@@ -37,7 +37,9 @@ before any of them is used (:func:`_draw_block`):
    two above 8 bits per variable, and keeps its low bits_per_var bits;
 3. one Bernoulli(p) process of mutation flips over the count * n * L bits
    of the block (:func:`_flip_positions`), generation by generation, a
-   genome's bits being its genes' bits in turn, most significant first.
+   genome's bits being its genes' bits in turn, most significant first;
+   the positions are mapped once per block to a dense flip mask
+   (:func:`_flip_mask`).
 
 The pool of 2 * ceil(n / 2) roulette draws is paired in halves, draw i
 with draw ceil(n / 2) + i: the draws are i.i.d., so no shuffle changes the
@@ -145,6 +147,8 @@ class GaConfig:
             raise ValueError("mutation_prob_per_bit must be in [0, 0.1]")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if not 0 <= self.master_seed <= _U64:  # run_seed would alias it modulo 2**64
+            raise ValueError("master_seed must be in [0, 2**64)")
         _check_bits_per_var(self.bits_per_var)
 
     @property
@@ -410,26 +414,29 @@ def _flip_positions(rng: np.random.Generator, size: int, p: float) -> np.ndarray
     return positions[: positions.searchsorted(size)]
 
 
-def _gene_flips(positions: np.ndarray, bits_per_var: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat gene index and one-bit gene value of each flat bit position,
-    a genome's bits being its genes' bits in turn, most significant first."""
+def _flip_mask(positions: np.ndarray, shape: tuple[int, ...], bits_per_var: int) -> np.ndarray:
+    """Gene levels of ``shape`` with the flat bit ``positions`` set: bit q is
+    bit q % bits_per_var of gene q // bits_per_var, most significant first."""
+    mask = np.zeros(shape, _gene_dtype(bits_per_var))
     index, bit = np.divmod(positions, bits_per_var)
-    values = np.right_shift(1 << (bits_per_var - 1), bit).astype(_gene_dtype(bits_per_var))
-    return index, values
+    values = np.right_shift(1 << (bits_per_var - 1), bit).astype(mask.dtype)
+    np.bitwise_xor.at(mask.reshape(-1), index, values)
+    return mask
 
 
-def mutate(genes: np.ndarray, flips: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """A copy of ``genes`` with the bits of ``flips`` flipped.
+def mutate(genes: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """``genes ^ flips``: new genes, the bits their masks in ``flips`` set flipped.
 
-    ``flips`` holds flat gene indices and one-bit values (:func:`_gene_flips`);
-    a gene may be hit twice. With the positions of a Bernoulli(p) process
-    over the genomes' bits (:func:`_flip_positions`), this is exactly the
-    law of one Bernoulli(p) draw per bit.
+    With a Bernoulli(p) process over the genomes' bits as the mask
+    (:func:`_flip_positions`, :func:`_flip_mask`), this is exactly the law
+    of one Bernoulli(p) draw per bit.
+
+    Raises:
+        ValueError: On flips of another shape than the genes'.
     """
-    index, values = flips
-    out = genes.copy()
-    np.bitwise_xor.at(out.reshape(-1), index, values)
-    return out
+    if flips.shape != genes.shape:
+        raise ValueError(f"flips of shape {flips.shape} for genes of shape {genes.shape}")
+    return genes ^ flips
 
 
 def _draw_genes(rng: np.random.Generator, size: int, bits_per_var: int) -> np.ndarray:
@@ -447,28 +454,22 @@ def _draw_block(
 
     Returns one tuple per generation, as :func:`step_generation` takes it,
     row r for run r: the (runs, 2 * pairs) roulette doubles, the (runs,
-    pairs) crossover doubles, the (runs, pairs, dims) masks and the flips
-    in the (runs, n, dims) children.
+    pairs) crossover doubles, the (runs, pairs, dims) masks and the (runs,
+    n, dims) flip masks of the children.
     """
     runs, n, dims = len(rngs), config.pop_size, config.objective.dims
     pairs, size = (n + 1) // 2, n * config.genome_length  # size: one run's bits
     doubles = np.empty((runs, count, 3 * pairs))
     masks = np.empty((runs, count, pairs, dims), _gene_dtype(config.bits_per_var))
-    positions = []
+    flips = np.empty((runs, count, n, dims), masks.dtype)
     for row, rng in enumerate(rngs):
         rng.random(out=doubles[row])
         masks[row] = _draw_genes(rng, masks[row].size, config.bits_per_var).reshape(
             masks.shape[1:])
-        flips = _flip_positions(rng, count * size, config.mutation_prob_per_bit)
-        # generation g, run r, bit q: g * runs * size + r * size + q
-        positions.append(flips + (flips // size * (runs - 1) + row) * size)
-    positions = np.concatenate(positions)
-    positions.sort()  # generation by generation, then run by run
-    bounds = positions.searchsorted(np.arange(1, count) * runs * size)
-    index, values = _gene_flips(positions % (runs * size), config.bits_per_var)
-    flips = zip(np.split(index, bounds), np.split(values, bounds))
-    return [(doubles[:, k, : 2 * pairs], doubles[:, k, 2 * pairs :], masks[:, k], f)
-            for k, f in enumerate(flips)]
+        positions = _flip_positions(rng, count * size, config.mutation_prob_per_bit)
+        flips[row] = _flip_mask(positions, flips.shape[1:], config.bits_per_var)
+    return [(doubles[:, k, : 2 * pairs], doubles[:, k, 2 * pairs :], masks[:, k], flips[:, k])
+            for k in range(count)]
 
 
 def step_generation(

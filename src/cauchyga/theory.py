@@ -19,6 +19,11 @@ sequence; ``cauchy_tail_profile`` measures that contraction directly. It
 applies each distinct generation's operator once and compares the stored
 outputs pairwise. A constant schedule (alpha = inf) has tail sums of 0, so
 its bound and its profile are 0.
+
+The GA (``engine``) is not op_n on a fixed phi: it applies gamma_n to the
+current population, so under pure selection generation n composes the
+tilt Gamma_n = gamma_1 + ... + gamma_n, which diverges for every schedule
+with gamma_1 > 0. The lemmas concern op_n on a fixed phi.
 """
 
 from __future__ import annotations

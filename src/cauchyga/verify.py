@@ -15,14 +15,14 @@ per case, and reports the first failing case in detail. Each suite's line
 in the report gives its worst margin, the smallest rhs - lhs over its
 cases (before any slack), and the case where it occurs.
 
-A suite is a generator ``suite(rng, cases, tol)`` that draws its cases
-from ``rng`` and yields ``(case_id, lhs, rhs, problems)`` for each, where
+A suite is a generator ``suite(rng, cases)`` that draws its cases from
+``rng`` and yields ``(case_id, lhs, rhs, problems)`` for each, where
 ``problems`` lists what failed. The runner records a case as holding when
 the list is empty, with the problems joined by "; " as its detail. Any
-slack comes from ``tol``, a :class:`Tolerances`, never from a literal in
-the suite; :func:`exceeds` decides ``lhs <= rhs + slack``. A suite
-appended to :data:`SUITES` gets the next stream index, so the draws of
-the earlier suites do not move.
+slack is one of the module's slack constants, looked up when the suite
+runs, never a literal in the suite; :func:`exceeds` decides ``lhs <= rhs
++ slack``. A suite appended to :data:`SUITES` gets the next stream index,
+so the draws of the earlier suites do not move.
 """
 
 from __future__ import annotations
@@ -44,18 +44,13 @@ from .theory import cauchy_tail_profile, lemma1_check, lemma2_bound_check, tail_
 LEMMA_ALPHAS = (1.1, 1.5, 2.0)
 LEMMA_G0S = (0.1, 1.0, 10.0)
 TAIL_CHECKPOINTS = (1, 2, 4, 8, 16, 32)
+# the suites' slack; SEMIGROUP_TOL is the semigroup law's bound itself
+METRIC_SLACK = 1e-12
+LEMMA_SLACK = 1e-9
+SEMIGROUP_TOL = 1e-10
+PROFILE_SLACK = 1e-12
 
 Case = tuple[str, float, float, list[str]]  # (case_id, lhs, rhs, problems)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Per-suite slack values; loosened or broken only by tests."""
-
-    metric_slack: float = 1e-12
-    lemma_slack: float = 1e-9
-    semigroup_tol: float = 1e-10
-    profile_slack: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -139,38 +134,38 @@ def exceeds(lhs: float, rhs: float, slack: float) -> bool:
     return not lhs <= rhs + slack
 
 
-def metric_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> Iterator[Case]:
+def metric_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     """Nonnegativity, identity, symmetry, and triangle inequality on triples."""
     for i in range(cases):
         p1, p2, p3 = (random_nfd(rng) for _ in range(3))
         d12, d13, d23 = distance(p1, p2), distance(p1, p3), distance(p2, p3)
         checks = (
             (min(d12, d13, d23) < 0.0, "negative distance"),
-            (exceeds(max(d12, d13, d23), 2.0, tol.metric_slack), "distance above 2"),
+            (exceeds(max(d12, d13, d23), 2.0, METRIC_SLACK), "distance above 2"),
             (distance(p1, p1) != 0.0, "d(phi, phi) != 0"),
             (
                 d12 == 0.0 and p1.entries != p2.entries,
                 "zero distance between distinct NFDs",
             ),
             (distance(p2, p1) != d12, "asymmetric"),
-            (exceeds(d13, d12 + d23, tol.metric_slack), "triangle inequality violated"),
+            (exceeds(d13, d12 + d23, METRIC_SLACK), "triangle inequality violated"),
         )
         problems = [message for failed, message in checks if failed]
         yield f"metric-{i:06d}", d13, d12 + d23, problems
 
 
-def lemma1_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> Iterator[Case]:
+def lemma1_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     """Strength-difference bound on random (phi, gamma1, gamma2)."""
     for i in range(cases):
         phi = random_nfd(rng)
         g1, g2 = rng.uniform(0.0, 50.0, size=2).tolist()
         chk = lemma1_check(phi, g1, g2)
-        bad = exceeds(chk.lhs, chk.rhs, tol.lemma_slack)
+        bad = exceeds(chk.lhs, chk.rhs, LEMMA_SLACK)
         problems = [f"gamma1={g1!r} gamma2={g2!r}"] if bad else []
         yield f"lemma1-{i:06d}", chk.lhs, chk.rhs, problems
 
 
-def lemma2_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> Iterator[Case]:
+def lemma2_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     """Tail bound on random NFDs and schedule windows 1 <= m < n <= 50."""
     for i in range(cases):
         phi = random_nfd(rng)  # support in [0, 1] keeps the bound informative
@@ -179,12 +174,12 @@ def lemma2_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> Itera
         m = int(rng.integers(1, 50))
         n = int(rng.integers(m + 1, 51))
         chk = lemma2_bound_check(phi, cauchy_schedule(g0, alpha), m, n)
-        bad = exceeds(chk.lhs, chk.rhs, tol.lemma_slack)
+        bad = exceeds(chk.lhs, chk.rhs, LEMMA_SLACK)
         problems = [f"alpha={alpha} g0={g0} m={m} n={n}"] if bad else []
         yield f"lemma2-{i:06d}", chk.lhs, chk.rhs, problems
 
 
-def semigroup_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> Iterator[Case]:
+def semigroup_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     """Composition in two steps equals one application at the summed gamma."""
     for i in range(cases):
         phi = random_nfd(rng)
@@ -192,14 +187,12 @@ def semigroup_suite(rng: np.random.Generator, cases: int, tol: Tolerances) -> It
         two_step = boltzmann_apply(boltzmann_apply(phi, g1), g2)
         one_step = boltzmann_apply(phi, g1 + g2)
         err = distance(two_step, one_step)
-        bad = exceeds(err, tol.semigroup_tol, 0.0)
+        bad = exceeds(err, SEMIGROUP_TOL, 0.0)
         problems = [f"gamma1={g1!r} gamma2={g2!r}"] if bad else []
-        yield f"semigroup-{i:06d}", err, tol.semigroup_tol, problems
+        yield f"semigroup-{i:06d}", err, SEMIGROUP_TOL, problems
 
 
-def cauchy_tail_suite(
-    rng: np.random.Generator, cases: int, tol: Tolerances
-) -> Iterator[Case]:
+def cauchy_tail_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     """Window distances obey the tail bound; the reference profile contracts.
 
     Two kinds of case. Random-NFD cases check, per checkpoint N, that the
@@ -223,7 +216,7 @@ def cauchy_tail_suite(
         worst_rhs = 2.0
         for ckpt, val in profile:
             cap = min(2.0, tail_bound(phi, schedule, ckpt, 4 * ckpt))
-            if exceeds(val, cap, tol.lemma_slack):
+            if exceeds(val, cap, LEMMA_SLACK):
                 problems.append(f"window {ckpt}..{4 * ckpt} above bound")
             if val > worst_lhs:
                 worst_lhs, worst_rhs = val, cap
@@ -239,7 +232,7 @@ def cauchy_tail_suite(
         problems = [
             f"increase at {ck_a}->{ck_b}"
             for (ck_a, va), (ck_b, vb) in zip(profile, profile[1:])
-            if exceeds(vb, va, tol.profile_slack)
+            if exceeds(vb, va, PROFILE_SLACK)
         ]
         if vals[0] > 1e-9 and not vals[-1] < vals[0]:
             problems.append("final value not below first")
@@ -256,12 +249,7 @@ SUITES = (
 )
 
 
-def run_verify(
-    seed: int,
-    case_count: int,
-    output_dir: str | Path,
-    tolerances: Tolerances | None = None,
-) -> VerifyResult:
+def run_verify(seed: int, case_count: int, output_dir: str | Path) -> VerifyResult:
     """Run all suites, write report and per-case CSV, return the outcome.
 
     Raises:
@@ -269,7 +257,6 @@ def run_verify(
     """
     if case_count < 1:
         raise ValueError("case_count must be >= 1")
-    tol = tolerances or Tolerances()
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -280,7 +267,7 @@ def run_verify(
         )
         cases = [
             CaseResult(case_id, lhs, rhs, not problems, "; ".join(problems))
-            for case_id, lhs, rhs, problems in suite(rng, case_count, tol)
+            for case_id, lhs, rhs, problems in suite(rng, case_count)
         ]
         bad = sum(1 for c in cases if not c.holds)
         status = "PASS" if bad == 0 else "FAIL"

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import os
 import stat
 from pathlib import Path
 
 import pytest
 
-from cauchyga import cli, engine
+from cauchyga import cli, engine, verify
 from cauchyga.annealing import (
     calibrate_g0,
     cauchy_schedule,
@@ -29,7 +28,7 @@ from cauchyga.cli import (
     run_experiment,
     SERIES_COLUMNS,
 )
-from cauchyga.verify import Tolerances, run_verify
+from cauchyga.verify import run_verify
 
 
 def tiny_cfg(tmp_path, **kw) -> CliConfig:
@@ -407,6 +406,20 @@ def test_cli_rejects_bits_per_var_above_16(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_cli_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    # -5 and 2**64 - 5 would write the same data rows under two master seeds
+    assert main(_run_argv(tmp_path / "out", "--seed", str(seed))) == 2
+    assert capsys.readouterr().err == "error: master_seed must be in [0, 2**64)\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_accepts_the_largest_64_bit_seed(tmp_path):
+    assert main(_run_argv(tmp_path, "--seed", str(2**64 - 1))) == 0
+    meta, _, _ = read_series_csv(tmp_path / "rastrigin_boltzmann_const.csv")
+    assert meta["master_seed"] == str(2**64 - 1)
+
+
 def test_experiment_bytes_do_not_depend_on_the_lattice_cache(tmp_path):
     engine._lattice.cache_clear()
     cold = run_experiment(tiny_cfg(tmp_path / "cold", function="schwefel"))[0]
@@ -485,11 +498,10 @@ def test_verify_single_case(tmp_path):
     assert result.cases  # at least one row per suite
 
 
-def test_verify_broken_tolerance_fails(tmp_path):
+def test_verify_broken_tolerance_fails(tmp_path, monkeypatch):
     # injected broken tolerance forces the failure path end to end
-    result = run_verify(
-        11, 50, tmp_path, tolerances=Tolerances(lemma_slack=-1.0)
-    )
+    monkeypatch.setattr(verify, "LEMMA_SLACK", -1.0)
+    result = run_verify(11, 50, tmp_path)
     assert not result.ok
     assert result.first_failure is not None
     report = (tmp_path / "verify_report.txt").read_text()
@@ -500,12 +512,11 @@ def test_verify_broken_tolerance_fails(tmp_path):
 def test_cli_verify_failure_exits_1_with_the_report_line(
     tmp_path, monkeypatch, capsys
 ):
-    failing = functools.partial(run_verify, tolerances=Tolerances(lemma_slack=-1.0))
-    monkeypatch.setattr(cli, "run_verify", failing)
+    monkeypatch.setattr(verify, "LEMMA_SLACK", -1.0)
     argv = ["verify", "--cases", "20", "--seed", "11", "--output", str(tmp_path / "cli")]
     assert main(argv) == 1
     out, err = capsys.readouterr()
-    result = failing(11, 20, tmp_path / "direct")
+    result = run_verify(11, 20, tmp_path / "direct")
     assert not result.ok
     assert out.splitlines() == result.suite_lines
     report = (tmp_path / "cli" / "verify_report.txt").read_text().splitlines()
@@ -514,12 +525,13 @@ def test_cli_verify_failure_exits_1_with_the_report_line(
     assert first[0].startswith(f"first failure: {result.first_failure.case_id} ")
 
 
-def test_verify_failure_details_print_plain_floats(tmp_path):
+def test_verify_failure_details_print_plain_floats(tmp_path, monkeypatch):
     # numpy 2 prints a numpy float's repr as np.float64(...), numpy 1 bare;
     # these tolerances fail a case of every suite
-    tolerances = Tolerances(metric_slack=-3.0, profile_slack=-1.0,
-                            lemma_slack=-1.0, semigroup_tol=-1e-3)
-    result = run_verify(42, 30, tmp_path, tolerances)
+    for name, value in (("METRIC_SLACK", -3.0), ("PROFILE_SLACK", -1.0),
+                        ("LEMMA_SLACK", -1.0), ("SEMIGROUP_TOL", -1e-3)):
+        monkeypatch.setattr(verify, name, value)
+    result = run_verify(42, 30, tmp_path)
     failed = [c for c in result.cases if not c.holds]
     assert {c.case_id.split("-")[0] for c in failed} == {
         "metric", "lemma1", "lemma2", "semigroup", "cauchytail"
@@ -538,11 +550,10 @@ def _worst_margin(line: str, result) -> tuple[float, object]:
     return float(margin), next(c for c in result.cases if c.case_id == case_id)
 
 
-def test_verify_margin_negative_at_reported_case(tmp_path):
+def test_verify_margin_negative_at_reported_case(tmp_path, monkeypatch):
     # a negative semigroup tolerance is a bound no case can meet
-    result = run_verify(
-        11, 50, tmp_path, tolerances=Tolerances(semigroup_tol=-1e-3)
-    )
+    monkeypatch.setattr(verify, "SEMIGROUP_TOL", -1e-3)
+    result = run_verify(11, 50, tmp_path)
     line = result.suite_lines[3]
     assert line.startswith("FAIL semigroup: 50 cases, 50 violations")
     margin, worst = _worst_margin(line, result)

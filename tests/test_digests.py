@@ -34,10 +34,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cauchyga import verify
 from cauchyga.benchmarks import FUNCTION_NAMES
 from cauchyga.cli import SELECTION_SCHEMES, CliConfig, emit_schedule, run_experiment
 from cauchyga.engine import STREAM_VERSION
-from cauchyga.verify import Tolerances, run_verify
+from cauchyga.verify import run_verify
 
 DIGEST_NUMPY = "2.4.6"
 DIGEST_STREAM = 5
@@ -104,13 +105,14 @@ VERIFY_DIGEST = "eb59e62f96958b452482ac4fe2c346d42155e3ff2dda2096eb0b484eb0fe40d
 VERIFY_DIGEST_1000 = "7423e6c50ac93fbb83eaee42c901f062f94da838f26d883748f851bb287583b9"
 
 # verify_report.txt at seed 42 and 100 cases: the suite lines with their
-# worst margins, and on the failure paths the first-failure line (its
-# gammas printed as plain floats, the same under numpy 1 and 2)
+# worst margins, and on the failure paths (each a set of broken verify
+# slack constants) the first-failure line (its gammas printed as plain
+# floats, the same under numpy 1 and 2)
 REPORT_TOLERANCES = {
-    "pass": Tolerances(),
-    "lemma-slack": Tolerances(lemma_slack=-1.0),
-    "semigroup-tol": Tolerances(semigroup_tol=-1e-3),
-    "metric-profile-slack": Tolerances(metric_slack=-3.0, profile_slack=-1.0),
+    "pass": {},
+    "lemma-slack": {"LEMMA_SLACK": -1.0},
+    "semigroup-tol": {"SEMIGROUP_TOL": -1e-3},
+    "metric-profile-slack": {"METRIC_SLACK": -3.0, "PROFILE_SLACK": -1.0},
 }
 REPORT_DIGESTS = {
     "pass": "4a504eabe78620ef299404abbb51781b237a282a4aa7d770bcbfde1ad1ea45ca",
@@ -185,7 +187,10 @@ def report_digests(out_dir: Path) -> dict[str, str]:
     """Digests of verify_report.txt under each of REPORT_TOLERANCES."""
     digests = {}
     for key, tolerances in REPORT_TOLERANCES.items():
-        run_verify(42, 100, out_dir / key, tolerances)
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in tolerances.items():
+                patch.setattr(verify, name, value)
+            run_verify(42, 100, out_dir / key)
         report = (out_dir / key / "verify_report.txt").read_bytes()
         digests[key] = hashlib.sha256(report).hexdigest()
     return digests

@@ -80,10 +80,20 @@ def crossover_draws(rng, pairs: int, dims: int = 15) -> tuple[np.ndarray, np.nda
     return decisions, engine._draw_genes(rng, pairs * dims, 5).reshape(pairs, dims)
 
 
-def gene_flips(rng, genes: np.ndarray, p: float, bits_per_var: int = 5):
-    """Mutation flips of a Bernoulli(p) process over the genomes' bits."""
+def gene_flips(rng, genes: np.ndarray, p: float, bits_per_var: int = 5) -> np.ndarray:
+    """The flip mask of a Bernoulli(p) process over the genomes' bits."""
     positions = engine._flip_positions(rng, genes.size * bits_per_var, p)
-    return engine._gene_flips(positions, bits_per_var)
+    return engine._flip_mask(positions, genes.shape, bits_per_var)
+
+
+def flip_mask_by_hand(positions, size: int, bits_per_var: int) -> list[int]:
+    """The flat flip mask of ``size`` genes, one bit position at a time: bit
+    q is bit q % bits_per_var of gene q // bits_per_var, counted from the
+    gene's most significant bit."""
+    mask = [0] * size
+    for q in positions:
+        mask[q // bits_per_var] ^= 1 << (bits_per_var - 1 - q % bits_per_var)
+    return mask
 
 
 def generation_draws(rngs, cfg: GaConfig) -> tuple[np.ndarray, ...]:
@@ -385,9 +395,33 @@ def test_mutation_flips_the_bit_matrix_positions(bits_per_var):
     assert hits.max() == 1 if bits_per_var == 1 else hits.max() >= 2
     bits = bits_of(genes, bits_per_var)
     bits.reshape(-1)[positions] ^= 1
-    out = mutate(genes, engine._gene_flips(positions, bits_per_var))
+    out = mutate(genes, engine._flip_mask(positions, genes.shape, bits_per_var))
     assert out.dtype == genes.dtype
     assert np.array_equal(bits_of(out, bits_per_var), bits)
+
+
+@pytest.mark.parametrize("bits_per_var", [1, 5, 8, 10, 16])
+def test_flip_mask_sets_the_bits_of_the_positions(bits_per_var):
+    # the mask of a stack of runs equals the bit-by-bit reference, also
+    # where two positions hit one gene; no position leaves a zero mask
+    rng = np.random.default_rng(179 + bits_per_var)
+    shape = (3, 6, 4)
+    size = math.prod(shape)
+    positions = np.sort(rng.choice(size * bits_per_var, size * bits_per_var // 3, replace=False))
+    hits = np.bincount(positions // bits_per_var)
+    assert hits.max() == 1 if bits_per_var == 1 else hits.max() >= 2
+    mask = engine._flip_mask(positions, shape, bits_per_var)
+    assert mask.shape == shape and mask.dtype == engine._gene_dtype(bits_per_var)
+    assert mask.ravel().tolist() == flip_mask_by_hand(positions.tolist(), size, bits_per_var)
+    assert not engine._flip_mask(positions[:0], shape, bits_per_var).any()
+
+
+def test_mutate_rejects_flips_of_another_shape():
+    # a mask of one gene fewer, or one that would broadcast, is not the genes'
+    genes = random_genes(np.random.default_rng(181), 4)
+    for shape in ((4, 14), (1, 4, 15), (15,)):
+        with pytest.raises(ValueError, match="flips of shape"):
+            mutate(genes, np.zeros(shape, np.uint8))
 
 
 def test_step_no_variation_point_mass_is_stationary():
@@ -576,6 +610,14 @@ def test_config_rejects_single_individual():
     with pytest.raises(ValueError, match="pop_size must be >= 2"):
         small_config(pop_size=1)
     assert small_config(pop_size=2).pop_size == 2
+
+
+def test_config_rejects_a_master_seed_outside_64_bits():
+    # run_seed reduces the seed modulo 2**64, so -1 would replay 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"master_seed must be in \[0, 2\*\*64\)"):
+            small_config(master_seed=seed)
+    assert small_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 def test_cauchy_scheme_uses_schedule_gamma():
@@ -1026,7 +1068,7 @@ def test_draw_generation_replays_the_stream_by_hand(runs, n, p):
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     initial = [engine._draw_genes(rng, n * dims, bits_per_var) for rng in rngs]
     blocks = [engine._draw_block(rngs, cfg, count) for count in (16, 1)]
-    flips = {}  # (block, generation): the expected (gene, bit value) flips
+    flips = {}  # (block, generation): the expected bit positions of the stacked children
     for r, seed in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(seed))
         assert initial[r].dtype == np.uint16
@@ -1042,18 +1084,17 @@ def test_draw_generation_replays_the_stream_by_hand(runs, n, p):
                 assert crosses[r].tobytes() == doubles[k, 2 * pairs :].tobytes()
                 assert mask.shape == (runs, pairs, dims) and mask.dtype == np.uint16
                 assert mask[r].ravel().tolist() == masks[k * pairs * dims : (k + 1) * pairs * dims]
-                # bit q of run r's generation: gene (r * size + q) // 10 of
-                # the stacked children, counted from its most significant bit
+                # bit q of run r's generation: bit r * size + q of the
+                # stacked children, gene (r * size + q) // 10
                 mine = [pos - k * size for pos in positions if 0 <= pos - k * size < size]
-                flips.setdefault((b, k), []).extend(
-                    ((r * size + q) // bits_per_var, 1 << (bits_per_var - 1 - q % bits_per_var))
-                    for q in mine
-                )
+                flips.setdefault((b, k), []).extend(r * size + q for q in mine)
         assert rngs[r].random() == rng.random()  # both streams are at one place
     assert [len(block) for block in blocks] == [16, 1]
     for b, block in enumerate(blocks):
-        for k, (_, _, _, (index, values)) in enumerate(block):
-            assert list(zip(index.tolist(), values.tolist())) == flips[b, k]
+        for k, (_, _, _, mask) in enumerate(block):
+            assert mask.shape == (runs, n, dims) and mask.dtype == np.uint16
+            assert mask.ravel().tolist() == flip_mask_by_hand(
+                flips[b, k], runs * n * dims, bits_per_var)
     assert any(flips.values()) == (p > 0)
 
 

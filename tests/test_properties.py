@@ -5,7 +5,7 @@ population), ``distance``, ``boltzmann_apply``, ``cauchy_tail_profile``,
 ``random_nfd`` and the lemma-2 ``choice`` each replaced a slower reference
 that is kept here; they must equal it bit for bit, so those tests compare
 with ``==``. The operator tests use the
-tolerances the rest of the suite uses (``Tolerances.semigroup_tol`` for the
+tolerances the rest of the suite uses (``verify.SEMIGROUP_TOL`` for the
 semigroup law).
 
 Every test runs derandomized, so tier-1 sees the same examples on every run.
@@ -27,7 +27,7 @@ from cauchyga.engine import _strengths, population_nfd
 from cauchyga.nfd import NFD, distance
 from cauchyga.selection import boltzmann_apply, proportionate_apply
 from cauchyga.theory import cauchy_tail_profile
-from cauchyga.verify import LEMMA_ALPHAS, LEMMA_G0S, Tolerances, choice, random_nfd
+from cauchyga.verify import LEMMA_ALPHAS, LEMMA_G0S, SEMIGROUP_TOL, choice, random_nfd
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -175,7 +175,7 @@ def test_boltzmann_semigroup_near_exp_overflow(phi, total, split):
     g2 = gamma - g1
     two = boltzmann_apply(boltzmann_apply(phi, g1), g2)
     one = boltzmann_apply(phi, g1 + g2)
-    assert distance(two, one) <= Tolerances().semigroup_tol
+    assert distance(two, one) <= SEMIGROUP_TOL
 
 
 @PROPERTY
