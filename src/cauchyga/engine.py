@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -147,6 +148,11 @@ class GaConfig:
             raise ValueError("mutation_prob_per_bit must be in [0, 0.1]")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):
+            raise ValueError(f"master_seed must be an integer, got {seed!r}")
+        # stored as an int: run_seed XORs a numpy uint64 with ints past 2**64
+        object.__setattr__(self, "master_seed", operator.index(seed))
         if not 0 <= self.master_seed <= _U64:  # run_seed would alias it modulo 2**64
             raise ValueError("master_seed must be in [0, 2**64)")
         _check_bits_per_var(self.bits_per_var)

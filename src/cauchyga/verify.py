@@ -17,19 +17,29 @@ cases (before any slack), and the case where it occurs.
 
 A suite is a generator ``suite(rng, cases)`` that draws its cases from
 ``rng`` and yields ``(case_id, lhs, rhs, problems)`` for each, where
-``problems`` lists what failed. The runner records a case as holding when
-the list is empty, with the problems joined by "; " as its detail. Any
-slack is one of the module's slack constants, looked up when the suite
-runs, never a literal in the suite; :func:`exceeds` decides ``lhs <= rhs
-+ slack``. A suite appended to :data:`SUITES` gets the next stream index,
-so the draws of the earlier suites do not move.
+``problems`` lists what failed, each as a non-empty message. The runner
+records a case as holding when the list is empty, with the problems
+joined by "; " as its detail. Any slack is one of the module's slack
+constants, looked up when the suite runs, never a literal in the suite;
+:func:`exceeds` decides ``lhs <= rhs + slack``. A suite appended to
+:data:`SUITES` gets the next stream index, so the draws of the earlier
+suites do not move.
+
+The suites share nothing but the seed, so :func:`run_verify` runs them in
+forked worker processes, one per suite up to the usable CPUs, and runs
+them one after another in-process where only one CPU is usable or the
+fork start method does not exist. The rows come back in suite order and
+the outputs are the same bytes either way. Module state patched before
+the call, such as a broken slack constant, reaches the workers only
+because they are forked from the caller, not spawned fresh.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from math import inf
 from pathlib import Path
 from typing import Iterator
@@ -51,6 +61,7 @@ SEMIGROUP_TOL = 1e-10
 PROFILE_SLACK = 1e-12
 
 Case = tuple[str, float, float, list[str]]  # (case_id, lhs, rhs, problems)
+Row = tuple[str, float, float, str]  # (case_id, lhs, rhs, detail), as workers return it
 
 
 @dataclass(frozen=True)
@@ -249,8 +260,42 @@ SUITES = (
 )
 
 
+def _suite_cases(seed: int, suite_index: int, case_count: int) -> list[Row]:
+    """Suite ``suite_index``'s rows ``(case_id, lhs, rhs, detail)``, drawn
+    from ``SeedSequence([seed, suite_index])``; ``detail`` is empty exactly
+    when the case holds."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([seed, suite_index]))
+    )
+    _, suite = SUITES[suite_index]
+    return [
+        (case_id, lhs, rhs, "; ".join(problems))
+        for case_id, lhs, rhs, problems in suite(rng, case_count)
+    ]
+
+
+def _workers() -> int:
+    """Worker processes for run_verify: one per suite, up to the usable
+    CPUs; 1, which runs the suites in-process, where fork does not exist."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(len(SUITES), cpus)
+
+
 def run_verify(seed: int, case_count: int, output_dir: str | Path) -> VerifyResult:
     """Run all suites, write report and per-case CSV, return the outcome.
+
+    With more than one worker (:func:`_workers`) the suites run in a pool
+    forked for this call and shut down before it returns, also when a
+    suite raises. Spawned or forkserver workers would silently lack any
+    patch made before the call; the package starts no threads that a
+    fork could leave in a bad state.
 
     Raises:
         ValueError: If case_count < 1.
@@ -260,14 +305,25 @@ def run_verify(seed: int, case_count: int, output_dir: str | Path) -> VerifyResu
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    workers = _workers()
+    jobs = (repeat(seed), range(len(SUITES)), repeat(case_count))
+    if workers > 1:
+        # imported here, not at module level: cli imports this module, and
+        # they would add about 1 MB of RSS to every process that runs a GA
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            suite_rows = list(pool.map(_suite_cases, *jobs))
+    else:
+        suite_rows = list(map(_suite_cases, *jobs))
+
     result = VerifyResult()
-    for suite_index, (name, suite) in enumerate(SUITES):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, suite_index]))
-        )
+    for (name, _), rows in zip(SUITES, suite_rows):
         cases = [
-            CaseResult(case_id, lhs, rhs, not problems, "; ".join(problems))
-            for case_id, lhs, rhs, problems in suite(rng, case_count)
+            CaseResult(case_id, lhs, rhs, not detail, detail)
+            for case_id, lhs, rhs, detail in rows
         ]
         bad = sum(1 for c in cases if not c.holds)
         status = "PASS" if bad == 0 else "FAIL"

@@ -620,6 +620,20 @@ def test_config_rejects_a_master_seed_outside_64_bits():
     assert small_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_config_rejects_a_master_seed_that_is_not_an_integer(seed):
+    # 1.5 would fail only inside run_seed; True would run as seed 1
+    with pytest.raises(ValueError, match=f"master_seed must be an integer, got {seed!r}"):
+        small_config(master_seed=seed)
+
+
+def test_config_takes_a_numpy_integer_seed_as_that_int():
+    # run_seed XORs the seed with multiples of SEED_STRIDE past 2**64
+    cfg = small_config(master_seed=np.uint64(7), runs=3)
+    assert type(cfg.master_seed) is int and cfg.master_seed == 7
+    np.testing.assert_array_equal(engine.multi_run(cfg), engine.multi_run(small_config(runs=3)))
+
+
 def test_cauchy_scheme_uses_schedule_gamma():
     cfg = small_config(schedule=cauchy_schedule(1.0, 2.0), generations=3)
     gammas = engine._run_stack(cfg, (0,))[0][:, 0].tolist()
