@@ -11,16 +11,15 @@ alpha = inf member, and ``constant_schedule`` builds it. ``calibrate_g0``
 solves for the g0 that makes the schedule hit a target gamma at a chosen
 horizon.
 
-Unit partial sums, sum_{k=1..n} k**(-alpha), are accumulated in ascending
-k order into one grow-only table per alpha that every schedule with that
-alpha and ``calibrate_g0`` read. No value depends on which call grew the
-table, so concurrent callers agree. Schedules are immutable.
+Every schedule and ``calibrate_g0`` read the unit partial sums,
+sum_{k=1..n} k**(-alpha), from cached immutable tables, each added in
+ascending k order from 0. Schedules are immutable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,25 +49,16 @@ class AnnealingSchedule:
         _check_gamma(self.g0)
 
 
-# alpha -> array whose entry n is sum_{k=1..n} k**(-alpha); entry 0 is 0
-_UNIT_SUMS: defaultdict[float, np.ndarray] = defaultdict(lambda: np.zeros(1))
+@functools.cache
+def _unit_sums(alpha: float, size: int) -> tuple[float, ...]:
+    """Entry n is sum_{k=1..n} k**(-alpha), for n = 0 .. size, added in ascending k."""
+    ks = np.arange(1, size + 1, dtype=np.float64)
+    return (0.0, *np.cumsum(ks**-alpha).tolist())
 
 
-def _unit_sums(alpha: float, n: int) -> np.ndarray:
-    """The table of unit partial sums for ``alpha``, grown to hold entry n."""
-    prefix = _UNIT_SUMS[alpha]
-    have = len(prefix) - 1
-    if n <= have:
-        return prefix
-    grow_to = max(n, 2 * have, 16)
-    ks = np.arange(have + 1, grow_to + 1, dtype=np.float64)
-    # Seed the chunk with the running total so the accumulation is the
-    # same sequence of additions a single ascending pass would perform;
-    # table values then never depend on the growth history.
-    seeded = np.concatenate([prefix[-1:], ks ** -alpha])
-    prefix = np.concatenate([prefix, np.cumsum(seeded)[1:]])
-    _UNIT_SUMS[alpha] = prefix
-    return prefix
+def _sums_through(alpha: float, n: int) -> tuple[float, ...]:
+    """The cached table with entry n: size the next power of two >= max(n, 16)."""
+    return _unit_sums(alpha, max(16, 1 << (n - 1).bit_length()))
 
 
 def constant_schedule(gamma: float) -> AnnealingSchedule:
@@ -92,7 +82,7 @@ def gamma_at(schedule: AnnealingSchedule, n: int) -> float:
     """
     if n < 1:
         raise ValueError("generation index must be >= 1")
-    return schedule.g0 * float(_unit_sums(schedule.alpha, n)[n])
+    return schedule.g0 * _sums_through(schedule.alpha, n)[n]
 
 
 def tail_sum(schedule: AnnealingSchedule, m: int, n: int) -> float:
@@ -106,8 +96,8 @@ def tail_sum(schedule: AnnealingSchedule, m: int, n: int) -> float:
     """
     if m < 0 or n <= m:
         raise ValueError(f"need n > m >= 0, got m={m}, n={n}")
-    prefix = _unit_sums(schedule.alpha, n)
-    return schedule.g0 * float(prefix[n] - prefix[m])
+    prefix = _sums_through(schedule.alpha, n)
+    return schedule.g0 * (prefix[n] - prefix[m])
 
 
 def calibrate_g0(alpha: float, horizon: int, gamma_target: float) -> float:
@@ -125,4 +115,4 @@ def calibrate_g0(alpha: float, horizon: int, gamma_target: float) -> float:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     _check_gamma(gamma_target)
-    return gamma_target / float(_unit_sums(alpha, horizon)[horizon])
+    return gamma_target / _sums_through(alpha, horizon)[horizon]

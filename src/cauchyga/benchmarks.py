@@ -15,6 +15,7 @@ adaptive.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,20 @@ RASTRIGIN_A = 10.0
 # conservative per-dimension extreme of x*sin(sqrt(|x|)) on [-500, 500]
 SCHWEFEL_PER_DIM = 418.9829
 
-FUNCTION_NAMES = ("rastrigin", "griewangk", "ackley", "schwefel")
-
 _BOX = {
     "rastrigin": 5.12,
     "griewangk": 600.0,
     "ackley": 30.0,
     "schwefel": 500.0,
 }
+FUNCTION_NAMES = tuple(_BOX)
+
+
+def _as_int(name: str, value) -> int:
+    """The package's one integer rule: no bool; anything with __index__, as an int."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -49,10 +56,11 @@ def make_objective(name: str, dims: int = 15) -> ObjectiveSpec:
     """Build an ObjectiveSpec with its box and conservative raw bounds.
 
     Raises:
-        ValueError: On an unknown function name or dims < 1.
+        ValueError: On an unknown function name, or dims not an integer >= 1.
     """
     if name not in _BOX:
         raise ValueError(f"unknown objective: {name!r}")
+    dims = _as_int("dims", dims)
     if dims < 1:
         raise ValueError("dims must be >= 1")
     half = _BOX[name]

@@ -137,7 +137,7 @@ def merge_config(cli_values: dict, file_values: dict[str, str]) -> CliConfig:
 
     Raises:
         ValueError: On unknown config-file keys, a value its field's type
-            cannot read, missing required values, or an unknown function.
+            cannot read, or missing required values.
     """
     unknown = set(file_values) - set(_FIELD_TYPES)
     if unknown:
@@ -155,8 +155,6 @@ def merge_config(cli_values: dict, file_values: dict[str, str]) -> CliConfig:
     for required in ("function", "selection"):
         if required not in merged:
             raise ValueError(f"missing required setting: {required}")
-    if merged["function"] not in FUNCTION_NAMES:
-        raise ValueError(f"unknown function: {merged['function']!r}")
     merged["selection"] = _SCHEME_FLAGS.get(merged["selection"], merged["selection"])
     if "g0" in file_values and "gamma_target" in file_values:
         raise ValueError("g0 and gamma_target are mutually exclusive")
@@ -164,6 +162,13 @@ def merge_config(cli_values: dict, file_values: dict[str, str]) -> CliConfig:
     if cli_values.get("gamma_target") is not None and cli_values.get("g0") is None:
         merged.pop("g0", None)
     return CliConfig(**merged)
+
+
+def _cauchy_g0(
+    alpha: float, horizon: int, g0: float | None, gamma_target: float | None
+) -> float:
+    """The one g0 rule: g0 as given, else calibrated to gamma_target at horizon."""
+    return g0 if g0 is not None else calibrate_g0(alpha, horizon, gamma_target)
 
 
 def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
@@ -191,11 +196,7 @@ def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
     )
     g0_effective: float | None = None
     if cfg.selection == CAUCHY_BOLTZMANN:
-        g0_effective = (
-            cfg.g0
-            if cfg.g0 is not None
-            else calibrate_g0(cfg.alpha, cfg.generations, cfg.gamma_target)
-        )
+        g0_effective = _cauchy_g0(cfg.alpha, cfg.generations, cfg.g0, cfg.gamma_target)
         ga = replace(ga, schedule=cauchy_schedule(g0_effective, cfg.alpha))
     elif cfg.selection == BOLTZMANN_CONST:
         ga = replace(ga, schedule=constant_schedule(cfg.gamma))
@@ -376,7 +377,7 @@ def emit_schedule(
         raise ValueError("exactly one of g0 and gamma_target must be given")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    g0_effective = g0 if g0 is not None else calibrate_g0(alpha, horizon, gamma_target)
+    g0_effective = _cauchy_g0(alpha, horizon, g0, gamma_target)
     schedule = cauchy_schedule(g0_effective, alpha)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -483,7 +484,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,7 +69,8 @@ import numpy as np
 
 from .annealing import AnnealingSchedule, gamma_at
 from .benchmarks import (
-    ObjectiveSpec, _check_box, _reduce, _terms, evaluate_raw_batch, to_fitness_batch,
+    ObjectiveSpec, _as_int, _check_box, _reduce, _terms, evaluate_raw_batch,
+    to_fitness_batch,
 )
 # engine.distance stays importable: callers and bench/test_bench.py look it up here
 from .nfd import NFD, distance
@@ -138,6 +138,12 @@ class GaConfig:
     def __post_init__(self) -> None:
         if not (self.schedule is None or isinstance(self.schedule, AnnealingSchedule)):
             raise ValueError("schedule must be None or an AnnealingSchedule")
+        # stored as ints: run_seed XORs master_seed with ints past 2**64, which
+        # a numpy uint64 seed cannot take
+        for name in ("pop_size", "generations", "runs", "master_seed", "bits_per_var"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if not isinstance(self.elitism, (bool, np.bool_)):
+            raise ValueError(f"elitism must be a bool, got {self.elitism!r}")
         if self.pop_size < 2:
             raise ValueError("pop_size must be >= 2")
         if self.generations < 1:
@@ -148,11 +154,6 @@ class GaConfig:
             raise ValueError("mutation_prob_per_bit must be in [0, 0.1]")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):
-            raise ValueError(f"master_seed must be an integer, got {seed!r}")
-        # stored as an int: run_seed XORs a numpy uint64 with ints past 2**64
-        object.__setattr__(self, "master_seed", operator.index(seed))
         if not 0 <= self.master_seed <= _U64:  # run_seed would alias it modulo 2**64
             raise ValueError("master_seed must be in [0, 2**64)")
         _check_bits_per_var(self.bits_per_var)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import fsum, inf
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MASS_SUM_TOL = 1e-12
 
@@ -49,8 +49,8 @@ class NFD:
     """Normalized fitness distribution: finite-support probability masses.
 
     Maps finite fitness values (>= 0) to strictly positive masses that sum
-    to 1 within ``MASS_SUM_TOL``. Iteration walks the support in ascending
-    order.
+    to 1 within ``MASS_SUM_TOL``. ``entries`` is the one way to read the
+    points: it walks the support in ascending order.
     """
 
     entries: dict[float, float]
@@ -106,9 +106,6 @@ class NFD:
 
     def max_fitness(self) -> float:
         return next(reversed(self.entries))
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return iter(self.entries.items())
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -100,4 +100,4 @@ def proportionate_strength_closed_form(phi: NFD) -> float:
     mu = phi.mean()
     if mu <= 0.0:
         raise ValueError("degenerate proportionate selection")
-    return fsum(m * abs(mu - x) for x, m in phi) / mu
+    return fsum(m * abs(mu - x) for x, m in phi.entries.items()) / mu

@@ -75,7 +75,7 @@ def tail_bound(phi: NFD, schedule: AnnealingSchedule, m: int, n: int) -> float:
         raise ValueError(f"need n > m >= 1, got m={m}, n={n}")
     tail = tail_sum(schedule, m, n)
     rhs = 0.0
-    for x, _ in phi:
+    for x in phi.entries:
         if x * tail > _EXP_OVERFLOW:
             return math.inf
         rhs += math.expm1(x * tail)

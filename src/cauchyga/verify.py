@@ -18,12 +18,12 @@ cases (before any slack), and the case where it occurs.
 A suite is a generator ``suite(rng, cases)`` that draws its cases from
 ``rng`` and yields ``(case_id, lhs, rhs, problems)`` for each, where
 ``problems`` lists what failed, each as a non-empty message. The runner
-records a case as holding when the list is empty, with the problems
-joined by "; " as its detail. Any slack is one of the module's slack
-constants, looked up when the suite runs, never a literal in the suite;
-:func:`exceeds` decides ``lhs <= rhs + slack``. A suite appended to
-:data:`SUITES` gets the next stream index, so the draws of the earlier
-suites do not move.
+records the problems joined by "; " as the case's detail, and a
+:class:`CaseResult` holds exactly when its detail is empty. Any slack is
+one of the module's slack constants, looked up when the suite runs, never
+a literal in the suite; :func:`exceeds` decides ``lhs <= rhs + slack``. A
+suite appended to :data:`SUITES` gets the next stream index, so the draws
+of the earlier suites do not move.
 
 The suites share nothing but the seed, so :func:`run_verify` runs them in
 forked worker processes, one per suite up to the usable CPUs, and runs
@@ -69,8 +69,11 @@ class CaseResult:
     case_id: str
     lhs: float
     rhs: float
-    holds: bool
     detail: str = ""
+
+    @property
+    def holds(self) -> bool:
+        return not self.detail
 
     @property
     def margin(self) -> float:
@@ -321,10 +324,7 @@ def run_verify(seed: int, case_count: int, output_dir: str | Path) -> VerifyResu
 
     result = VerifyResult()
     for (name, _), rows in zip(SUITES, suite_rows):
-        cases = [
-            CaseResult(case_id, lhs, rhs, not detail, detail)
-            for case_id, lhs, rhs, detail in rows
-        ]
+        cases = [CaseResult(*row) for row in rows]
         bad = sum(1 for c in cases if not c.holds)
         status = "PASS" if bad == 0 else "FAIL"
         worst = min(cases, key=lambda c: c.margin)

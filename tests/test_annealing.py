@@ -76,8 +76,8 @@ def test_gamma_cache_independent_of_query_order():
     for n in (1, 3, 17, 50):
         assert gamma_at(a, n) == gamma_at(b, n)
 
-    # two schedules and calibrate_g0 share one table for alpha = 1.5; the
-    # values must not depend on which of them grows it first, or how far
+    # two schedules and calibrate_g0 share the tables for alpha = 1.5; the
+    # values must not depend on which of them asks first, or how far
     queries = [
         *(("a", n) for n in (1, 3, 17, 50, 33, 200)),
         *(("b", n) for n in (2, 16, 17, 129, 1000)),
@@ -94,12 +94,22 @@ def test_gamma_cache_independent_of_query_order():
     rng = np.random.default_rng(3)
     shuffled = (rng.permutation(queries).tolist() for _ in range(4))
     orders = [queries, queries[::-1], *shuffled]
+    # the next power of two >= max(n, 16) of every n asked for (a tail
+    # sum's n is its larger end)
+    sizes = {16, 32, 64, 256, 512, 1024}
     answers = []
     for order in orders:
-        annealing._UNIT_SUMS.clear()  # its values must not depend on this
+        annealing._unit_sums.cache_clear()  # its values must not depend on this
         answers.append({(kind, int(n)): ask[kind](int(n)) for kind, n in order})
-        assert list(annealing._UNIT_SUMS) == [1.5]
+        assert annealing._unit_sums.cache_info().currsize == len(sizes)
     assert all(got == answers[0] for got in answers[1:])
+
+
+def test_cached_unit_sums_cannot_be_written():
+    table = annealing._unit_sums(1.5, 16)
+    with pytest.raises((TypeError, ValueError)):
+        table[1] = 0.0
+    assert gamma_at(cauchy_schedule(1.0, 1.5), 1) == 1.0
 
 
 def test_calibrate_g0_against_direct_sum_oracle():

@@ -144,6 +144,17 @@ def test_evaluate_raw_validation():
         make_objective("sphere", 15)
 
 
+@pytest.mark.parametrize("dims", [2.5, True, "3"])
+def test_make_objective_rejects_dims_that_are_not_an_integer(dims):
+    with pytest.raises(ValueError, match=f"dims must be an integer, got {dims!r}"):
+        make_objective("ackley", dims)
+
+
+def test_make_objective_takes_numpy_integer_dims_as_an_int():
+    spec = make_objective("ackley", np.int64(3))
+    assert type(spec.dims) is int and spec == make_objective("ackley", 3)
+
+
 def test_schwefel_bound_constant_is_conservative():
     one_dim = schwefel_1d_min()
     assert SCHWEFEL_PER_DIM > -one_dim  # strictly wider than attainable

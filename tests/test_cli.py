@@ -278,6 +278,25 @@ def test_unknown_scheme_is_rejected_before_anything_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_function_in_a_config_file_is_rejected_before_anything_runs(
+    tmp_path, capsys
+):
+    # argparse's choices cover only the flag; make_objective judges the file
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("function = sphere\nselection = proportionate\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown objective: 'sphere'\n"
+    assert not out.exists()
+
+
+def test_a_non_bool_elitism_is_rejected_before_anything_is_written(tmp_path):
+    # "false" is truthy: it ran with elitism on while the CSV said false
+    with pytest.raises(ValueError, match="elitism must be a bool, got 'false'"):
+        run_experiment(tiny_cfg(tmp_path / "out", elitism="false"))
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("scheme", cli.SELECTION_SCHEMES)
 def test_each_scheme_name_maps_to_one_schedule(tmp_path, scheme):
     cfg = tiny_cfg(tmp_path, selection=scheme, gamma=7.0, alpha=1.5)

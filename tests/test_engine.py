@@ -627,6 +627,38 @@ def test_config_rejects_a_master_seed_that_is_not_an_integer(seed):
         small_config(master_seed=seed)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("pop_size", 10.5), ("generations", True), ("runs", True), ("runs", 2.0),
+     ("bits_per_var", "5")],
+)
+def test_config_rejects_an_integer_field_that_is_not_an_integer(field, value):
+    # True would run one run; 10.5 would fail only deep inside numpy
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        small_config(**{field: value})
+
+
+def test_config_takes_numpy_integers_as_ints():
+    fields = dict(pop_size=20, generations=5, runs=2, bits_per_var=5)
+    cfg = small_config(**{name: np.int64(v) for name, v in fields.items()})
+    assert {name: getattr(cfg, name) for name in fields} == fields
+    assert all(type(getattr(cfg, name)) is int for name in fields)
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_config_rejects_an_elitism_that_is_not_a_bool(value):
+    # the string "false" is truthy, so it would run with elitism on
+    with pytest.raises(ValueError, match=f"elitism must be a bool, got {value!r}"):
+        small_config(elitism=value)
+
+
+def test_config_takes_a_numpy_bool_elitism():
+    np.testing.assert_array_equal(
+        engine.multi_run(small_config(elitism=np.True_)),
+        engine.multi_run(small_config(elitism=True)),
+    )
+
+
 def test_config_takes_a_numpy_integer_seed_as_that_int():
     # run_seed XORs the seed with multiples of SEED_STRIDE past 2**64
     cfg = small_config(master_seed=np.uint64(7), runs=3)

@@ -28,7 +28,8 @@ def test_from_values_matches_counter_oracle():
     rng = np.random.default_rng(7)
     values = rng.choice([0.5, 1.25, 2.0, 3.75], size=150).tolist()
     phi = NFD.from_values(values)
-    assert list(phi) == [(x, c / 150) for x, c in sorted(Counter(values).items())]
+    expected = [(x, c / 150) for x, c in sorted(Counter(values).items())]
+    assert list(phi.entries.items()) == expected
 
 
 def test_from_values_rejects_empty():
@@ -69,7 +70,7 @@ def test_normalize_masses_sum_to_one():
     for _ in range(50):
         values = rng.integers(0, 40, size=rng.integers(1, 200)).astype(float)
         phi = NFD.from_values(values.tolist())
-        assert abs(sum(m for _, m in phi) - 1.0) <= 1e-12
+        assert abs(sum(m for _, m in phi.entries.items()) - 1.0) <= 1e-12
 
 
 def test_support_examples():
@@ -97,7 +98,7 @@ def test_nfd_validation():
 
 def test_nfd_iterates_in_ascending_fitness_order():
     phi = NFD({3.0: 0.25, 1.0: 0.5, 2.0: 0.25})
-    assert [x for x, _ in phi] == [1.0, 2.0, 3.0]
+    assert [x for x, _ in phi.entries.items()] == [1.0, 2.0, 3.0]
 
 
 def test_distance_identity():
@@ -144,8 +145,8 @@ def test_distance_invariant_under_common_shift():
     for _ in range(50):
         p1, p2 = random_nfd(rng), random_nfd(rng)
         c = float(rng.uniform(0.1, 5.0))
-        q1 = NFD({x + c: m for x, m in p1})
-        q2 = NFD({x + c: m for x, m in p2})
+        q1 = NFD({x + c: m for x, m in p1.entries.items()})
+        q2 = NFD({x + c: m for x, m in p2.entries.items()})
         assert distance(q1, q2) == distance(p1, p2)
 
 

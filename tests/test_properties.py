@@ -70,7 +70,9 @@ def realized_strength(fitness: np.ndarray, chosen: np.ndarray) -> float:
 @given(populations())
 def test_population_nfd_equals_counted_nfd(case):
     fitness, _ = case
-    assert list(population_nfd(fitness)) == list(counted_nfd(fitness))
+    assert list(population_nfd(fitness).entries.items()) == list(
+        counted_nfd(fitness).entries.items()
+    )
 
 
 @PROPERTY
@@ -135,13 +137,13 @@ def nfds(draw, values=st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 def test_boltzmann_subnormal_floor_keeps_support(phi, gamma):
     out = boltzmann_apply(phi, gamma)
     assert out.entries.keys() == phi.entries.keys()
-    assert all(m > 0.0 for _, m in out)
+    assert all(m > 0.0 for _, m in out.entries.items())
 
 
 @PROPERTY
 @given(nfds(values=NORMAL), ZEROS, st.floats(min_value=1e-6, max_value=1.0))
 def test_proportionate_drops_exactly_the_zero_point(phi, zero, weight):
-    with_zero = renormalized({zero: weight, **dict(phi)})
+    with_zero = renormalized({zero: weight, **phi.entries})
     out = proportionate_apply(with_zero)
     assert out.entries.keys() == with_zero.entries.keys() - {0.0}
 
@@ -229,8 +231,8 @@ def pooled_pairs(draw):
     )
     shared, own, rest = pool[0], pool[1], st.sampled_from(pool[2:])
     weight = st.floats(min_value=1e-6, max_value=1.0)
-    p = {shared: draw(weight), own: draw(weight), **dict(draw(nfds(values=rest)))}
-    q = {shared: draw(weight), **dict(draw(nfds(values=rest)))}
+    p = {shared: draw(weight), own: draw(weight), **draw(nfds(values=rest)).entries}
+    q = {shared: draw(weight), **draw(nfds(values=rest)).entries}
     return renormalized(p), renormalized(q)
 
 
@@ -253,9 +255,10 @@ def test_distance_on_shared_support_equals_reference(phi, gamma):
 @given(nfds(values=FITNESS), st.floats(min_value=0.0, max_value=1e300))
 def test_boltzmann_equals_renormalized_reference(phi, gamma):
     x_max = max(phi.entries)
-    ref = renormalized(
-        {x: max(m * math.exp(gamma * (x - x_max)), 5e-324) for x, m in phi}
-    )
+    ref = renormalized({
+        x: max(m * math.exp(gamma * (x - x_max)), 5e-324)
+        for x, m in phi.entries.items()
+    })
     out = boltzmann_apply(phi, gamma)
     assert out.entries == ref.entries
     assert list(out.entries) == list(ref.entries)

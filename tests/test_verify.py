@@ -63,6 +63,14 @@ def test_a_patch_made_before_the_call_reaches_the_suites(tmp_path, monkeypatch, 
     assert multiprocessing.active_children() == []
 
 
+def test_a_case_holds_exactly_when_its_detail_is_empty(tmp_path, monkeypatch):
+    # a negative tolerance fails every semigroup case; the other suites hold
+    monkeypatch.setattr(verify, "SEMIGROUP_TOL", -1e-3)
+    result = run_verify(42, 30, tmp_path)
+    assert {c.holds for c in result.cases} == {True, False}
+    assert all(c.holds == (c.detail == "") for c in result.cases)
+
+
 def test_an_error_in_a_suite_reaches_the_caller(tmp_path, monkeypatch):
     def boom(rng, cases):
         raise ValueError("boom")
