@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .benchmarks import _as_float
 from .selection import _check_gamma
 
 
 def _check_alpha(alpha: float) -> None:
-    """The one exponent rule: the partial sums converge only for alpha > 1."""
-    if not alpha > 1.0:
+    """The one exponent rule: a real number above 1, where the partial sums converge."""
+    if not _as_float("alpha", alpha) > 1.0:
         raise ValueError("alpha must exceed 1")
 
 
@@ -63,12 +64,12 @@ def _sums_through(alpha: float, n: int) -> tuple[float, ...]:
 
 def constant_schedule(gamma: float) -> AnnealingSchedule:
     """The alpha = inf schedule: gamma at every generation."""
-    return cauchy_schedule(gamma, math.inf)
+    return cauchy_schedule(_as_float("gamma", gamma), math.inf)
 
 
 def cauchy_schedule(g0: float, alpha: float) -> AnnealingSchedule:
     """Schedule with power-law increments g0 / k**alpha, 1 < alpha <= inf."""
-    return AnnealingSchedule(float(g0), float(alpha))
+    return AnnealingSchedule(_as_float("g0", g0), _as_float("alpha", alpha))
 
 
 def gamma_at(schedule: AnnealingSchedule, n: int) -> float:
@@ -108,8 +109,8 @@ def calibrate_g0(alpha: float, horizon: int, gamma_target: float) -> float:
     round-trips to gamma_target; at alpha = inf that is gamma_target.
 
     Raises:
-        ValueError: If alpha <= 1, horizon < 1, or gamma_target is negative
-            or not finite.
+        ValueError: If alpha is not a real number or <= 1, horizon < 1, or
+            gamma_target is negative or not finite.
     """
     _check_alpha(alpha)
     if horizon < 1:

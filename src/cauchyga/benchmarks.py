@@ -40,6 +40,13 @@ def _as_int(name: str, value) -> int:
     return operator.index(value)
 
 
+def _as_float(name: str, value) -> float:
+    """The package's one real-number rule: no bool; anything with __float__, as a float."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__float__"):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """One benchmark function instance: box bounds plus raw-value bounds."""

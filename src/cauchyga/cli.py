@@ -70,8 +70,8 @@ class CliConfig:
 
 
 def fmt(value) -> str:
-    """Serialize one CSV cell: floats at 17 significant digits."""
-    if isinstance(value, bool):
+    """Serialize one CSV cell: bools as true/false, floats at 17 significant digits."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"

@@ -19,14 +19,14 @@ table entries, levels x dims, column by column); a generation gathers its
 genes' terms at column * levels + v and reduces them row by row, the same
 values as evaluating the decoded points.
 
-Every random decision of a run comes from one numpy PCG64 generator seeded
-from (master_seed, run_index), so replays are bit-identical and distinct
-runs are independent streams. Only :func:`_run_stack` turns the
-generators into draws; the operators and :func:`step_generation` take
-them as arrays. They come in a fixed order, numbered by
-``STREAM_VERSION``: the initial genes (drawn as the masks of step 2 are),
-then per block of ``count`` <= ``BLOCK`` = 16 generations, all taken
-before any of them is used (:func:`_draw_block`):
+Every random decision of a run comes from its own generator,
+``PCG64([master_seed, run_index])``: numpy's ``SeedSequence`` of the pair,
+as for the verify suites. Any nonnegative integer is a master seed. Only
+:func:`_run_stack` turns the generators into draws; the operators and
+:func:`step_generation` take them as arrays. They come in a fixed order,
+numbered by ``STREAM_VERSION`` (6): the initial genes (drawn as the masks
+of step 2 are), then per block of ``count`` <= ``BLOCK`` = 16
+generations, all taken before any of them is used (:func:`_draw_block`):
 
 1. one call of count * 3 * ceil(n / 2) doubles, generation by generation:
    the 2 * ceil(n / 2) roulette doubles (one per parent, looked up in the
@@ -69,7 +69,7 @@ import numpy as np
 
 from .annealing import AnnealingSchedule, gamma_at
 from .benchmarks import (
-    ObjectiveSpec, _as_int, _check_box, _reduce, _terms, evaluate_raw_batch,
+    ObjectiveSpec, _as_float, _as_int, _check_box, _reduce, _terms, evaluate_raw_batch,
     to_fitness_batch,
 )
 # engine.distance stays importable: callers and bench/test_bench.py look it up here
@@ -77,9 +77,7 @@ from .nfd import NFD, distance
 from .selection import _check_gamma
 
 GENERATOR_NAME = "numpy-PCG64"
-STREAM_VERSION = 5  # the draw order of the module docstring; bumped when it changes
-SEED_STRIDE = 0x9E3779B97F4A7C15
-_U64 = 0xFFFFFFFFFFFFFFFF
+STREAM_VERSION = 6  # the draw order of the module docstring; bumped when it changes
 MAX_BITS_PER_VAR = 16  # a lattice table has at most 2**16 rows
 _MAX_TABLE = 1 << 20  # entries (levels * dims) per cached term table: 8 MB
 BLOCK = 16  # generations per batch of draws and strengths; part of the stream
@@ -138,10 +136,10 @@ class GaConfig:
     def __post_init__(self) -> None:
         if not (self.schedule is None or isinstance(self.schedule, AnnealingSchedule)):
             raise ValueError("schedule must be None or an AnnealingSchedule")
-        # stored as ints: run_seed XORs master_seed with ints past 2**64, which
-        # a numpy uint64 seed cannot take
         for name in ("pop_size", "generations", "runs", "master_seed", "bits_per_var"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        for name in ("crossover_prob", "mutation_prob_per_bit"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not isinstance(self.elitism, (bool, np.bool_)):
             raise ValueError(f"elitism must be a bool, got {self.elitism!r}")
         if self.pop_size < 2:
@@ -154,8 +152,8 @@ class GaConfig:
             raise ValueError("mutation_prob_per_bit must be in [0, 0.1]")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if not 0 <= self.master_seed <= _U64:  # run_seed would alias it modulo 2**64
-            raise ValueError("master_seed must be in [0, 2**64)")
+        if self.master_seed < 0:  # SeedSequence would reject it only once a run starts
+            raise ValueError("master_seed must be >= 0")
         _check_bits_per_var(self.bits_per_var)
 
     @property
@@ -514,11 +512,6 @@ def step_generation(
     return nxt, chosen[:, :n]
 
 
-def run_seed(master_seed: int, run_index: int) -> int:
-    """64-bit stream seed for one run."""
-    return (master_seed ^ (run_index * SEED_STRIDE)) & _U64
-
-
 def _run_stack(config: GaConfig, run_indices: Iterable[int]) -> np.ndarray:
     """The (runs, generations, 5) records of the given runs, in lockstep.
 
@@ -527,7 +520,7 @@ def _run_stack(config: GaConfig, run_indices: Iterable[int]) -> np.ndarray:
     before it runs and its records reduced after, the strengths in one
     :func:`_strengths` call that reduces each row on its own.
     """
-    rngs = [np.random.Generator(np.random.PCG64(run_seed(config.master_seed, i)))
+    rngs = [np.random.Generator(np.random.PCG64([config.master_seed, i]))
             for i in run_indices]
     n, dims, schedule = config.pop_size, config.objective.dims, config.schedule
     genes = np.stack([_draw_genes(rng, n * dims, config.bits_per_var).reshape(n, dims)

@@ -253,7 +253,7 @@ def cauchy_tail_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
         yield f"cauchytail-ref-alpha{alpha:g}", vals[-1], vals[0], problems
 
 
-# (name, suite) in stream order: suite i draws from SeedSequence([seed, i])
+# (name, suite) in stream order: suite i draws from PCG64([seed, i])
 SUITES = (
     ("metric", metric_suite),
     ("lemma1", lemma1_suite),
@@ -265,11 +265,9 @@ SUITES = (
 
 def _suite_cases(seed: int, suite_index: int, case_count: int) -> list[Row]:
     """Suite ``suite_index``'s rows ``(case_id, lhs, rhs, detail)``, drawn
-    from ``SeedSequence([seed, suite_index])``; ``detail`` is empty exactly
-    when the case holds."""
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, suite_index]))
-    )
+    from ``PCG64([seed, suite_index])``; ``detail`` is empty exactly when
+    the case holds."""
+    rng = np.random.Generator(np.random.PCG64([seed, suite_index]))
     _, suite = SUITES[suite_index]
     return [
         (case_id, lhs, rhs, "; ".join(problems))

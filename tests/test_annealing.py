@@ -67,6 +67,26 @@ def test_schedule_validation():
     cauchy_schedule(0.0, 2.0)  # g0 = 0 is a legal (identity) schedule
 
 
+@pytest.mark.parametrize(
+    "build, name, value",
+    [(lambda v: cauchy_schedule(v, 3.0), "g0", "2"),
+     (lambda v: cauchy_schedule(2.0, v), "alpha", "3"),
+     (lambda v: cauchy_schedule(v, 3.0), "g0", True),
+     (lambda v: constant_schedule(v), "gamma", "2"),
+     (lambda v: calibrate_g0(v, 100, 300.0), "alpha", "2")],
+    ids=["cauchy-g0", "cauchy-alpha", "cauchy-g0-bool", "constant-gamma", "calibrate-alpha"],
+)
+def test_schedule_settings_must_be_real_numbers(build, name, value):
+    # float() would read the string '2' as 2.0 and True as 1.0
+    with pytest.raises(ValueError, match=f"{name} must be a real number, got {value!r}"):
+        build(value)
+
+
+def test_schedules_store_numpy_and_integer_settings_as_floats():
+    s = cauchy_schedule(np.float32(0.5), 2)
+    assert (type(s.g0), type(s.alpha)) == (float, float) and s == cauchy_schedule(0.5, 2.0)
+
+
 def test_gamma_cache_independent_of_query_order():
     a = cauchy_schedule(1.0, 1.5)
     b = cauchy_schedule(1.0, 1.5)

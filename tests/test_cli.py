@@ -8,6 +8,7 @@ import os
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cauchyga import cli, engine, verify
@@ -58,7 +59,7 @@ def test_run_writes_expected_schema(tmp_path):
 
 def test_metadata_carries_stream_version(tmp_path):
     meta, _, _ = read_series_csv(run_experiment(tiny_cfg(tmp_path))[0])
-    assert meta["stream_version"] == str(engine.STREAM_VERSION) == "5"
+    assert meta["stream_version"] == str(engine.STREAM_VERSION) == "6"
 
 
 def test_readme_names_the_current_stream_version():
@@ -297,6 +298,23 @@ def test_a_non_bool_elitism_is_rejected_before_anything_is_written(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "scheme, setting",
+    [("cauchy_boltzmann", "alpha"), ("cauchy_boltzmann", "g0"), ("boltzmann_const", "gamma")],
+)
+def test_build_ga_config_names_a_schedule_setting_that_is_not_a_number(scheme, setting):
+    # main catches ValueError only: a TypeError from deep inside would escape it
+    cfg = CliConfig("ackley", scheme, **{setting: "2"})
+    with pytest.raises(ValueError, match=f"{setting} must be a real number, got '2'"):
+        cli.build_ga_config(cfg)
+
+
+def test_metadata_writes_numpy_bools_as_true_false():
+    for value, text in ((np.True_, "true"), (np.False_, "false")):
+        assert cli._metadata(CliConfig("ackley", "proportionate", elitism=value), None)[
+            "elitism"] == text
+
+
 @pytest.mark.parametrize("scheme", cli.SELECTION_SCHEMES)
 def test_each_scheme_name_maps_to_one_schedule(tmp_path, scheme):
     cfg = tiny_cfg(tmp_path, selection=scheme, gamma=7.0, alpha=1.5)
@@ -425,12 +443,20 @@ def test_cli_rejects_bits_per_var_above_16(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_cli_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
-    # -5 and 2**64 - 5 would write the same data rows under two master seeds
-    assert main(_run_argv(tmp_path / "out", "--seed", str(seed))) == 2
-    assert capsys.readouterr().err == "error: master_seed must be in [0, 2**64)\n"
+def test_cli_rejects_a_negative_seed_before_writing(tmp_path, capsys):
+    assert main(_run_argv(tmp_path / "out", "--seed", "-1")) == 2
+    assert capsys.readouterr().err == "error: master_seed must be >= 0\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_runs_a_seed_past_64_bits(tmp_path):
+    # the seed sequence takes the whole integer, so 2**64 is not seed 0
+    for seed in (0, 2**64):
+        assert main(_run_argv(tmp_path / str(seed), "--seed", str(seed))) == 0
+    rows = [read_series_csv(tmp_path / str(seed) / "rastrigin_boltzmann_const.csv")
+            for seed in (0, 2**64)]
+    assert rows[1][0]["master_seed"] == str(2**64)
+    assert rows[0][2] != rows[1][2]
 
 
 def test_cli_accepts_the_largest_64_bit_seed(tmp_path):

@@ -473,13 +473,21 @@ def test_run_is_deterministic():
     assert not np.array_equal(first, other)
 
 
+def test_runs_of_two_master_seeds_do_not_share_a_stream():
+    # a seed mixed as master_seed ^ run_index * 0x9E3779B97F4A7C15 made
+    # run 1 of master 42 replay run 0 of master 42 ^ 0x9E3779B97F4A7C15
+    run1 = engine._run_stack(small_config(master_seed=42), (1,))[0]
+    other = engine._run_stack(small_config(master_seed=42 ^ 0x9E3779B97F4A7C15), (0,))[0]
+    assert not np.array_equal(run1, other)
+
+
 def hand_records(cfg: GaConfig, run_index: int, bits_per_var: int = 5) -> list[list[float]]:
     """One run stepped a generation at a time, each record reduced on its own.
 
     The draws come a block at a time, as the stream takes them; the
     strength of each generation is its own ``_strengths`` call.
     """
-    rng = np.random.Generator(np.random.PCG64(engine.run_seed(cfg.master_seed, run_index)))
+    rng = np.random.Generator(np.random.PCG64([cfg.master_seed, run_index]))
     n, dims = cfg.pop_size, cfg.objective.dims
     genes = engine._draw_genes(rng, n * dims, bits_per_var).reshape(1, n, dims)
     pop = make_population(genes, cfg.objective, bits_per_var)
@@ -612,17 +620,17 @@ def test_config_rejects_single_individual():
     assert small_config(pop_size=2).pop_size == 2
 
 
-def test_config_rejects_a_master_seed_outside_64_bits():
-    # run_seed reduces the seed modulo 2**64, so -1 would replay 2**64 - 1
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError, match=r"master_seed must be in \[0, 2\*\*64\)"):
-            small_config(master_seed=seed)
-    assert small_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
+def test_config_rejects_a_negative_master_seed():
+    # SeedSequence takes any nonnegative integer and would reject -1 only
+    # once a run starts
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        small_config(master_seed=-1)
+    assert small_config(master_seed=2**64).master_seed == 2**64
 
 
 @pytest.mark.parametrize("seed", [1.5, True])
 def test_config_rejects_a_master_seed_that_is_not_an_integer(seed):
-    # 1.5 would fail only inside run_seed; True would run as seed 1
+    # 1.5 would fail only inside SeedSequence; True would run as seed 1
     with pytest.raises(ValueError, match=f"master_seed must be an integer, got {seed!r}"):
         small_config(master_seed=seed)
 
@@ -636,6 +644,24 @@ def test_config_rejects_an_integer_field_that_is_not_an_integer(field, value):
     # True would run one run; 10.5 would fail only deep inside numpy
     with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
         small_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("crossover_prob", True), ("crossover_prob", "0.8"), ("mutation_prob_per_bit", np.False_),
+     ("mutation_prob_per_bit", None)],
+    ids=["crossover-bool", "crossover-str", "mutation-numpy-bool", "mutation-none"],
+)
+def test_config_rejects_a_probability_that_is_not_a_real_number(field, value):
+    # True would cross every pair as probability 1.0
+    with pytest.raises(ValueError, match=f"{field} must be a real number, got {value!r}"):
+        small_config(**{field: value})
+
+
+def test_config_takes_numpy_probabilities_as_floats():
+    cfg = small_config(crossover_prob=np.float64(0.75), mutation_prob_per_bit=np.float32(0.0))
+    assert (cfg.crossover_prob, cfg.mutation_prob_per_bit) == (0.75, 0.0)
+    assert type(cfg.crossover_prob) is float and type(cfg.mutation_prob_per_bit) is float
 
 
 def test_config_takes_numpy_integers_as_ints():
@@ -660,7 +686,7 @@ def test_config_takes_a_numpy_bool_elitism():
 
 
 def test_config_takes_a_numpy_integer_seed_as_that_int():
-    # run_seed XORs the seed with multiples of SEED_STRIDE past 2**64
+    # the config, the metadata and the seed sequence all see the int 7
     cfg = small_config(master_seed=np.uint64(7), runs=3)
     assert type(cfg.master_seed) is int and cfg.master_seed == 7
     np.testing.assert_array_equal(engine.multi_run(cfg), engine.multi_run(small_config(runs=3)))
@@ -1098,7 +1124,7 @@ def two_byte_genes(rng, size: int) -> list[int]:
 @pytest.mark.parametrize("n", [20, 21])
 @pytest.mark.parametrize("runs", [1, 3])
 def test_draw_generation_replays_the_stream_by_hand(runs, n, p):
-    # Stream version 5, taken by hand from a fresh generator per run on
+    # Stream version 6, taken by hand from a fresh generator per run on
     # the same seed: the initial genes from one random_raw call, then per
     # block of up to 16 generations its doubles in one call (per
     # generation 2 * pairs roulette doubles, then a crossover double per
@@ -1110,7 +1136,7 @@ def test_draw_generation_replays_the_stream_by_hand(runs, n, p):
     cfg = small_config(pop_size=n, mutation_prob_per_bit=p, bits_per_var=bits_per_var,
                        generations=17)
     pairs, size = -(-n // 2), n * dims * bits_per_var
-    seeds = [engine.run_seed(11, r) for r in range(runs)]
+    seeds = [[11, r] for r in range(runs)]
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     initial = [engine._draw_genes(rng, n * dims, bits_per_var) for rng in rngs]
     blocks = [engine._draw_block(rngs, cfg, count) for count in (16, 1)]
