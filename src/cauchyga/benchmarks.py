@@ -40,9 +40,21 @@ def _as_int(name: str, value) -> int:
     return operator.index(value)
 
 
+def _is_real(value) -> bool:
+    """The package's one real-number rule: no bool; anything with __float__.
+
+    A float is tested first: ``isinstance`` against ``np.bool_`` alone
+    takes about 0.1 us, and the verify suites check about 9,400 inverse
+    temperatures per call at 1000 cases.
+    """
+    return type(value) is float or (
+        not isinstance(value, (bool, np.bool_)) and hasattr(type(value), "__float__")
+    )
+
+
 def _as_float(name: str, value) -> float:
-    """The package's one real-number rule: no bool; anything with __float__, as a float."""
-    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__float__"):
+    """A real number (:func:`_is_real`) as a float."""
+    if not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
 

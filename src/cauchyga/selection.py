@@ -17,6 +17,8 @@ from __future__ import annotations
 from math import exp, fsum, isfinite
 from typing import Iterable
 
+from .benchmarks import _is_real
+
 # selection.distance stays importable: bench/test_bench.py looks it up here
 from .nfd import NFD, distance
 
@@ -25,7 +27,11 @@ _TINY = 5e-324
 
 
 def _check_gamma(gamma: float) -> None:
-    """The package's one inverse-temperature rule: finite first, then >= 0."""
+    """The package's one inverse-temperature rule: a real number
+    (:func:`benchmarks._is_real`, checked by type, not converted), then
+    finite, then >= 0."""
+    if not _is_real(gamma):
+        raise ValueError(f"inverse temperature must be a real number, got {gamma!r}")
     if not isfinite(gamma):
         raise ValueError("inverse temperature must be finite")
     if gamma < 0.0:

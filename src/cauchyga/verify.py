@@ -26,23 +26,32 @@ suite appended to :data:`SUITES` gets the next stream index, so the draws
 of the earlier suites do not move.
 
 The suites share nothing but the seed, so :func:`run_verify` runs them in
-forked worker processes, one per suite up to the usable CPUs, and runs
-them one after another in-process where only one CPU is usable or the
-fork start method does not exist. The rows come back in suite order and
-the outputs are the same bytes either way. Module state patched before
-the call, such as a broken slack constant, reaches the workers only
-because they are forked from the caller, not spawned fresh.
+one process per suite up to the usable CPUs (:func:`_workers`): the
+caller and helpers forked for the call. :func:`_shares` cuts
+:data:`SUITES` into contiguous runs, one per process, whose lengths
+differ by at most one, shorter runs first, and the caller runs the first;
+the split depends only on the suite and process counts, so the caller's
+suites, the only ones a tracer in the caller sees, are fixed. Each
+process formats its own suites' report lines and ``verify_cases.csv``
+text; a helper sends them back pickled through a pipe, and the caller
+joins them in suite order. Where only one CPU is usable or ``os.fork``
+does not exist, the caller runs every suite. The outputs are the same
+bytes either way. Module state patched before the call, such as a broken
+slack constant, reaches the helpers only because they are forked from the
+caller, not spawned fresh. Neither ``multiprocessing`` nor
+``concurrent.futures`` is imported.
 """
 
 from __future__ import annotations
 
-import csv
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import product
 from math import inf
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -61,7 +70,8 @@ SEMIGROUP_TOL = 1e-10
 PROFILE_SLACK = 1e-12
 
 Case = tuple[str, float, float, list[str]]  # (case_id, lhs, rhs, problems)
-Row = tuple[str, float, float, str]  # (case_id, lhs, rhs, detail), as workers return it
+Row = tuple[str, float, float, str]  # (case_id, lhs, rhs, detail)
+SuiteOutput = tuple[str, list[Row], str]  # (report line, rows, verify_cases.csv text)
 
 
 @dataclass(frozen=True)
@@ -263,24 +273,45 @@ SUITES = (
 )
 
 
-def _suite_cases(seed: int, suite_index: int, case_count: int) -> list[Row]:
-    """Suite ``suite_index``'s rows ``(case_id, lhs, rhs, detail)``, drawn
-    from ``PCG64([seed, suite_index])``; ``detail`` is empty exactly when
-    the case holds."""
+def _suite_output(seed: int, suite_index: int, case_count: int) -> SuiteOutput:
+    """Suite ``suite_index``'s report line, rows and ``verify_cases.csv``
+    text, its cases drawn from ``PCG64([seed, suite_index])``.
+
+    A row is ``(case_id, lhs, rhs, detail)``, ``detail`` empty exactly when
+    the case holds. The CSV text is the bytes ``csv.writer`` writes for the
+    rows, since no case id holds a comma, quote or line break.
+    """
     rng = np.random.Generator(np.random.PCG64([seed, suite_index]))
-    _, suite = SUITES[suite_index]
-    return [
+    name, suite = SUITES[suite_index]
+    rows = [
         (case_id, lhs, rhs, "; ".join(problems))
         for case_id, lhs, rhs, problems in suite(rng, case_count)
     ]
+    bad = sum(1 for row in rows if row[3])
+    worst_id, worst_lhs, worst_rhs, _ = min(rows, key=lambda row: row[2] - row[1])
+    line = (
+        f"{'PASS' if bad == 0 else 'FAIL'} {name}: {len(rows)} cases, "
+        f"{bad} violations, worst margin {worst_rhs - worst_lhs!r} at {worst_id}"
+    )
+    text = "".join([f"{case_id},{lhs:.17g},{rhs:.17g}\r\n" for case_id, lhs, rhs, _ in rows])
+    return line, rows, text
+
+
+def _shares(suite_count: int, workers: int) -> list[range]:
+    """The suite indices of each process, the caller's first: contiguous
+    runs whose lengths differ by at most one, shorter runs first."""
+    workers = max(1, min(workers, suite_count))
+    short, longer = divmod(suite_count, workers)
+    ends = [0]
+    for j in range(workers):
+        ends.append(ends[-1] + short + (j >= workers - longer))
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def _workers() -> int:
-    """Worker processes for run_verify: one per suite, up to the usable
-    CPUs; 1, which runs the suites in-process, where fork does not exist."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
+    """Processes for run_verify, the caller included: one per suite, up to
+    the usable CPUs; 1, the caller alone, where fork does not exist."""
+    if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -289,14 +320,48 @@ def _workers() -> int:
     return min(len(SUITES), cpus)
 
 
+def _fork_share(seed: int, share: range, case_count: int) -> tuple[int, BinaryIO]:
+    """Fork a helper that runs ``share`` and pickles ``(True, outputs)``,
+    or ``(False, exception)`` if it raised, into a pipe; return its pid and
+    the pipe's read end. The helper never returns into the caller's stack."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (True, [_suite_output(seed, i, case_count) for i in share])
+        except BaseException as exc:  # forwarded: the caller raises it
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as err:  # an exception pickle cannot carry
+            data = pickle.dumps((False, RuntimeError(f"{outcome[1]!r}, unpicklable: {err}")))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_verify(seed: int, case_count: int, output_dir: str | Path) -> VerifyResult:
     """Run all suites, write report and per-case CSV, return the outcome.
 
-    With more than one worker (:func:`_workers`) the suites run in a pool
-    forked for this call and shut down before it returns, also when a
-    suite raises. Spawned or forkserver workers would silently lack any
-    patch made before the call; the package starts no threads that a
-    fork could leave in a bad state.
+    The caller runs the first of the :func:`_shares` of :data:`SUITES`, and
+    one helper forked for this call runs each other share while it does.
+    Every helper is killed and reaped before the call returns, also when
+    either side raises; a helper's exception is raised here, without its
+    traceback. Spawned helpers would silently lack any patch made before
+    the call; the package starts no threads that a fork could leave in a
+    bad state.
 
     Raises:
         ValueError: If case_count < 1.
@@ -306,37 +371,33 @@ def run_verify(seed: int, case_count: int, output_dir: str | Path) -> VerifyResu
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    workers = _workers()
-    jobs = (repeat(seed), range(len(SUITES)), repeat(case_count))
-    if workers > 1:
-        # imported here, not at module level: cli imports this module, and
-        # they would add about 1 MB of RSS to every process that runs a GA
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    own, *others = _shares(len(SUITES), _workers())
+    helpers: list[tuple[int, BinaryIO]] = []
+    try:
+        for share in others:
+            helpers.append(_fork_share(seed, share, case_count))
+        outputs = [_suite_output(seed, i, case_count) for i in own]
+        cases = [CaseResult(*row) for _, rows, _ in outputs for row in rows]
+        sent = [pipe.read() for _, pipe in helpers]
+    finally:
+        statuses = []
+        for pid, pipe in helpers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # unreaped, so still this call's child
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for data, status in zip(sent, statuses):
+        if not data:
+            raise RuntimeError(f"a verify helper sent nothing (exit code {status})")
+        finished, value = pickle.loads(data)
+        if not finished:
+            raise value
+        outputs += value
+        cases += [CaseResult(*row) for _, rows, _ in value for row in rows]
 
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            suite_rows = list(pool.map(_suite_cases, *jobs))
-    else:
-        suite_rows = list(map(_suite_cases, *jobs))
-
-    result = VerifyResult()
-    for (name, _), rows in zip(SUITES, suite_rows):
-        cases = [CaseResult(*row) for row in rows]
-        bad = sum(1 for c in cases if not c.holds)
-        status = "PASS" if bad == 0 else "FAIL"
-        worst = min(cases, key=lambda c: c.margin)
-        result.suite_lines.append(
-            f"{status} {name}: {len(cases)} cases, {bad} violations, "
-            f"worst margin {worst.margin!r} at {worst.case_id}"
-        )
-        result.cases.extend(cases)
-
-    with open(out_dir / "verify_cases.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id", "lhs", "rhs"])
-        for c in result.cases:
-            writer.writerow([c.case_id, f"{c.lhs:.17g}", f"{c.rhs:.17g}"])
+    result = VerifyResult(cases, [line for line, _, _ in outputs])
+    (out_dir / "verify_cases.csv").write_text(
+        "".join(["case_id,lhs,rhs\r\n", *(text for _, _, text in outputs)]), newline=""
+    )
 
     report_path = out_dir / "verify_report.txt"
     lines = [f"seed = {seed}", f"cases per suite = {case_count}", ""]

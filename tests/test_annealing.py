@@ -174,6 +174,12 @@ def test_calibrate_rejects_negative_gamma_target():
     assert calibrate_g0(2.0, 100, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("target", ["300", True, np.False_, None], ids=repr)
+def test_calibrate_rejects_a_gamma_target_that_is_not_a_real_number(target):
+    with pytest.raises(ValueError, match="^inverse temperature must be a real number, got "):
+        calibrate_g0(2.0, 100, target)
+
+
 def test_calibrate_rejects_bad_alpha():
     with pytest.raises(ValueError, match="alpha must exceed 1"):
         calibrate_g0(1.0, 100, 300.0)

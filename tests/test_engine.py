@@ -807,6 +807,13 @@ def test_roulette_rejects_nan_or_negative_probabilities():
             select_parents(np.array([0.5, 0.25]), gamma, draws)
 
 
+@pytest.mark.parametrize("gamma_n", ["2", True, np.True_], ids=repr)
+def test_roulette_rejects_a_gamma_that_is_not_a_real_number(gamma_n):
+    draws = np.random.default_rng(139).random(2)
+    with pytest.raises(ValueError, match="^inverse temperature must be a real number, got "):
+        select_parents(np.array([0.5, 0.25]), gamma_n, draws)
+
+
 @pytest.mark.parametrize("gamma_n", [None, 2.0])
 def test_selection_probabilities_reject_nan_fitness(gamma_n):
     message = "selection probabilities must be nonnegative with a finite positive sum"

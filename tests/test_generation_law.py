@@ -19,14 +19,26 @@ whose generations are i.i.d., are the draws of R runs' first generation.
 A chi-square test compares the counts of the R outcomes with the law.
 Cells whose expected count is below 5 are pooled into one; the threshold
 is the chi-square quantile at ``ALPHA`` on (kept cells - 1) degrees of
-freedom, so it follows from R and the number of cells. A defect fed in
-through the config (crossover at 1 - p_c, mutation at 1.2 * p_m) must be
-rejected at the same threshold.
+freedom, so it follows from R and the number of cells. A population the
+law gives probability 0 fails outright.
+
+The defects the module catches, each rejected at the same threshold:
+
+  - crossover at 1 - p_c and mutation at 1.2 * p_m, fed in through the
+    config;
+  - elitism that writes the best parent over the best child instead of the
+    worst: the generation is stepped with elitism off and the defect
+    applied to its children. It draws populations the law rules out.
+
+Children taken from the wrong half of the pool (the last n, not the first)
+cannot be caught: the pairs are i.i.d. and each pair's law is symmetric,
+so the law of the ordered next population is unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -104,11 +116,11 @@ def exact_law(
     return kept
 
 
-def one_generation(
+def next_levels(
     n: int, bits: int, levels: tuple[int, ...], gamma: float | None,
     p_c: float, p_m: float, elitism: bool, seed: int,
 ) -> np.ndarray:
-    """Counts of each ordered next population over R stacked runs."""
+    """The (R, n) levels of the next population of R stacked runs."""
     cfg = GaConfig(objective=SPEC, pop_size=n, generations=1, crossover_prob=p_c,
                    mutation_prob_per_bit=p_m, runs=1, elitism=elitism, bits_per_var=bits)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -117,21 +129,34 @@ def one_generation(
     pop = fixed_population(n, bits, levels)
     stack = make_population(np.tile(pop.genes, (R, 1, 1)), SPEC, bits)
     nxt, _ = step_generation(stack, cfg, gamma, draws)
-    cells = np.ravel_multi_index(tuple(nxt.genes[..., 0].T), (1 << bits,) * n)
+    return nxt.genes[..., 0]
+
+
+def tally(children: np.ndarray, bits: int) -> np.ndarray:
+    """Counts of each ordered population among the rows of ``children``."""
+    n = children.shape[1]
+    cells = np.ravel_multi_index(tuple(children.T), (1 << bits,) * n)
     return np.bincount(cells, minlength=(1 << bits) ** n)
+
+
+def one_generation(*case, seed: int) -> np.ndarray:
+    """Counts of each ordered next population over R stacked runs."""
+    return tally(next_levels(*case, seed=seed), case[1])
 
 
 def chi_square(counts: np.ndarray, law: np.ndarray) -> tuple[float, float]:
     """The statistic and its threshold at ``ALPHA``; cells expected below 5
-    are pooled into one, and an outcome of probability 0 fails outright."""
+    are pooled into one, and an outcome of probability 0 fails outright:
+    the statistic is then inf."""
     expected = law.ravel() * counts.sum()
-    assert counts[expected == 0].sum() == 0, "an impossible population was drawn"
     small = (expected > 0) & (expected < 5)
     obs = np.append(counts[expected >= 5], counts[small].sum())
     exp = np.append(expected[expected >= 5], expected[small].sum())
     if exp[-1] == 0:
         obs, exp = obs[:-1], exp[:-1]
     stat = float(((obs - exp) ** 2 / exp).sum())
+    if counts[expected == 0].any():  # an impossible population was drawn
+        stat = math.inf
     return stat, float(chi2.isf(ALPHA, exp.size - 1))
 
 
@@ -156,4 +181,15 @@ def test_a_defect_fed_in_through_the_config_is_rejected(defect):
     n, bits, levels, gamma, p_c, p_m, elitism = CASES["n3-b2-boltzmann"]
     counts = one_generation(n, bits, levels, gamma, *defect(p_c, p_m), elitism, seed=99)
     stat, threshold = chi_square(counts, exact_law(n, bits, levels, gamma, p_c, p_m, elitism))
+    assert stat > threshold
+
+
+def test_elitism_over_the_best_child_is_rejected():
+    n, bits, levels, gamma, p_c, p_m, elitism = CASES["n3-b2-boltzmann-elitism"]
+    children = next_levels(n, bits, levels, gamma, p_c, p_m, False, seed=98)
+    raw = fixed_population(1 << bits, bits, tuple(range(1 << bits))).raw
+    elite = levels[int(fixed_population(n, bits, levels).raw.argmin())]
+    children[np.arange(R), raw[children].argmin(axis=1)] = elite
+    law = exact_law(n, bits, levels, gamma, p_c, p_m, elitism)
+    stat, threshold = chi_square(tally(children, bits), law)
     assert stat > threshold

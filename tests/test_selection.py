@@ -48,6 +48,18 @@ def test_boltzmann_rejects_non_finite_gamma(gamma):
         boltzmann_apply(NFD({1.0: 1.0}), gamma)
 
 
+@pytest.mark.parametrize("gamma", ["3", True, np.True_, None, 1j], ids=repr)
+def test_boltzmann_rejects_a_gamma_that_is_not_a_real_number(gamma):
+    with pytest.raises(ValueError, match="^inverse temperature must be a real number, got "):
+        boltzmann_apply(NFD({0.5: 1.0}), gamma)
+
+
+def test_boltzmann_takes_ints_and_numpy_floats_as_gamma():
+    phi = NFD({0.0: 0.5, 1.0: 0.5})
+    expected = boltzmann_apply(phi, 3.0)
+    assert boltzmann_apply(phi, 3) == boltzmann_apply(phi, np.float64(3.0)) == expected
+
+
 def test_boltzmann_preserves_support_exactly():
     rng = np.random.default_rng(2)
     for _ in range(200):
