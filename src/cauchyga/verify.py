@@ -15,15 +15,27 @@ per case, and reports the first failing case in detail. Each suite's line
 in the report gives its worst margin, the smallest rhs - lhs over its
 cases (before any slack), and the case where it occurs.
 
+Suite i draws from ``PCG64([seed, i])`` in draw order 2
+(:data:`DRAW_ORDER`, named in the report): in blocks of
+:data:`CASE_BLOCK` cases, one bulk call per kind of draw. A block first
+draws its random NFDs in one :func:`random_nfds` call (three per case for
+metric, one for lemma1, lemma2 and semigroup), then its case parameters,
+one call each: the two gammas of every case for lemma1 and semigroup;
+for lemma2 the alpha indices, the g0 indices, m, then n given m. A suite
+always draws a full block, so a case's draws depend only on the seed,
+the suite and the case index, and a shorter run is a prefix of a longer
+one. cauchy-tail draws all its NFDs in one call. Draw order 1 drew the
+same laws case by case, each NFD on its own.
+
 A suite is a generator ``suite(rng, cases)`` that draws its cases from
 ``rng`` and yields ``(case_id, lhs, rhs, problems)`` for each, where
 ``problems`` lists what failed, each as a non-empty message. The runner
-records the problems joined by "; " as the case's detail, and a
-:class:`CaseResult` holds exactly when its detail is empty. Any slack is
-one of the module's slack constants, looked up when the suite runs, never
-a literal in the suite; :func:`exceeds` decides ``lhs <= rhs + slack``. A
-suite appended to :data:`SUITES` gets the next stream index, so the draws
-of the earlier suites do not move.
+records the problems joined by "; " as the detail of the case's
+:class:`CaseResult`, which holds exactly when its detail is empty. Any
+slack is one of the module's slack constants, looked up when the suite
+runs, never a literal in the suite; :func:`exceeds` decides
+``lhs <= rhs + slack``. A suite appended to :data:`SUITES` gets the next
+stream index, so the draws of the earlier suites do not move.
 
 The suites share nothing but the seed, so :func:`run_verify` runs them in
 one process per suite up to the usable CPUs (:func:`_workers`): the
@@ -48,10 +60,10 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 from math import inf
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,6 +75,8 @@ from .theory import cauchy_tail_profile, lemma1_check, lemma2_bound_check, tail_
 LEMMA_ALPHAS = (1.1, 1.5, 2.0)
 LEMMA_G0S = (0.1, 1.0, 10.0)
 TAIL_CHECKPOINTS = (1, 2, 4, 8, 16, 32)
+DRAW_ORDER = 2  # the draw order of the module docstring; bumped when it changes
+CASE_BLOCK = 128  # cases per block of bulk draws, a constant of draw order 2
 # the suites' slack; SEMIGROUP_TOL is the semigroup law's bound itself
 METRIC_SLACK = 1e-12
 LEMMA_SLACK = 1e-9
@@ -74,8 +88,11 @@ Row = tuple[str, float, float, str]  # (case_id, lhs, rhs, detail)
 SuiteOutput = tuple[str, list[Row], str]  # (report line, rows, verify_cases.csv text)
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
+    """A row as the caller returns it. Rows cross the helpers' pipe as plain
+    tuples: pickle builds a tuple in C, but a ``NamedTuple`` through a
+    Python call each way."""
+
     case_id: str
     lhs: float
     rhs: float
@@ -112,20 +129,27 @@ class VerifyResult:
         return f"first failure: {c.case_id} lhs={c.lhs!r} rhs={c.rhs!r} {c.detail}"
 
 
-def random_nfd(
+def random_nfds(
     rng: np.random.Generator,
+    count: int,
     max_support: int = 20,
     value_low: float = 0.0,
     value_high: float = 1.0,
-) -> NFD:
-    """Random NFD: support size 1..max_support, uniform values, Dirichlet masses.
+) -> list[NFD]:
+    """``count`` random NFDs: support size 1..max_support, uniform values,
+    Dirichlet masses; three bulk draws for the lot.
 
-    The masses are standard exponentials times ``1.0 / acc``, where ``acc``
-    adds them one by one in order. That is how numpy's ``dirichlet``
-    computes shape 1 (its shape-1 gamma is the standard exponential), so
-    they are the doubles ``rng.dirichlet(np.ones(k))`` gives from the same
-    stream position, without its per-call cost. The sorted, distinct values
-    become the support unchecked, so the range is checked before any draw.
+    The draws are the ``count`` support sizes in one ``integers`` call,
+    all their values in one ``uniform`` call, each NFD's values sorted and
+    deduplicated, then one ``standard_exponential`` per distinct value in
+    one call. Each NFD's masses are its exponentials times ``1.0 / acc``,
+    where ``acc`` adds them one by one in order. That is how numpy's
+    ``dirichlet`` computes shape 1 (its shape-1 gamma is the standard
+    exponential), so at ``count`` 1 they are the doubles
+    ``rng.dirichlet(np.ones(k))`` gives from the same stream position. An
+    NFD with a zero mass is drawn again, after the others, through
+    ``count`` 1. The sorted, distinct values become the support unchecked,
+    so the range is checked before any draw.
 
     Raises:
         ValueError: Unless 0 <= value_low <= value_high < inf.
@@ -135,22 +159,35 @@ def random_nfd(
             f"value range must satisfy 0 <= low <= high < inf, "
             f"got [{value_low!r}, {value_high!r}]"
         )
-    while True:
-        k = int(rng.integers(1, max_support + 1))
-        values = sorted(set(rng.uniform(value_low, value_high, size=k).tolist()))
-        draws = rng.standard_exponential(len(values)).tolist()
+    sizes = rng.integers(1, max_support + 1, size=count).tolist()
+    values = rng.uniform(value_low, value_high, size=sum(sizes)).tolist()
+    ends = accumulate(sizes)
+    supports = [sorted(set(values[end - k : end])) for k, end in zip(sizes, ends)]
+    lengths = [len(support) for support in supports]
+    draws = rng.standard_exponential(sum(lengths)).tolist()
+    nfds: list[NFD | None] = []
+    for support, k, end in zip(supports, lengths, accumulate(lengths)):
+        exponentials = draws[end - k : end]
         acc = 0.0  # in order, as dirichlet adds; sum() compensates from Python 3.12
-        for e in draws:
+        for e in exponentials:
             acc += e
         scale = 1.0 / acc
-        masses = [e * scale for e in draws]
-        if min(masses) > 0.0:
-            return NFD._on_support(values, masses)
+        masses = [e * scale for e in exponentials]
+        nfds.append(NFD._on_support(support, masses) if min(masses) > 0.0 else None)
+    for i, phi in enumerate(nfds):
+        if phi is None:
+            nfds[i] = random_nfds(rng, 1, max_support, value_low, value_high)[0]
+    return nfds
 
 
-def choice(rng: np.random.Generator, options: tuple[float, ...]) -> float:
-    """``rng.choice(options)``: the same index draw, without the array."""
-    return options[int(rng.integers(0, len(options)))]
+def random_nfd(
+    rng: np.random.Generator,
+    max_support: int = 20,
+    value_low: float = 0.0,
+    value_high: float = 1.0,
+) -> NFD:
+    """One random NFD, as :func:`random_nfds` draws it at ``count`` 1."""
+    return random_nfds(rng, 1, max_support, value_low, value_high)[0]
 
 
 def exceeds(lhs: float, rhs: float, slack: float) -> bool:
@@ -158,31 +195,48 @@ def exceeds(lhs: float, rhs: float, slack: float) -> bool:
     return not lhs <= rhs + slack
 
 
+def _blocks(cases: int) -> Iterator[range]:
+    """The case indices of each block of :data:`CASE_BLOCK` cases; the last
+    may hold fewer, though its suite still draws a full block."""
+    return (range(i, min(i + CASE_BLOCK, cases)) for i in range(0, cases, CASE_BLOCK))
+
+
 def metric_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     """Nonnegativity, identity, symmetry, and triangle inequality on triples."""
-    for i in range(cases):
-        p1, p2, p3 = (random_nfd(rng) for _ in range(3))
-        d12, d13, d23 = distance(p1, p2), distance(p1, p3), distance(p2, p3)
-        checks = (
-            (min(d12, d13, d23) < 0.0, "negative distance"),
-            (exceeds(max(d12, d13, d23), 2.0, METRIC_SLACK), "distance above 2"),
-            (distance(p1, p1) != 0.0, "d(phi, phi) != 0"),
-            (
-                d12 == 0.0 and p1.entries != p2.entries,
-                "zero distance between distinct NFDs",
-            ),
-            (distance(p2, p1) != d12, "asymmetric"),
-            (exceeds(d13, d12 + d23, METRIC_SLACK), "triangle inequality violated"),
-        )
-        problems = [message for failed, message in checks if failed]
-        yield f"metric-{i:06d}", d13, d12 + d23, problems
+    for block in _blocks(cases):
+        phis = random_nfds(rng, 3 * CASE_BLOCK)
+        for i, p1, p2, p3 in zip(block, phis[0::3], phis[1::3], phis[2::3]):
+            d12, d13, d23 = distance(p1, p2), distance(p1, p3), distance(p2, p3)
+            checks = (
+                (min(d12, d13, d23) < 0.0, "negative distance"),
+                (exceeds(max(d12, d13, d23), 2.0, METRIC_SLACK), "distance above 2"),
+                (distance(p1, p1) != 0.0, "d(phi, phi) != 0"),
+                (
+                    d12 == 0.0 and p1.entries != p2.entries,
+                    "zero distance between distinct NFDs",
+                ),
+                (distance(p2, p1) != d12, "asymmetric"),
+                (exceeds(d13, d12 + d23, METRIC_SLACK), "triangle inequality violated"),
+            )
+            problems = [message for failed, message in checks if failed]
+            yield f"metric-{i:06d}", d13, d12 + d23, problems
+
+
+def _phis_and_gammas(
+    rng: np.random.Generator, cases: int
+) -> Iterator[tuple[int, NFD, float, float]]:
+    """Each case's index, random NFD and two inverse temperatures, uniform
+    on [0, 50), as lemma1 and semigroup draw them."""
+    for block in _blocks(cases):
+        phis = random_nfds(rng, CASE_BLOCK)
+        gammas = rng.uniform(0.0, 50.0, size=(CASE_BLOCK, 2)).tolist()
+        for i, phi, (g1, g2) in zip(block, phis, gammas):
+            yield i, phi, g1, g2
 
 
 def lemma1_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     """Strength-difference bound on random (phi, gamma1, gamma2)."""
-    for i in range(cases):
-        phi = random_nfd(rng)
-        g1, g2 = rng.uniform(0.0, 50.0, size=2).tolist()
+    for i, phi, g1, g2 in _phis_and_gammas(rng, cases):
         chk = lemma1_check(phi, g1, g2)
         bad = exceeds(chk.lhs, chk.rhs, LEMMA_SLACK)
         problems = [f"gamma1={g1!r} gamma2={g2!r}"] if bad else []
@@ -190,24 +244,28 @@ def lemma1_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
 
 
 def lemma2_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
-    """Tail bound on random NFDs and schedule windows 1 <= m < n <= 50."""
-    for i in range(cases):
-        phi = random_nfd(rng)  # support in [0, 1] keeps the bound informative
-        alpha = choice(rng, LEMMA_ALPHAS)
-        g0 = choice(rng, LEMMA_G0S)
-        m = int(rng.integers(1, 50))
-        n = int(rng.integers(m + 1, 51))
-        chk = lemma2_bound_check(phi, cauchy_schedule(g0, alpha), m, n)
-        bad = exceeds(chk.lhs, chk.rhs, LEMMA_SLACK)
-        problems = [f"alpha={alpha} g0={g0} m={m} n={n}"] if bad else []
-        yield f"lemma2-{i:06d}", chk.lhs, chk.rhs, problems
+    """Tail bound on random NFDs and schedule windows 1 <= m < n <= 50.
+
+    Alpha and g0 are picked by index, the draws ``rng.choice`` makes.
+    """
+    for block in _blocks(cases):
+        # support in [0, 1] keeps the bound informative
+        phis = random_nfds(rng, CASE_BLOCK)
+        alphas = rng.integers(0, len(LEMMA_ALPHAS), size=CASE_BLOCK).tolist()
+        g0s = rng.integers(0, len(LEMMA_G0S), size=CASE_BLOCK).tolist()
+        ms = rng.integers(1, 50, size=CASE_BLOCK)
+        ns = rng.integers(ms + 1, 51).tolist()
+        for i, phi, a, g, m, n in zip(block, phis, alphas, g0s, ms.tolist(), ns):
+            alpha, g0 = LEMMA_ALPHAS[a], LEMMA_G0S[g]
+            chk = lemma2_bound_check(phi, cauchy_schedule(g0, alpha), m, n)
+            bad = exceeds(chk.lhs, chk.rhs, LEMMA_SLACK)
+            problems = [f"alpha={alpha} g0={g0} m={m} n={n}"] if bad else []
+            yield f"lemma2-{i:06d}", chk.lhs, chk.rhs, problems
 
 
 def semigroup_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     """Composition in two steps equals one application at the summed gamma."""
-    for i in range(cases):
-        phi = random_nfd(rng)
-        g1, g2 = rng.uniform(0.0, 50.0, size=2).tolist()
+    for i, phi, g1, g2 in _phis_and_gammas(rng, cases):
         two_step = boltzmann_apply(boltzmann_apply(phi, g1), g2)
         one_step = boltzmann_apply(phi, g1 + g2)
         err = distance(two_step, one_step)
@@ -231,9 +289,9 @@ def cauchy_tail_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     """
     n_phis = max(1, cases // 100)
     settings = product(LEMMA_ALPHAS, LEMMA_G0S, range(n_phis))
-    for case_no, (alpha, g0, _) in enumerate(settings):
+    phis = random_nfds(rng, len(LEMMA_ALPHAS) * len(LEMMA_G0S) * n_phis)
+    for case_no, ((alpha, g0, _), phi) in enumerate(zip(settings, phis)):
         schedule = cauchy_schedule(g0, alpha)
-        phi = random_nfd(rng)
         profile = cauchy_tail_profile(phi, schedule, list(TAIL_CHECKPOINTS))
         problems = []
         worst_lhs = 0.0
@@ -377,7 +435,7 @@ def run_verify(seed: int, case_count: int, output_dir: str | Path) -> VerifyResu
         for share in others:
             helpers.append(_fork_share(seed, share, case_count))
         outputs = [_suite_output(seed, i, case_count) for i in own]
-        cases = [CaseResult(*row) for _, rows, _ in outputs for row in rows]
+        cases = [CaseResult._make(row) for _, rows, _ in outputs for row in rows]
         sent = [pipe.read() for _, pipe in helpers]
     finally:
         statuses = []
@@ -392,7 +450,7 @@ def run_verify(seed: int, case_count: int, output_dir: str | Path) -> VerifyResu
         if not finished:
             raise value
         outputs += value
-        cases += [CaseResult(*row) for _, rows, _ in value for row in rows]
+        cases += [CaseResult._make(row) for _, rows, _ in value for row in rows]
 
     result = VerifyResult(cases, [line for line, _, _ in outputs])
     (out_dir / "verify_cases.csv").write_text(
@@ -400,7 +458,12 @@ def run_verify(seed: int, case_count: int, output_dir: str | Path) -> VerifyResu
     )
 
     report_path = out_dir / "verify_report.txt"
-    lines = [f"seed = {seed}", f"cases per suite = {case_count}", ""]
+    lines = [
+        f"seed = {seed}",
+        f"cases per suite = {case_count}",
+        f"draw order = {DRAW_ORDER}",
+        "",
+    ]
     lines += result.suite_lines
     if not result.ok:
         lines += ["", result.failure_line()]

@@ -12,7 +12,8 @@ suite lines, worst margins and first-failure line are pinned too.
 The series digests were made with stream version 6 (the draw order that
 ``engine.STREAM_VERSION`` numbers) on numpy 2.4.6 (PCG64), with numpy
 dispatching its SIMD kernels to X86_V3, X86_V4, AVX512_ICL and AVX512_SPR;
-the verify digests do not depend on the GA stream. The targets matter:
+the verify digests do not depend on the GA stream, and were made with
+verify draw order 2 (``verify.DRAW_ORDER``). The targets matter:
 ``np.exp`` gives different last bits under the AVX-512 kernels than under
 the X86_V3 ones, and ackley's values and the Boltzmann weights read it.
 With ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` set for
@@ -99,10 +100,10 @@ SCHEDULE_DIGESTS = {
     "1.0000001": "ea8df4a8e4ff4b7637d1895fa556062059ea8e5ad349472d09128e24f03bc32e",
 }
 
-VERIFY_DIGEST = "eb59e62f96958b452482ac4fe2c346d42155e3ff2dda2096eb0b484eb0fe40d6"
+VERIFY_DIGEST = "71375643ae3e9b27db181d8c98102c54fd3f9545f52a1831b1469acdefa10df9"
 
 # the same seed at the benchmark's size: 1000 cases per suite, 4093 rows
-VERIFY_DIGEST_1000 = "7423e6c50ac93fbb83eaee42c901f062f94da838f26d883748f851bb287583b9"
+VERIFY_DIGEST_1000 = "0b069ea91cb9799d3e98540310962dc0cf3572d0a27186acfb501221398c5028"
 
 # verify_report.txt at seed 42 and 100 cases: the suite lines with their
 # worst margins, and on the failure paths (each a set of broken verify
@@ -115,10 +116,10 @@ REPORT_TOLERANCES = {
     "metric-profile-slack": {"METRIC_SLACK": -3.0, "PROFILE_SLACK": -1.0},
 }
 REPORT_DIGESTS = {
-    "pass": "4a504eabe78620ef299404abbb51781b237a282a4aa7d770bcbfde1ad1ea45ca",
-    "lemma-slack": "db69b06c18dc70cc40a37f34a88eebcb25dc7ae5e27d9d36a684bef543dbc933",
-    "semigroup-tol": "78b77d1e753b9b4683c649b43a28d1d43bfc633d2ec2df937c571662b65ed550",
-    "metric-profile-slack": "10cd48a44587c7eda6a6141244503e1ab9c6eafa3a036c9bd44ee10d902e53f9",
+    "pass": "4cb4f2226e279745c3c2373eb58d6c45d1f2f53a07fb59c98dbfe53df9eb8477",
+    "lemma-slack": "b0c627fc13dc9b191b5bd5d39f21519cbe4a1d01feffa9c2678462d2e821824f",
+    "semigroup-tol": "3cc832a7369c72c8c9b8efae01bbb4f2729e54fcc49bbd84c607194433c6f213",
+    "metric-profile-slack": "cf2def707ecd2472d58d063aa93f8086c4fb823c1c34db46d7e3a742ea8bb54f",
 }
 
 

@@ -1,12 +1,11 @@
 """Hypothesis property tests: fast paths, and the operator algebra's edges.
 
 The GA's realized strength (``engine._strengths``, here on a stack of one
-population), ``distance``, ``boltzmann_apply``, ``cauchy_tail_profile``,
-``random_nfd`` and the lemma-2 ``choice`` each replaced a slower reference
-that is kept here; they must equal it bit for bit, so those tests compare
-with ``==``. The operator tests use the
-tolerances the rest of the suite uses (``verify.SEMIGROUP_TOL`` for the
-semigroup law).
+population), ``distance``, ``boltzmann_apply``, ``cauchy_tail_profile``
+and ``random_nfd`` each replaced a slower reference that is kept here;
+they must equal it bit for bit, so those tests compare with ``==``. The
+operator tests use the tolerances the rest of the suite uses
+(``verify.SEMIGROUP_TOL`` for the semigroup law).
 
 Every test runs derandomized, so tier-1 sees the same examples on every run.
 """
@@ -27,7 +26,7 @@ from cauchyga.engine import _strengths, population_nfd
 from cauchyga.nfd import NFD, distance
 from cauchyga.selection import boltzmann_apply, proportionate_apply
 from cauchyga.theory import cauchy_tail_profile
-from cauchyga.verify import LEMMA_ALPHAS, LEMMA_G0S, SEMIGROUP_TOL, choice, random_nfd
+from cauchyga.verify import SEMIGROUP_TOL, random_nfd
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -342,10 +341,3 @@ def test_random_nfd_rejects_bad_value_range(low, high):
         random_nfd(rng, 5, low, high)
     assert rng.bit_generator.state == before
 
-
-def test_choice_matches_generator_choice():
-    ours, reference = np.random.default_rng(167), np.random.default_rng(167)
-    for _ in range(10_000):
-        assert choice(ours, LEMMA_ALPHAS) == float(reference.choice(LEMMA_ALPHAS))
-        assert choice(ours, LEMMA_G0S) == float(reference.choice(LEMMA_G0S))
-    assert ours.random() == reference.random()
