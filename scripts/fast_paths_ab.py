@@ -8,9 +8,10 @@ one run. The ``unified`` variant replaces the three functions, in this
 process only, by copies without that fork, so a one-run stack goes through
 the (runs, n) path too; ``fork`` is the engine as it is. Each round runs
 both variants in fresh processes, alternating which goes first. A process
-checks that its series tables equal the engine's own, then times one pass
+checks that its record stacks equal the engine's own, then times one pass
 of the 12-experiment grid (every function and scheme of ``cli``) with
-``engine.multi_run`` at the given size, and reports the best of
+``engine.multi_run`` at the given size, which stops short of the
+``engine.aggregate`` both variants share, and reports the best of
 ``--passes`` passes. The summary gives each variant's median and range
 across rounds, the unified/fork ratio per round, and its median.
 """
@@ -96,16 +97,16 @@ def grid(pop_size: int, generations: int, runs: int) -> list[engine.GaConfig]:
 
 
 def time_variant(args) -> float:
-    """Best time of one grid pass in this process, after checking the tables."""
+    """Best time of one grid pass in this process, after checking the stacks."""
     configs = grid(args.pop, args.generations, args.runs)
     expected = [engine.multi_run(cfg) for cfg in configs]
     if args.variant == "unified":
         engine.selection_probabilities = unified_selection_probabilities
         engine.select_parents = unified_select_parents
         engine.step_generation = unified_step_generation
-    for cfg, table in zip(configs, expected):
-        if not np.array_equal(engine.multi_run(cfg), table):
-            raise SystemExit(f"{args.variant}: series table differs on {cfg.objective.name}")
+    for cfg, stack in zip(configs, expected):
+        if not np.array_equal(engine.multi_run(cfg), stack):
+            raise SystemExit(f"{args.variant}: record stack differs on {cfg.objective.name}")
     best = math.inf
     for _ in range(args.passes):
         t0 = time.perf_counter()

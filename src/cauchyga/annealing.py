@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import _as_float
+from .benchmarks import _as_float, _as_int
 from .selection import _check_gamma
 
 
@@ -79,8 +79,9 @@ def gamma_at(schedule: AnnealingSchedule, n: int) -> float:
     exactly 1 at alpha = inf, so a constant schedule returns g0 itself.
 
     Raises:
-        ValueError: If n < 1.
+        ValueError: If n is not an integer (:func:`_as_int`) or n < 1.
     """
+    n = _as_int("n", n)
     if n < 1:
         raise ValueError("generation index must be >= 1")
     return schedule.g0 * _sums_through(schedule.alpha, n)[n]
@@ -93,8 +94,9 @@ def tail_sum(schedule: AnnealingSchedule, m: int, n: int) -> float:
     schedule's tail sum is 0 for m >= 1.
 
     Raises:
-        ValueError: If not n > m >= 0.
+        ValueError: If m or n is not an integer, or not n > m >= 0.
     """
+    m, n = _as_int("m", m), _as_int("n", n)
     if m < 0 or n <= m:
         raise ValueError(f"need n > m >= 0, got m={m}, n={n}")
     prefix = _sums_through(schedule.alpha, n)
@@ -109,10 +111,11 @@ def calibrate_g0(alpha: float, horizon: int, gamma_target: float) -> float:
     round-trips to gamma_target; at alpha = inf that is gamma_target.
 
     Raises:
-        ValueError: If alpha is not a real number or <= 1, horizon < 1, or
-            gamma_target is negative or not finite.
+        ValueError: If alpha is not a real number or <= 1, horizon is not an
+            integer or < 1, or gamma_target is negative or not finite.
     """
     _check_alpha(alpha)
+    horizon = _as_int("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     _check_gamma(gamma_target)

@@ -34,7 +34,13 @@ FUNCTION_NAMES = tuple(_BOX)
 
 
 def _as_int(name: str, value) -> int:
-    """The package's one integer rule: no bool; anything with __index__, as an int."""
+    """The package's one integer rule: no bool; anything with __index__, as an int.
+
+    An int is returned first: verify reads about 3,500 generation indices
+    through ``annealing.gamma_at`` per call at 1000 cases.
+    """
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)

@@ -11,10 +11,13 @@ Three subcommands:
 The scheme names (``SELECTION_SCHEMES``) live here; only
 :func:`build_ga_config` turns one into the engine's schedule.
 
-Flags override an optional flat ``key = value`` config file (``#`` starts
-a comment); every effective value is echoed into the CSV metadata so a
-result file is self-describing. Exit codes: 0 success, 1 verification
-failure, 2 usage error (a sibling CSV that cannot be joined among them).
+An argument ``@FILE`` is replaced by the flags that FILE holds, split as
+a shell splits them (quotes work, ``#`` starts a comment), and argparse
+reads them in their place, so a later flag wins over an earlier one.
+Flags are never abbreviated. Every effective value is echoed into the CSV
+metadata so a result file is self-describing. Exit codes: 0 success, 1
+verification failure, 2 usage error (a sibling CSV that cannot be joined
+among them).
 """
 
 from __future__ import annotations
@@ -22,16 +25,18 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import shlex
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, get_args, get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .annealing import calibrate_g0, cauchy_schedule, constant_schedule, gamma_at
-from .benchmarks import FUNCTION_NAMES, make_objective
-from .engine import GENERATOR_NAME, SERIES_COLUMNS, STREAM_VERSION, GaConfig, multi_run
+from .benchmarks import FUNCTION_NAMES, _as_int, make_objective
+from .engine import GENERATOR_NAME, SERIES_COLUMNS, STREAM_VERSION, GaConfig
+from .engine import aggregate, multi_run
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -49,7 +54,7 @@ _SCHEME_FLAGS = {name.replace("_", "-"): name for name in SELECTION_SCHEMES}
 
 @dataclass
 class CliConfig:
-    """Effective experiment configuration after flag/file merging."""
+    """Effective experiment configuration: the ``run`` flags over these defaults."""
 
     function: str
     selection: str
@@ -78,89 +83,25 @@ def fmt(value) -> str:
     return str(value)
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; ``#`` comments, blank lines ignored.
-
-    Raises:
-        ValueError: On a line without '=', or a key given twice.
-    """
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = val.strip()
-    return values
-
-
-_BOOLEANS = {
-    "true": True, "yes": True, "on": True, "1": True,
-    "false": False, "no": False, "off": False, "0": False,
-}
-
-
-def _parse_bool(text: str) -> bool:
-    """Read a config-file boolean: true/false, yes/no, on/off or 1/0, any case.
-
-    Raises:
-        ValueError: On any other spelling.
-    """
-    try:
-        return _BOOLEANS[text.strip().lower()]
-    except KeyError:
-        raise ValueError(
-            f"not a boolean: {text!r} (use true/false, yes/no, on/off or 1/0)"
-        ) from None
-
-
-def _parser(hint) -> Callable[[str], object]:
-    """Parser of a flag or config-file value for a CliConfig field of type ``hint``."""
-    if hint is bool:
-        return _parse_bool
-    # an optional field parses as its non-None type
-    return next((t for t in get_args(hint) if t is not type(None)), hint)
-
-
 _FIELD_TYPES = get_type_hints(CliConfig)
 
 
-def merge_config(cli_values: dict, file_values: dict[str, str]) -> CliConfig:
-    """Apply precedence: explicit flags beat file values beat defaults.
+def merge_config(cli_values: dict) -> CliConfig:
+    """Lay the flags that were set over the CliConfig defaults.
 
-    Config-file values are parsed by the type of their CliConfig field.
+    ``cli_values`` maps field names to parsed values, None for a flag not
+    given; other keys are ignored. A scheme's flag spelling
+    (``cauchy-boltzmann``) becomes its name (``cauchy_boltzmann``).
 
     Raises:
-        ValueError: On unknown config-file keys, a value its field's type
-            cannot read, or missing required values.
+        ValueError: If function or selection is missing.
     """
-    unknown = set(file_values) - set(_FIELD_TYPES)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    merged: dict = {}
-    for name, hint in _FIELD_TYPES.items():
-        if cli_values.get(name) is not None:
-            merged[name] = cli_values[name]
-        elif name in file_values:
-            try:
-                merged[name] = _parser(hint)(file_values[name])
-            except ValueError as exc:
-                raise ValueError(f"config key {name}: {exc}") from None
+    merged = {name: cli_values[name] for name in _FIELD_TYPES
+              if cli_values.get(name) is not None}
     for required in ("function", "selection"):
         if required not in merged:
             raise ValueError(f"missing required setting: {required}")
     merged["selection"] = _SCHEME_FLAGS.get(merged["selection"], merged["selection"])
-    if "g0" in file_values and "gamma_target" in file_values:
-        raise ValueError("g0 and gamma_target are mutually exclusive")
-    # an explicit flag on one side of the pair retires the file's other side
-    if cli_values.get("gamma_target") is not None and cli_values.get("g0") is None:
-        merged.pop("g0", None)
     return CliConfig(**merged)
 
 
@@ -345,7 +286,7 @@ def run_experiment(cfg: CliConfig) -> list[Path]:
     Returns the list of paths written.
     """
     ga, g0_effective = build_ga_config(cfg)
-    table = multi_run(ga)
+    table = aggregate(multi_run(ga))
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{cfg.function}_{cfg.selection}.csv"
@@ -370,11 +311,12 @@ def emit_schedule(
     g0 so the schedule ends at the target after ``horizon`` generations.
 
     Raises:
-        ValueError: If alpha <= 1, horizon < 1, or the g0/gamma_target
-            choice is not exactly one.
+        ValueError: If alpha <= 1, horizon is not an integer or < 1, or the
+            g0/gamma_target choice is not exactly one.
     """
     if (g0 is None) == (gamma_target is None):
         raise ValueError("exactly one of g0 and gamma_target must be given")
+    horizon = _as_int("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     g0_effective = _cauchy_g0(alpha, horizon, g0, gamma_target)
@@ -404,26 +346,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cauchyga",
         description="GA experiments with Boltzmann selection under a Cauchy "
         "annealing schedule",
+        fromfile_prefix_chars="@",
     )
+    parser.convert_arg_line_to_args = functools.partial(shlex.split, comments=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    # a truncated flag is an unknown flag, typed or read from a file
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_run = sub.add_parser("run", help="run one experiment, write CSV series")
-    p_run.add_argument("--config", help="flat key = value config file")
-    # one flag per CliConfig field, in field order; unset flags stay None
+    p_run = add_command("run", help="run one experiment, write CSV series")
+    # one flag per CliConfig field, in field order; unset flags stay None;
+    # an optional field parses as its non-None type
     choices = {"function": FUNCTION_NAMES, "selection": sorted(_SCHEME_FLAGS)}
     for name, hint in _FIELD_TYPES.items():
         flag = "--" + name.replace("_", "-")
         if hint is bool:
             p_run.add_argument(flag, action=argparse.BooleanOptionalAction)
         else:
-            p_run.add_argument(flag, type=_parser(hint), choices=choices.get(name))
+            parse = next((t for t in get_args(hint) if t is not type(None)), hint)
+            p_run.add_argument(flag, type=parse, choices=choices.get(name))
 
-    p_ver = sub.add_parser("verify", help="run the verification suites")
+    p_ver = add_command("verify", help="run the verification suites")
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--cases", type=int, default=1000)
     p_ver.add_argument("--output", default="results")
 
-    p_sch = sub.add_parser("schedule", help="emit (n, gamma_n) schedule CSV")
+    p_sch = add_command("schedule", help="emit (n, gamma_n) schedule CSV")
     p_sch.add_argument("--alpha", type=float, required=True)
     p_sch.add_argument("--g0", type=float)
     p_sch.add_argument("--gamma-target", type=float, dest="gamma_target")
@@ -448,16 +395,14 @@ def main(argv: list[str] | None = None) -> int:
     immutable.
     """
     parser = _shared_parser()
-    args = parser.parse_args(argv)
-
     try:
+        # shlex raises ValueError on an unclosed quote in an argument file
+        args = parser.parse_args(argv)
         if args.command == "run":
             if args.g0 is not None and args.gamma_target is not None:
                 parser.error("--g0 and --gamma-target are mutually exclusive")
-            file_values = load_config_file(args.config) if args.config else {}
             # every CliConfig field is a flag, so the parsed namespace holds them all
-            cfg = merge_config(vars(args), file_values)
-            written = run_experiment(cfg)
+            written = run_experiment(merge_config(vars(args)))
             for path in written:
                 print(path)
             return EXIT_OK

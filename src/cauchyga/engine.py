@@ -572,5 +572,6 @@ def aggregate(stack: np.ndarray) -> np.ndarray:
 
 
 def multi_run(config: GaConfig) -> np.ndarray:
-    """Run the configured number of independent runs in lockstep; their series table."""
-    return aggregate(_run_stack(config, range(config.runs)))
+    """Run the configured number of independent runs in lockstep; their
+    (runs, generations, 5) records, which :func:`aggregate` reduces."""
+    return _run_stack(config, range(config.runs))

@@ -68,6 +68,7 @@ from typing import BinaryIO, Iterator, NamedTuple
 import numpy as np
 
 from .annealing import cauchy_schedule
+from .benchmarks import _as_int
 from .nfd import NFD, distance
 from .selection import boltzmann_apply
 from .theory import cauchy_tail_profile, lemma1_check, lemma2_bound_check, tail_bound
@@ -422,8 +423,12 @@ def run_verify(seed: int, case_count: int, output_dir: str | Path) -> VerifyResu
     bad state.
 
     Raises:
-        ValueError: If case_count < 1.
+        ValueError: If seed or case_count is not an integer (:func:`_as_int`),
+            seed < 0 or case_count < 1; nothing is then made or forked.
     """
+    seed, case_count = _as_int("seed", seed), _as_int("case_count", case_count)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if case_count < 1:
         raise ValueError("case_count must be >= 1")
     out_dir = Path(output_dir)

@@ -55,6 +55,27 @@ def test_gamma_at_rejects_n_zero():
             gamma_at(s, 0)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, 2.5, 2.0, "2"])
+def test_generation_indices_and_horizons_must_be_integers(bad):
+    # True ran as generation 1, and 2.5 raised an AttributeError
+    s = cauchy_schedule(1.0, 2.0)
+    for call, name in (
+        (lambda: gamma_at(s, bad), "n"),
+        (lambda: tail_sum(s, bad, 5), "m"),
+        (lambda: tail_sum(s, 0, bad), "n"),
+        (lambda: calibrate_g0(2.0, bad, 300.0), "horizon"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+
+
+def test_numpy_integer_indices_give_the_int_results():
+    s = cauchy_schedule(1.5, 1.1)
+    assert gamma_at(s, np.int64(7)) == gamma_at(s, 7)
+    assert tail_sum(s, np.uint8(2), np.int32(9)) == tail_sum(s, 2, 9)
+    assert calibrate_g0(1.1, np.int16(100), 300.0) == calibrate_g0(1.1, 100, 300.0)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError, match="alpha must exceed 1"):
         cauchy_schedule(1.0, 1.0)

@@ -22,7 +22,6 @@ from cauchyga.cli import (
     CliConfig,
     build_parser,
     emit_schedule,
-    load_config_file,
     main,
     merge_config,
     read_series_csv,
@@ -152,80 +151,143 @@ def test_combined_bytes_equal_a_join_that_rereads_every_sibling(tmp_path, last):
     assert combined.read_bytes() == "".join(lines).encode()
 
 
-def test_config_file_and_flag_precedence(tmp_path):
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text(
+def _args_file(path: Path, text: str) -> str:
+    """Write an argument file; return the ``@FILE`` argument that reads it."""
+    path.write_text(text)
+    return f"@{path}"
+
+
+def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
+    at_file = _args_file(
+        tmp_path / "exp.args",
         "# comment line\n"
-        "function = ackley\n"
-        "selection = proportionate\n"
-        "pop_size = 30   # trailing comment\n"
-        "runs = 3\n"
+        "\n"
+        "--function ackley --selection proportionate\n"
+        "--pop-size 30   # trailing comment\n"
+        "--runs 3\n"
+        "--runs 4  # a setting given again: the later one wins\n",
     )
-    values = load_config_file(cfg_file)
-    assert values == {
-        "function": "ackley",
-        "selection": "proportionate",
-        "pop_size": "30",
-        "runs": "3",
-    }
-    cfg = merge_config({"runs": 5}, values)
+    cfg = _parsed_config(monkeypatch, ["run", at_file, "--runs", "5"])
     assert cfg.function == "ackley"
     assert cfg.pop_size == 30
-    assert cfg.runs == 5  # flag wins over file
+    assert cfg.runs == 5  # flag after the file wins over it
     assert cfg.generations == 100  # default fills the rest
+    # a flag before the file loses to it
+    assert _parsed_config(monkeypatch, ["run", "--runs", "5", at_file]).runs == 4
 
 
-def test_config_file_values_take_the_field_types():
-    cfg = merge_config(
-        {},
-        {"function": "ackley", "selection": "cauchy-boltzmann", "g0": "1.5",
-         "dims": "3", "crossover_prob": "1", "output": "out"},
+def test_config_file_values_take_the_field_types(tmp_path, monkeypatch):
+    at_file = _args_file(
+        tmp_path / "exp.args",
+        "--function ackley --selection cauchy-boltzmann --g0 1.5\n"
+        "--dims 3 --crossover-prob 1 --output 'out dir/with space'\n",
     )
+    cfg = _parsed_config(monkeypatch, ["run", at_file])
     assert cfg.selection == "cauchy_boltzmann"
     assert cfg.g0 == 1.5 and type(cfg.g0) is float
     assert cfg.dims == 3 and type(cfg.dims) is int
     assert cfg.crossover_prob == 1.0 and type(cfg.crossover_prob) is float
-    assert cfg.output == "out"
-    with pytest.raises(ValueError):
-        merge_config({}, {"function": "ackley", "selection": "proportionate",
-                          "pop_size": "1.5"})
+    assert cfg.output == "out dir/with space"
 
 
-def test_config_file_booleans_fail_loudly(tmp_path, capsys):
-    base = {"function": "ackley", "selection": "proportionate"}
-    for text in ("true", "TRUE", "1", "yes", "On"):
-        assert merge_config({}, {**base, "elitism": text}).elitism is True
-    for text in ("false", "False", "0", "no", "OFF"):
-        assert merge_config({}, {**base, "elitism": text}).elitism is False
-    for text in ("ture", "", "2", "y"):
-        with pytest.raises(ValueError, match="not a boolean"):
-            merge_config({}, {**base, "elitism": text})
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text("function = ackley\nselection = proportionate\nelitism = ture\n")
-    rc = main(["run", "--config", str(cfg_file), "--output", str(tmp_path)])
-    assert rc == 2
-    assert "config key elitism: not a boolean: 'ture'" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+def test_merge_rejects_unknown_keys_and_missing_required(tmp_path):
+    # an unknown setting is an unknown flag, in a file as on the command line
+    at_file = _args_file(tmp_path / "exp.args", "--pop-sizes 10\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--function", "ackley", "--selection", "proportionate", at_file])
+    assert exc.value.code == 2
+    with pytest.raises(ValueError, match="missing required setting: function"):
+        merge_config({"selection": "proportionate"})
+    assert merge_config({"function": "ackley", "selection": "cauchy-boltzmann",
+                         "runs": None, "command": "run"}) == CliConfig(
+        "ackley", "cauchy_boltzmann")
 
 
-def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text(
-        "function = ackley\nselection = proportionate\nruns = 1\n# again\nruns=2\n"
-    )
-    with pytest.raises(ValueError, match=r"exp\.cfg:5: duplicate key 'runs'"):
-        load_config_file(cfg_file)
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [("--no-such-flag 1\n", [], "unrecognized arguments: --no-such-flag 1"),
+     # an abbreviation of --pop-size
+     ("--pop 30\n", [], "unrecognized arguments: --pop 30"),
+     ("--runs 1.5\n", [], "argument --runs: invalid int value: '1.5'"),
+     ("--function sphere\n", [], "argument --function: invalid choice: 'sphere'"),
+     ("--selection rank\n", [], "argument --selection: invalid choice: 'rank'"),
+     ("--g0 1\n", ["--gamma-target", "300"],
+      "--g0 and --gamma-target are mutually exclusive"),
+     (None, [], "No such file or directory")],
+    ids=["unknown-flag", "abbreviated-flag", "bad-int", "unknown-function",
+         "unknown-scheme", "g0-in-file-with-gamma-target-flag", "missing-file"],
+)
+def test_a_bad_argument_file_exits_2_before_anything_is_written(
+    tmp_path, capsys, text, flags, message
+):
+    path = tmp_path / "exp.args"
+    at_file = f"@{path}" if text is None else _args_file(path, text)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg_file), "--output", str(out)]) == 2
-    assert f"error: {cfg_file}:5: duplicate key 'runs'" in capsys.readouterr().err
+    argv = ["run", "--function", "ackley", "--selection", "cauchy-boltzmann",
+            "--generations", "2", "--pop-size", "10", "--runs", "1",
+            "--output", str(out), at_file, *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_merge_rejects_unknown_keys_and_missing_required():
-    with pytest.raises(ValueError, match="unknown config keys"):
-        merge_config({}, {"pop_sizes": "10"})
-    with pytest.raises(ValueError, match="missing required setting: function"):
-        merge_config({"selection": "proportionate"}, {})
+def test_an_unclosed_quote_in_an_argument_file_is_a_usage_error(tmp_path, capsys):
+    at_file = _args_file(tmp_path / "exp.args", "--output 'no end\n")
+    argv = ["run", "--function", "ackley", "--selection", "proportionate", at_file]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: No closing quotation\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--function", "ackley", "--selection", "proportionate", "--pop", "30"],
+     ["verify", "--case", "5"],
+     ["schedule", "--alpha", "2", "--g0", "1", "--hor", "3"]],
+    ids=["run", "verify", "schedule"],
+)
+def test_abbreviated_flags_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_output_beginning_with_at_is_taken_literally(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(_run_argv("ignored", "--output=@x")) == 0
+    assert (tmp_path / "@x" / "rastrigin_boltzmann_const.csv").exists()
+    assert not (tmp_path / "ignored").exists()
+
+
+def test_a_run_from_an_argument_file_writes_the_typed_run_bytes(tmp_path):
+    flags = ["--function", "schwefel", "--selection", "cauchy-boltzmann",
+             "--alpha", "1.5", "--gamma-target", "30", "--generations", "4",
+             "--pop-size", "11", "--runs", "2", "--seed", "9", "--dims", "3",
+             "--mutation-prob", "0.05", "--elitism"]
+    typed = tmp_path / "typed dir"
+    assert main(["run", *flags, "--output", str(typed)]) == 0
+    from_file = tmp_path / "file dir"
+    text = "# the same settings\n" + " ".join(flags[:8]) + "\n" + " ".join(flags[8:])
+    at_file = _args_file(tmp_path / "exp.args", f"{text}\n--output '{from_file}'\n")
+    assert main(["run", at_file]) == 0
+    name = "schwefel_cauchy_boltzmann.csv"
+    assert (from_file / name).read_bytes() == (typed / name).read_bytes()
+
+
+def test_verify_and_schedule_read_their_flags_from_a_file(tmp_path):
+    verify_file = _args_file(tmp_path / "verify.args",
+                             f"verify --seed 5 --cases 20\n--output {tmp_path / 'v'}\n")
+    assert main([verify_file]) == 0
+    assert main(["verify", "--seed", "5", "--cases", "20", "--output", str(tmp_path / "w")]) == 0
+    for name in ("verify_cases.csv", "verify_report.txt"):
+        assert (tmp_path / "v" / name).read_bytes() == (tmp_path / "w" / name).read_bytes()
+    schedule_file = _args_file(tmp_path / "schedule.args",
+                               "--alpha 2 --g0 1 --horizon 3  # three rows\n")
+    assert main(["schedule", schedule_file, "--output", str(tmp_path / "s")]) == 0
+    _, _, rows = read_series_csv(tmp_path / "s" / "schedule_alpha2.csv")
+    assert [row[0] for row in rows] == ["1", "2", "3"]
 
 
 def test_cli_main_run_and_exit_codes(tmp_path):
@@ -270,24 +332,25 @@ def test_unknown_scheme_is_rejected_before_anything_runs(tmp_path, capsys):
     with pytest.raises(ValueError, match="unknown selection scheme: 'rank'"):
         run_experiment(cfg)
     assert not list(tmp_path.iterdir())
-    # and through a config file, which argparse's choices do not cover
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text("function = rastrigin\nselection = rank\n")
+    # and through an argument file, whose flags argparse's choices judge
+    at_file = _args_file(tmp_path / "exp.args", "--function rastrigin --selection rank\n")
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg_file), "--output", str(out)]) == 2
-    assert capsys.readouterr().err == "error: unknown selection scheme: 'rank'\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", at_file, "--output", str(out)])
+    assert exc.value.code == 2
+    assert "argument --selection: invalid choice: 'rank'" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_unknown_function_in_a_config_file_is_rejected_before_anything_runs(
     tmp_path, capsys
 ):
-    # argparse's choices cover only the flag; make_objective judges the file
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text("function = sphere\nselection = proportionate\n")
+    at_file = _args_file(tmp_path / "exp.args", "--function sphere --selection proportionate\n")
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg_file), "--output", str(out)]) == 2
-    assert capsys.readouterr().err == "error: unknown objective: 'sphere'\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", at_file, "--output", str(out)])
+    assert exc.value.code == 2
+    assert "argument --function: invalid choice: 'sphere'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -422,9 +485,7 @@ def test_cli_names_zero_generations_under_every_scheme(
     out = tmp_path / "out"
     argv = ["run", "--function", "ackley", "--selection", selection, "--output", str(out)]
     if via_file:
-        config = tmp_path / "run.conf"
-        config.write_text("generations = 0\n")
-        argv += ["--config", str(config)]
+        argv.append(_args_file(tmp_path / "run.args", "--generations 0\n"))
     else:
         argv += ["--generations", "0"]
     assert main(argv) == 2
@@ -504,6 +565,16 @@ def test_schedule_requires_exactly_one_of_g0_target(tmp_path):
         emit_schedule(2.0, 5, tmp_path)
     with pytest.raises(ValueError, match="exactly one"):
         emit_schedule(2.0, 5, tmp_path, g0=1.0, gamma_target=300.0)
+
+
+@pytest.mark.parametrize("horizon", [True, 2.0])
+@pytest.mark.parametrize("g0, gamma_target", [(None, 300.0), (2.0, None)])
+def test_schedule_horizon_must_be_an_integer(tmp_path, horizon, g0, gamma_target):
+    # True wrote one row under '# horizon = True'
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^horizon must be an integer, got {horizon}$"):
+        emit_schedule(2.0, horizon, out, g0=g0, gamma_target=gamma_target)
+    assert not out.exists()
 
 
 def test_cli_schedule_subcommand(tmp_path):
@@ -748,7 +819,6 @@ def test_run_flags_are_the_config_fields_in_order():
     flags = [a.option_strings for a in _run_subparser()._actions]
     assert flags == [
         ["-h", "--help"],
-        ["--config"],
         *(["--elitism", "--no-elitism"] if f == "--elitism" else [f]
           for f, *_ in RUN_FLAGS),
     ]
@@ -782,11 +852,12 @@ def test_run_flag_sets_its_config_field(monkeypatch, flag, field, text, value):
 def test_elitism_flag_pair(tmp_path, monkeypatch, flags, elitism, over_file_on):
     base = ["run", "--function", "ackley", "--selection", "proportionate"]
     assert _parsed_config(monkeypatch, [*base, *flags]).elitism is elitism
-    # with a config file that turns elitism on, only --no-elitism turns it off
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text("elitism = true\n")
-    on_file = _parsed_config(monkeypatch, [*base, "--config", str(cfg_file), *flags])
-    assert on_file.elitism is over_file_on
+    # after a file that turns elitism on, only --no-elitism turns it off
+    on_file = _args_file(tmp_path / "on.args", "--elitism\n")
+    assert _parsed_config(monkeypatch, [*base, on_file, *flags]).elitism is over_file_on
+    # and a file can turn it off again
+    off_file = _args_file(tmp_path / "off.args", " ".join(flags) + " --no-elitism\n")
+    assert _parsed_config(monkeypatch, [*base, off_file]).elitism is False
 
 
 def _small_run_argv(out) -> list[str]:

@@ -534,7 +534,7 @@ def column(table: np.ndarray, name: str) -> np.ndarray:
 
 def test_multi_run_single_run_zero_std():
     cfg = small_config(runs=1)
-    table = multi_run(cfg)
+    table = aggregate(multi_run(cfg))
     assert np.all(column(table, "best_raw_std") == 0.0)
     assert np.all(column(table, "mean_raw_std") == 0.0)
 
@@ -543,11 +543,12 @@ def test_multi_run_reproducible_and_order_independent():
     cfg = small_config(runs=3)
     # a run depends only on its index, not on which runs ran before it
     runs = {i: engine._run_stack(cfg, (i,))[0] for i in reversed(range(cfg.runs))}
-    a = multi_run(cfg)
-    b = aggregate(np.stack([runs[i] for i in range(cfg.runs)]))
-    assert a.shape == b.shape == (cfg.generations, len(SERIES_COLUMNS) - 1)
-    assert a.dtype == b.dtype == np.float64
-    assert np.array_equal(a, b)
+    stack = multi_run(cfg)
+    assert stack.shape == (cfg.runs, cfg.generations, len(engine.RECORD_COLUMNS))
+    assert np.array_equal(stack, np.stack([runs[i] for i in range(cfg.runs)]))
+    table = aggregate(stack)
+    assert table.shape == (cfg.generations, len(SERIES_COLUMNS) - 1)
+    assert table.dtype == np.float64
 
 
 @pytest.mark.parametrize(

@@ -230,3 +230,26 @@ def test_importing_the_cli_leaves_the_process_pool_modules_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "seed, cases, message",
+    [(-1, 5, "seed must be >= 0"),
+     (True, 5, "seed must be an integer, got True"),
+     (2, True, "case_count must be an integer, got True"),
+     (2, 5.0, "case_count must be an integer, got 5.0")],
+)
+def test_seed_and_case_count_are_checked_before_anything_is_made(
+    tmp_path, seed, cases, message
+):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_verify(seed, cases, out)
+    assert not out.exists()
+
+
+def test_cli_names_a_negative_verify_seed_and_makes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify", "--seed", "-1", "--cases", "5", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not out.exists()
