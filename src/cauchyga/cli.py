@@ -13,7 +13,8 @@ The scheme names (``SELECTION_SCHEMES``) live here; only
 
 An argument ``@FILE`` is replaced by the flags that FILE holds, split as
 a shell splits them (quotes work, ``#`` starts a comment), and argparse
-reads them in their place, so a later flag wins over an earlier one.
+reads them in their place, so a later flag wins over an earlier one. A
+file that includes itself, directly or through others, is a usage error.
 Flags are never abbreviated. Every effective value is echoed into the CSV
 metadata so a result file is self-describing. Exit codes: 0 success, 1
 verification failure, 2 usage error (a sibling CSV that cannot be joined
@@ -23,6 +24,7 @@ among them).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import shlex
@@ -386,6 +388,18 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _check_argument_files(parser, args: list[str], reading: tuple[str, ...] = ()) -> None:
+    """Raise ValueError on an ``@FILE`` that names a file already being read,
+    which argparse would read again without end; an unreadable one is left to it."""
+    for name in (arg[1:] for arg in args if arg.startswith("@")):
+        if os.path.realpath(name) in reading:
+            raise ValueError(f"argument file {name} includes itself")
+        with contextlib.suppress(OSError), open(name) as file:
+            lines = file.read().splitlines()
+            inner = [a for line in lines for a in parser.convert_arg_line_to_args(line)]
+            _check_argument_files(parser, inner, (*reading, os.path.realpath(name)))
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the subcommand that ``argv`` names and return its exit code.
 
@@ -397,6 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _shared_parser()
     try:
         # shlex raises ValueError on an unclosed quote in an argument file
+        _check_argument_files(parser, sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
         if args.command == "run":
             if args.g0 is not None and args.gamma_target is not None:

@@ -18,6 +18,11 @@ Conventions used throughout the package:
     selection, and proportionate selection on the positive part) reuses
     the input's validated, ascending keys through ``NFD._on_support`` and
     checks only the new masses.
+
+Many NFDs at once are a padded block (:func:`padded`): ``values`` and
+``masses`` of shape ``(B, K)`` hold NFD r's ascending support and masses
+in row r's first ``lengths[r]`` columns, and 0 after them. Padding
+changes no ``fsum``, and no other sum but a -0.0 (x + 0.0 is x otherwise).
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import fsum, inf
 from typing import Iterable
+
+import numpy as np
 
 MASS_SUM_TOL = 1e-12
 
@@ -42,6 +49,19 @@ def _check_masses(entries: dict[float, float]) -> None:
     total = fsum(entries.values())
     if abs(total - 1.0) > MASS_SUM_TOL:
         raise ValueError(f"masses sum to {total!r}, not 1")
+
+
+def _check_mass_rows(values: np.ndarray, masses: np.ndarray, lengths: np.ndarray) -> None:
+    """:func:`_check_masses` on each row's real entries; a row not plainly
+    within its rules is checked again as a dict, which raises their message."""
+    real = np.arange(masses.shape[1]) < lengths[:, None]
+    in_range = ((masses > 0.0) & (masses <= 1.0)) | ~real
+    sums = np.where(real, masses, 0.0).sum(axis=1)
+    # numpy's sum of k terms in [0, 1] is within k * 2**-52 * sum of the exact sum
+    near = np.abs(sums - 1.0) + lengths * 2.0**-52 * sums <= MASS_SUM_TOL
+    for r in np.flatnonzero(~in_range.all(axis=1) | ~near | (lengths < 1)).tolist():
+        k = lengths[r]
+        _check_masses(dict(zip(values[r, :k].tolist(), masses[r, :k].tolist())))
 
 
 @dataclass(frozen=True)
@@ -134,3 +154,20 @@ def distance(phi1: NFD, phi2: NFD) -> float:
     terms += [a[x] for x in a.keys() - shared]
     terms += [b[x] for x in b.keys() - shared]
     return fsum(terms)
+
+
+def padded(nfds: list[NFD]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``nfds`` as a padded block: values, masses and lengths."""
+    lengths = np.array([len(phi) for phi in nfds], dtype=np.intp)
+    width = int(lengths.max(initial=0))
+    values, masses = np.zeros((2, len(nfds), width))
+    real = np.arange(width) < lengths[:, None]
+    values[real] = [x for phi in nfds for x in phi.entries]
+    masses[real] = [m for phi in nfds for m in phi.entries.values()]
+    return values, masses, lengths
+
+
+def row_distances(masses1: np.ndarray, masses2: np.ndarray) -> list[float]:
+    """Row r's L1 distance between two blocks of masses on one support:
+    :func:`distance`'s shared-support sum, bit for bit, row by row."""
+    return [fsum(row) for row in np.abs(masses1 - masses2).tolist()]

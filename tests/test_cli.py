@@ -241,6 +241,37 @@ def test_an_unclosed_quote_in_an_argument_file_is_a_usage_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
+    "files, named",
+    [({"self.args": "@self.args\n"}, "self.args"),
+     ({"self.args": "--runs 2 @./self.args\n"}, "./self.args"),
+     ({"a.args": "--runs 2\n@b.args\n", "b.args": "--pop-size 10 @a.args\n"}, "a.args")],
+    ids=["names-itself", "names-itself-by-another-path", "two-file-cycle"],
+)
+def test_an_argument_file_that_includes_itself_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, files, named
+):
+    # argparse would read the file again until the stack overflows; the
+    # error names the file as it is written where the cycle closes
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    first = next(iter(files))
+    argv = ["run", "--function", "ackley", "--selection", "proportionate", f"@{first}",
+            "--output", "out"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: argument file {named} includes itself\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_argument_file_read_twice_without_a_cycle_is_read_twice(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("alpha.args").write_text("--alpha 2\n")
+    Path("both.args").write_text("@alpha.args @alpha.args --g0 1\n")
+    assert main(["schedule", "@both.args", "@alpha.args", "--horizon", "2", "--output", "o"]) == 0
+    assert (tmp_path / "o" / "schedule_alpha2.csv").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [["run", "--function", "ackley", "--selection", "proportionate", "--pop", "30"],
      ["verify", "--case", "5"],

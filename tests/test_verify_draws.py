@@ -1,8 +1,9 @@
 """Verify draw order 2: each suite draws its cases in blocks of bulk draws.
 
-``random_nfds`` draws many NFDs in three generator calls, and at count 1
-it is ``random_nfd``, whose draws are pinned against numpy's own
-``dirichlet`` in ``test_properties.py``. A suite draws a full block of
+``random_nfd_block`` draws many NFDs as one padded block in three
+generator calls; ``random_nfds`` is its NFD view, and at count 1 it is
+``random_nfd``, whose draws are pinned against numpy's own ``dirichlet``
+in ``test_properties.py``. A suite draws a full block of
 ``CASE_BLOCK`` cases at a time, so a case's draws depend only on the seed,
 the suite and the case index: a shorter run is a prefix of a longer one.
 """
@@ -15,10 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import list_random_nfds
 from scipy.stats import chi2
 
 from cauchyga import verify
-from cauchyga.verify import CASE_BLOCK, LEMMA_ALPHAS, LEMMA_G0S, random_nfd, random_nfds
+from cauchyga.verify import (
+    CASE_BLOCK,
+    LEMMA_ALPHAS,
+    LEMMA_G0S,
+    random_nfd,
+    random_nfd_block,
+    random_nfds,
+)
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -68,18 +77,40 @@ class ZerosAt:
         return draws
 
 
-def test_a_zero_mass_is_drawn_again_through_count_one():
-    reference = np.random.default_rng(173)
+def zero_mass_draws(seed: int):
+    """16 NFDs from ``seed`` with a zero mass forced into NFDs 3 and 9, the
+    NFDs expected from it, and the generator state after them."""
+    reference = np.random.default_rng(seed)
     block = random_nfds(reference, 16)
     redrawn = [random_nfd(reference), random_nfd(reference)]  # in NFD order
     firsts = np.cumsum([0] + [len(phi.entries) for phi in block]).tolist()
     assert len(block[9].entries) >= 2  # so its second mass is the zero
-    rng =ZerosAt(np.random.default_rng(173), [firsts[9] + 1, firsts[3]])
+    rng = ZerosAt(np.random.default_rng(seed), [firsts[9] + 1, firsts[3]])
+    expected = [{3: redrawn[0], 9: redrawn[1]}.get(i, phi) for i, phi in enumerate(block)]
+    return rng, expected, reference.bit_generator.state
+
+
+def test_a_zero_mass_is_drawn_again_through_count_one():
+    rng, expected, state = zero_mass_draws(173)
     got = random_nfds(rng, 16)
-    for i, phi in enumerate(got):
-        expected = {3: redrawn[0], 9: redrawn[1]}.get(i, block[i])
-        assert list(phi.entries.items()) == list(expected.entries.items()), i
-    assert rng.bit_generator.state == reference.bit_generator.state
+    for i, (phi, ref) in enumerate(zip(got, expected)):
+        assert list(phi.entries.items()) == list(ref.entries.items()), i
+    assert rng.bit_generator.state == state
+
+
+def test_the_padded_draw_redraws_a_zero_mass_as_the_list_draw_does():
+    rng, expected, state = zero_mass_draws(173)
+    theirs = ZerosAt(np.random.default_rng(173), rng.positions)
+    values, masses, lengths = random_nfd_block(rng, 16)
+    assert rng.bit_generator.state == state
+    assert lengths.tolist() == [len(phi) for phi in expected]
+    for i, phi in enumerate(expected):
+        k = len(phi)
+        assert values[i, :k].tolist() == list(phi.entries), i
+        assert masses[i, :k].tolist() == list(phi.entries.values()), i
+        assert not values[i, k:].any() and not masses[i, k:].any(), i
+    listed = list_random_nfds(theirs, 16)
+    assert [list(p.entries.items()) for p in listed] == [list(p.entries.items()) for p in expected]
 
 
 def test_bulk_nfds_have_the_law_of_the_suites():
@@ -100,12 +131,12 @@ def test_lemma2_index_draws_match_generator_choice(monkeypatch):
     # the block's alpha and g0 indices are the draws rng.choice makes
     windows = []
 
-    def recording(phi, schedule, m, n):
-        windows.append((schedule.alpha, schedule.g0, m, n))
-        return real(phi, schedule, m, n)
+    def recording(values, masses, lengths, schedules, ms, ns):
+        windows.extend((s.alpha, s.g0, m, n) for s, m, n in zip(schedules, ms, ns))
+        return real(values, masses, lengths, schedules, ms, ns)
 
-    real = verify.lemma2_bound_check
-    monkeypatch.setattr(verify, "lemma2_bound_check", recording)
+    real = verify.lemma2_bounds
+    monkeypatch.setattr(verify, "lemma2_bounds", recording)
     ours, reference = np.random.default_rng(167), np.random.default_rng(167)
     cases = 2 * CASE_BLOCK
     assert len(list(verify.lemma2_suite(ours, cases))) == cases
