@@ -11,6 +11,11 @@ Three subcommands:
 The scheme names (``SELECTION_SCHEMES``) live here; only
 :func:`build_ga_config` turns one into the engine's schedule.
 
+``CliConfig`` stays one flat record, not one holding a ``GaConfig``: its
+fields are the ``run`` flags in order, and ``bench/workloads.py`` and the
+tests build it by keyword. ``GaConfig`` takes its fields of the same names
+but two, which ``_GA_NAMES`` renames for it and for the CSV metadata.
+
 An argument ``@FILE`` is replaced by the flags that FILE holds, split as
 a shell splits them (quotes work, ``#`` starts a comment), and argparse
 reads them in their place, so a later flag wins over an earlier one. A
@@ -29,7 +34,7 @@ import functools
 import os
 import shlex
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -87,6 +92,10 @@ def fmt(value) -> str:
 
 _FIELD_TYPES = get_type_hints(CliConfig)
 
+# CliConfig fields that GaConfig and the CSV metadata name otherwise
+_GA_NAMES = {"seed": "master_seed", "mutation_prob": "mutation_prob_per_bit"}
+_GA_FIELDS = {f.name for f in fields(GaConfig)}
+
 
 def merge_config(cli_values: dict) -> CliConfig:
     """Lay the flags that were set over the CliConfig defaults.
@@ -126,17 +135,9 @@ def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
     """
     if cfg.selection not in SELECTION_SCHEMES:
         raise ValueError(f"unknown selection scheme: {cfg.selection!r}")
-    ga = GaConfig(
-        objective=make_objective(cfg.function, cfg.dims),
-        pop_size=cfg.pop_size,
-        generations=cfg.generations,
-        crossover_prob=cfg.crossover_prob,
-        mutation_prob_per_bit=cfg.mutation_prob,
-        runs=cfg.runs,
-        master_seed=cfg.seed,
-        elitism=cfg.elitism,
-        bits_per_var=cfg.bits_per_var,
-    )
+    settings = {_GA_NAMES.get(name, name): getattr(cfg, name) for name in _FIELD_TYPES}
+    engine_settings = {name: v for name, v in settings.items() if name in _GA_FIELDS}
+    ga = GaConfig(objective=make_objective(cfg.function, cfg.dims), **engine_settings)
     g0_effective: float | None = None
     if cfg.selection == CAUCHY_BOLTZMANN:
         g0_effective = _cauchy_g0(cfg.alpha, cfg.generations, cfg.g0, cfg.gamma_target)
@@ -144,10 +145,6 @@ def build_ga_config(cfg: CliConfig) -> tuple[GaConfig, float | None]:
     elif cfg.selection == BOLTZMANN_CONST:
         ga = replace(ga, schedule=constant_schedule(cfg.gamma))
     return ga, g0_effective
-
-
-# metadata keys that differ from their CliConfig field names
-_METADATA_KEYS = {"seed": "master_seed", "mutation_prob": "mutation_prob_per_bit"}
 
 
 def _metadata(cfg: CliConfig, g0_effective: float | None) -> dict[str, str]:
@@ -159,7 +156,7 @@ def _metadata(cfg: CliConfig, g0_effective: float | None) -> dict[str, str]:
             meta["g0"] = "auto" if value is None else fmt(value)
             meta["g0_effective"] = "n/a" if g0_effective is None else fmt(g0_effective)
         elif name != "output":
-            meta[_METADATA_KEYS.get(name, name)] = fmt(value)
+            meta[_GA_NAMES.get(name, name)] = fmt(value)
     meta["generator"] = f"{GENERATOR_NAME} (numpy {np.__version__})"
     meta["stream_version"] = fmt(STREAM_VERSION)
     return meta

@@ -134,26 +134,13 @@ class NFD:
 def distance(phi1: NFD, phi2: NFD) -> float:
     """L1 distance between two NFDs over the union of their supports.
 
-    Sums |phi1(x) - phi2(x)| over every x in either support. Always in
-    [0, 2]; equals 2 exactly when the supports are disjoint.
-
-    On one shared support (every operator output against its input) the
-    two ascending mass sequences are zipped. Otherwise the terms are
-    |phi1(x) - phi2(x)| over the shared keys, then the masses only phi1
-    has, then the masses only phi2 has; disjoint supports have no shared
-    terms. No path sorts the union: ``fsum`` rounds the exact sum of its
-    terms, so the result does not depend on their order.
+    Sums |phi1(x) - phi2(x)| over every x in either support, a mass absent
+    from one support read as 0.0. Always in [0, 2]; equals 2 exactly when
+    the supports are disjoint. ``fsum`` rounds the exact sum of its terms,
+    so the result does not depend on the order in which the union is walked.
     """
     a, b = phi1.entries, phi2.entries
-    if a.keys() == b.keys():
-        return fsum([abs(p - q) for p, q in zip(a.values(), b.values())])
-    shared = a.keys() & b.keys()
-    if not shared:
-        return fsum([*a.values(), *b.values()])
-    terms = [abs(a[x] - b[x]) for x in shared]
-    terms += [a[x] for x in a.keys() - shared]
-    terms += [b[x] for x in b.keys() - shared]
-    return fsum(terms)
+    return fsum([abs(a.get(x, 0.0) - b.get(x, 0.0)) for x in a.keys() | b.keys()])
 
 
 def padded(nfds: list[NFD]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,5 +156,6 @@ def padded(nfds: list[NFD]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def row_distances(masses1: np.ndarray, masses2: np.ndarray) -> list[float]:
     """Row r's L1 distance between two blocks of masses on one support:
-    :func:`distance`'s shared-support sum, bit for bit, row by row."""
+    :func:`distance`, bit for bit, of the NFDs the two rows stand for,
+    where a zero mass is a point off that NFD's support."""
     return [fsum(row) for row in np.abs(masses1 - masses2).tolist()]

@@ -2,7 +2,8 @@
 
 Five suites, each a stream of independently generated cases:
 
-  - metric: the L1 distance satisfies the metric axioms on random triples.
+  - metric: the L1 distance satisfies the metric axioms on random triples
+    on one support, and is 2 between NFDs on disjoint supports.
   - lemma1: strength differences are bounded by operator-output distance.
   - lemma2: operator-output distance is bounded by the schedule-tail sum.
   - semigroup: two Boltzmann applications compose additively in gamma.
@@ -14,16 +15,21 @@ report and a CSV with one (case_id, lhs, rhs) row per case. The report
 names the first failing case, and each suite's line gives its worst
 margin (the smallest rhs - lhs, before any slack) and where it occurs.
 
-Suite i draws from ``PCG64([seed, i])`` in draw order 2
+Suite i draws from ``PCG64([seed, i])`` in draw order 3
 (:data:`DRAW_ORDER`, named in the report), in blocks of :data:`CASE_BLOCK`
-cases: first the block's NFDs in one :func:`random_nfd_block` call (three
-per case for metric, one otherwise), then one call per case parameter: the
-two gammas for lemma1 and semigroup; the alpha indices, g0 indices, m,
-then n given m for lemma2. A suite always draws a full block, so a shorter
-run is a prefix of a longer one. cauchy-tail draws all its NFDs in one
-call. metric compares NFDs on different supports (:func:`random_nfds`);
-the other suites check a block as padded arrays (see :mod:`cauchyga.nfd`)
-through the block formulas of :mod:`cauchyga.theory`.
+cases: first the block's NFDs in one :func:`random_nfd_block` call, then
+one call per case parameter: the two gammas for lemma1 and semigroup; the
+alpha indices, g0 indices, m, then n given m for lemma2. A metric case is
+three NFDs on one support, its block row: one ``integers`` call draws a
+keep flag and one ``standard_exponential`` call an exponential per NFD,
+case and column, each of shape (3, CASE_BLOCK, width). An NFD has its kept
+exponentials times ``1.0 / acc``, ``acc`` their in-order sum, on the kept
+values of the support, and 0 elsewhere; one that keeps nothing is the
+point mass at the support's least value. A suite always draws a full
+block, so a shorter run is a prefix of a longer one. cauchy-tail draws all
+its NFDs in one call. Every suite checks a block as padded arrays (see
+:mod:`cauchyga.nfd`) through :func:`cauchyga.nfd.row_distances` and the
+block formulas of :mod:`cauchyga.theory`.
 
 A suite is a generator ``suite(rng, cases)`` yielding ``(case_id, lhs,
 rhs, problems)`` per case; the runner joins the problems by "; " into the
@@ -44,15 +50,16 @@ import numpy as np
 
 from .annealing import cauchy_schedule, tail_sum
 from .benchmarks import _as_int
+# verify.distance stays importable: bench/run.py's tracer patches it here
 from .nfd import NFD, distance, row_distances
 from .selection import boltzmann_tilt
-from .theory import cauchy_tail_profile, lemma1_bounds, lemma2_bounds, tail_bounds, tail_profiles
+from .theory import lemma1_bounds, lemma2_bounds, tail_bounds, tail_profiles
 
 LEMMA_ALPHAS = (1.1, 1.5, 2.0)
 LEMMA_G0S = (0.1, 1.0, 10.0)
 TAIL_CHECKPOINTS = (1, 2, 4, 8, 16, 32)
-DRAW_ORDER = 2  # the draw order of the module docstring; bumped when it changes
-CASE_BLOCK = 128  # cases per block of bulk draws, a constant of draw order 2
+DRAW_ORDER = 3  # the draw order of the module docstring; bumped when it changes
+CASE_BLOCK = 128  # cases per block of bulk draws, a constant since draw order 2
 # the suites' slack; SEMIGROUP_TOL is the semigroup law's bound itself
 METRIC_SLACK = 1e-12
 LEMMA_SLACK = 1e-9
@@ -147,26 +154,15 @@ def random_nfd_block(
     return values, masses, lengths
 
 
-def random_nfds(
-    rng: np.random.Generator,
-    count: int,
-    max_support: int = 20,
-    value_low: float = 0.0,
-    value_high: float = 1.0,
-) -> list[NFD]:
-    """The NFDs of :func:`random_nfd_block`, drawn the same way."""
-    rows = (a.tolist() for a in random_nfd_block(rng, count, max_support, value_low, value_high))
-    return [NFD._on_support(v[:k], m[:k]) for v, m, k in zip(*rows)]
-
-
 def random_nfd(
     rng: np.random.Generator,
     max_support: int = 20,
     value_low: float = 0.0,
     value_high: float = 1.0,
 ) -> NFD:
-    """One random NFD, as :func:`random_nfds` draws it at ``count`` 1."""
-    return random_nfds(rng, 1, max_support, value_low, value_high)[0]
+    """One random NFD: the one row of :func:`random_nfd_block` at ``count`` 1."""
+    (values,), (masses,), (k,) = random_nfd_block(rng, 1, max_support, value_low, value_high)
+    return NFD._on_support(values[:k].tolist(), masses[:k].tolist())
 
 
 def exceeds(lhs: float, rhs: float, slack: float) -> bool:
@@ -180,21 +176,37 @@ def _blocks(cases: int, size: int = CASE_BLOCK) -> Iterator[range]:
 
 
 def metric_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
-    """Nonnegativity, identity, symmetry, and triangle inequality on triples."""
+    """Nonnegativity, identity, symmetry, normalization and the triangle
+    inequality on triples of NFDs laid on one shared support."""
+    pairs = ((0, 1), (0, 2), (1, 2), (0, 0), (1, 0))
     for block in _blocks(cases):
-        phis = random_nfds(rng, 3 * CASE_BLOCK)
-        for i, p1, p2, p3 in zip(block, phis[0::3], phis[1::3], phis[2::3]):
-            d12, d13, d23 = distance(p1, p2), distance(p1, p3), distance(p2, p3)
+        values, _, lengths = random_nfd_block(rng, CASE_BLOCK)
+        keep = rng.integers(0, 2, size=(3, *values.shape), dtype=bool)
+        keep &= np.arange(values.shape[1]) < lengths[:, None]
+        exponentials = np.where(keep, rng.standard_exponential((3, *values.shape)), 0.0)
+        acc = np.cumsum(exponentials, axis=2)[..., -1:]
+        exponentials[..., :1] += acc == 0.0  # keeps nothing: all mass at the least value
+        nfds = exponentials * (1.0 / np.where(acc == 0.0, 1.0, acc))
+        d12, d13, d23, d11, d21 = (row_distances(nfds[a], nfds[b]) for a, b in pairs)
+        # per pair of a case's first three, whether their masses share no column
+        on = nfds > 0.0
+        apart = np.stack([~(on[a] & on[b]).any(axis=1) for a, b in pairs[:3]], axis=1)
+        differ = (nfds[0] != nfds[1]).any(axis=1)
+        rows = zip(block, d12, d13, d23, d11, d21, apart.tolist(), differ.tolist())
+        for i, x12, x13, x23, x11, x21, disjoint, distinct in rows:
+            unshared = [d for d, gap in zip((x12, x13, x23), disjoint) if gap]
             checks = (
-                (min(d12, d13, d23) < 0.0, "negative distance"),
-                (exceeds(max(d12, d13, d23), 2.0, METRIC_SLACK), "distance above 2"),
-                (distance(p1, p1) != 0.0, "d(phi, phi) != 0"),
-                (d12 == 0.0 and p1.entries != p2.entries, "zero distance between distinct NFDs"),
-                (distance(p2, p1) != d12, "asymmetric"),
-                (exceeds(d13, d12 + d23, METRIC_SLACK), "triangle inequality violated"),
+                (min(x12, x13, x23) < 0.0, "negative distance"),
+                (exceeds(max(x12, x13, x23), 2.0, METRIC_SLACK), "distance above 2"),
+                (any(exceeds(abs(d - 2.0), 0.0, METRIC_SLACK) for d in unshared),
+                 "disjoint NFDs not at distance 2"),
+                (x11 != 0.0, "d(phi, phi) != 0"),
+                (x12 == 0.0 and distinct, "zero distance between distinct NFDs"),
+                (x21 != x12, "asymmetric"),
+                (exceeds(x13, x12 + x23, METRIC_SLACK), "triangle inequality violated"),
             )
             problems = [message for failed, message in checks if failed]
-            yield f"metric-{i:06d}", d13, d12 + d23, problems
+            yield f"metric-{i:06d}", x13, x12 + x23, problems
 
 
 def _cases(name: str, block: range, lhs: list, rhs: list, slack: float, detail) -> Iterator[Case]:
@@ -279,9 +291,11 @@ def cauchy_tail_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
             # the first largest value with its bound; (0, 2) if every value is 0
             worst = max([(0.0, 2.0), *zip(vals, bounds)], key=lambda vb: vb[0])
             yield f"cauchytail-{c:06d}", *worst, problems
-    for alpha in LEMMA_ALPHAS:
-        phi = NFD({0.0: 0.5, 1.0: 0.5})
-        profile = cauchy_tail_profile(phi, cauchy_schedule(10.0, alpha), checkpoints)
+    # the reference: an even two-point NFD per alpha, one row each
+    k = len(LEMMA_ALPHAS)
+    schedules = [cauchy_schedule(10.0, alpha) for alpha in LEMMA_ALPHAS]
+    two_points = np.tile([0.0, 1.0], (k, 1)), np.full((k, 2), 0.5), np.full(k, 2)
+    for alpha, profile in zip(LEMMA_ALPHAS, tail_profiles(*two_points, schedules, checkpoints)):
         vals = [v for _, v in profile]
         steps = zip(checkpoints, vals, checkpoints[1:], vals[1:])
         problems = [

@@ -1,6 +1,7 @@
-"""Reference forms that faster package code is pinned against with ``==``.
+"""Reference forms that package code is pinned against with ``==``.
 
-Each is the dict or list form a padded-block kernel replaced:
+Each is a form the package replaced; all but the last are the dict or
+list forms a padded-block kernel replaced:
 
   - ``dict_boltzmann_apply``: the Boltzmann tilt of one dict NFD, a list
     comprehension over its entries with one ``math.exp`` per point,
@@ -8,8 +9,12 @@ Each is the dict or list form a padded-block kernel replaced:
   - ``dict_lemma1`` and ``dict_lemma2``: both sides of each lemma from dict
     NFDs, ``nfd.distance`` and a running sum of ``math.expm1`` terms
     (``theory.lemma1_bounds`` and ``theory.lemma2_bounds``);
-  - ``list_random_nfds``: draw order 2's NFDs built one by one from Python
-    lists (``verify.random_nfd_block``).
+  - ``list_random_nfds``: the NFDs of draw orders 2 and 3, built one by one from Python
+    lists (``verify.random_nfd_block``);
+  - ``three_branch_distance``: ``nfd.distance`` as it was while the metric
+    suite compared dict NFDs, with a zip of the masses on one support and a
+    sum of the masses on disjoint supports (``nfd.distance``'s one union
+    formula).
 """
 
 from __future__ import annotations
@@ -83,3 +88,18 @@ def list_random_nfds(rng: np.random.Generator, count: int, max_support: int = 20
         if phi is None:
             nfds[i] = list_random_nfds(rng, 1, max_support, value_low, value_high)[0]
     return nfds
+
+
+def three_branch_distance(phi1: NFD, phi2: NFD) -> float:
+    """The L1 distance with a path per support relation; ``fsum`` rounds the
+    exact sum, so the order of the terms does not matter."""
+    a, b = phi1.entries, phi2.entries
+    if a.keys() == b.keys():
+        return fsum([abs(p - q) for p, q in zip(a.values(), b.values())])
+    shared = a.keys() & b.keys()
+    if not shared:
+        return fsum([*a.values(), *b.values()])
+    terms = [abs(a[x] - b[x]) for x in shared]
+    terms += [a[x] for x in a.keys() - shared]
+    terms += [b[x] for x in b.keys() - shared]
+    return fsum(terms)

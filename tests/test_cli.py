@@ -403,6 +403,21 @@ def test_build_ga_config_names_a_schedule_setting_that_is_not_a_number(scheme, s
         cli.build_ga_config(cfg)
 
 
+def test_every_engine_setting_is_set_from_a_run_field():
+    # every GaConfig field but objective and schedule, each at a value that
+    # is not its default, so a field left at its default would show
+    settings = {"generations": 7, "pop_size": 9, "runs": 3, "seed": 11, "bits_per_var": 6,
+                "crossover_prob": 0.25, "mutation_prob": 0.02, "elitism": True}
+    ga, _ = cli.build_ga_config(CliConfig("ackley", "proportionate", dims=4, **settings))
+    renamed = {"seed": "master_seed", "mutation_prob": "mutation_prob_per_bit"}
+    expected = {renamed.get(name, name): value for name, value in settings.items()}
+    engine_fields = [f for f in dataclasses.fields(engine.GaConfig)
+                     if f.name not in ("objective", "schedule")]
+    assert {f.name: getattr(ga, f.name) for f in engine_fields} == expected
+    assert all(f.default != expected[f.name] for f in engine_fields)
+    assert ga.objective.dims == 4
+
+
 def test_metadata_writes_numpy_bools_as_true_false():
     for value, text in ((np.True_, "true"), (np.False_, "false")):
         assert cli._metadata(CliConfig("ackley", "proportionate", elitism=value), None)[

@@ -1,9 +1,11 @@
 """Hypothesis property tests: fast paths, and the operator algebra's edges.
 
 The GA's realized strength (``engine._strengths``, here on a stack of one
-population), ``distance``, ``boltzmann_apply``, ``cauchy_tail_profile``
-and ``random_nfd`` each replaced a slower reference that is kept here;
-they must equal it bit for bit, so those tests compare with ``==``. The
+population), ``boltzmann_apply``, ``cauchy_tail_profile`` and
+``random_nfd`` each replaced a slower reference that is kept here;
+``distance`` is pinned against a sorted-union reference and against the
+three-branch form it replaced (``reference.py``). Each must equal its
+reference bit for bit, so those tests compare with ``==``. The
 operator tests use the tolerances the rest of the suite uses
 (``verify.SEMIGROUP_TOL`` for the semigroup law).
 
@@ -18,8 +20,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference import three_branch_distance
 
 from cauchyga.annealing import cauchy_schedule, gamma_at
 from cauchyga.engine import _strengths, population_nfd
@@ -248,6 +251,34 @@ def test_distance_on_partly_shared_supports_equals_reference(pair):
 def test_distance_on_shared_support_equals_reference(phi, gamma):
     out = boltzmann_apply(phi, gamma)
     assert distance(phi, out) == reference_distance(phi, out)
+
+
+@st.composite
+def related_pairs(draw):
+    """Two NFDs on one pool of values, on the same, disjoint or partly
+    shared supports; a zero key of the second may carry the other sign."""
+    pool = draw(st.lists(FITNESS, min_size=2, max_size=8, unique=True))
+    cut = draw(st.integers(1, len(pool) - 1))
+    relation = draw(st.sampled_from(["same", "disjoint", "overlap"]))
+    p_keys = pool if relation == "same" else pool[:cut]
+    q_keys = {"same": pool, "disjoint": pool[cut:], "overlap": pool[cut - 1 :]}[relation]
+    if draw(st.booleans()):
+        q_keys = [-x if x == 0.0 else x for x in q_keys]
+    weights = st.floats(min_value=1e-6, max_value=1.0)
+    p, q = ({x: draw(weights) for x in keys} for keys in (p_keys, q_keys))
+    return renormalized(p), renormalized(q)
+
+
+@PROPERTY
+@given(related_pairs())
+@example((NFD({0.5: 1.0}), NFD({0.5: 1.0})))  # one shared point
+@example((NFD({0.0: 1.0}), NFD({1.0: 1.0})))  # one point each, disjoint
+@example((NFD({-0.0: 0.25, 1.0: 0.75}), NFD({0.0: 0.5, 1.0: 0.5})))  # -0.0 is 0.0
+@example((NFD({-0.0: 0.25, 1.0: 0.75}), NFD({0.0: 0.5, 2.0: 0.5})))
+def test_the_union_formula_is_the_three_branch_distance(pair):
+    p, q = pair
+    assert distance(p, q) == three_branch_distance(p, q)
+    assert distance(q, p) == three_branch_distance(q, p)
 
 
 @PROPERTY

@@ -1,8 +1,9 @@
 """run_verify's runner: every suite in the caller, no process started.
 
-A defect patched into the one Boltzmann tilt before a call must reach
-every suite that tilts; an error in a suite must reach the caller; and
-importing the CLI must not import the process-pool modules.
+A defect patched into the one Boltzmann tilt or the one distance before a
+call must reach every suite that uses it; a halved distance must fail the
+metric suite; an error in a suite must reach the caller; and importing the
+CLI must not import the process-pool modules.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import cauchyga
-from cauchyga import selection, theory, verify
+from cauchyga import nfd, selection, theory, verify
 from cauchyga.cli import main
 from cauchyga.verify import run_verify
 
@@ -34,12 +35,16 @@ def test_run_verify_starts_no_process(tmp_path, monkeypatch):
 
 
 def test_a_patch_made_before_the_call_reaches_the_suites(tmp_path, monkeypatch):
-    # a broken distance reaches metric; a broken tilt, patched wherever the
-    # tilt is looked up, reaches every suite that tilts
+    # a broken distance reaches metric; a broken tilt reaches every suite
+    # that tilts; each is patched wherever it is looked up
     def nan_tilt(values, masses, lengths, gammas):
         return np.full_like(masses, np.nan)
 
-    monkeypatch.setattr(verify, "distance", lambda p, q: 3.0)
+    def three(masses1, masses2):  # NaN where a row holds a NaN, else 3
+        return (0.0 * (masses1 - masses2).sum(axis=1) + 3.0).tolist()
+
+    for module in (nfd, theory, verify):
+        monkeypatch.setattr(module, "row_distances", three)
     for module in (selection, theory, verify):
         monkeypatch.setattr(module, "boltzmann_tilt", nan_tilt)
     result = run_verify(42, 100, tmp_path / "direct")
@@ -47,6 +52,23 @@ def test_a_patch_made_before_the_call_reaches_the_suites(tmp_path, monkeypatch):
     for line, name in zip(result.suite_lines, ["metric", "lemma1", "lemma2", "semigroup"]):
         assert line.startswith(f"FAIL {name}: 100 cases, 100 violations"), line
     assert result.suite_lines[4].startswith("FAIL cauchy-tail: 12 cases, 12 violations")
+    argv = ["verify", "--cases", "100", "--seed", "42", "--output", str(tmp_path / "cli")]
+    assert main(argv) == 1
+
+
+def test_a_halved_distance_fails_the_metric_suite_alone(tmp_path, monkeypatch):
+    # only the normalization check sees it: disjoint NFDs land at 1, not 2;
+    # every other check and suite is unchanged by a common factor of 1/2
+    assert run_verify(42, 100, tmp_path / "sound").ok
+    whole = nfd.row_distances
+    for module in (nfd, theory, verify):
+        monkeypatch.setattr(module, "row_distances", lambda a, b: [d / 2 for d in whole(a, b)])
+    result = run_verify(42, 100, tmp_path / "halved")
+    assert result.ok is False
+    names = ["metric", "lemma1", "lemma2", "semigroup", "cauchy-tail"]
+    expected = ["FAIL metric", *(f"PASS {name}" for name in names[1:])]
+    assert [line.split(":")[0] for line in result.suite_lines] == expected
+    assert result.first_failure.detail == "disjoint NFDs not at distance 2"
     argv = ["verify", "--cases", "100", "--seed", "42", "--output", str(tmp_path / "cli")]
     assert main(argv) == 1
 
