@@ -27,15 +27,16 @@ exponentials times ``1.0 / acc``, ``acc`` their in-order sum, on the kept
 values of the support, and 0 elsewhere; one that keeps nothing is the
 point mass at the support's least value. A suite always draws a full
 block, so a shorter run is a prefix of a longer one. cauchy-tail draws all
-its NFDs in one call. Every suite checks a block as padded arrays (see
+its NFDs in one call. Every suite checks its cases' rows as padded arrays (see
 :mod:`cauchyga.nfd`) through :func:`cauchyga.nfd.row_distances` and the
 block formulas of :mod:`cauchyga.theory`.
 
-A suite is a generator ``suite(rng, cases)`` yielding ``(case_id, lhs,
-rhs, problems)`` per case; the runner joins the problems by "; " into the
-:class:`CaseResult` detail, empty exactly when the case holds. Slacks are
-module attributes read when a suite runs, so a patch made before the call
-reaches it; :func:`exceeds` decides ``lhs <= rhs + slack``.
+A suite is a function ``suite(rng, cases)`` returning one
+:class:`CaseResult` per case, its detail the failed checks joined by "; ",
+empty exactly when the case holds. The suites (named in :data:`SUITES`),
+the kernels they call and the slacks are looked up in this module when
+used, so a patch made before the call reaches them; :func:`exceeds`
+decides ``lhs <= rhs + slack``.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ METRIC_SLACK = 1e-12
 LEMMA_SLACK = 1e-9
 SEMIGROUP_TOL = 1e-10
 PROFILE_SLACK = 1e-12
-
-Case = tuple[str, float, float, list[str]]  # (case_id, lhs, rhs, problems)
-
 
 class CaseResult(NamedTuple):
     """One case's two sides; ``detail`` says what failed, empty if it held."""
@@ -175,10 +173,11 @@ def _blocks(cases: int, size: int = CASE_BLOCK) -> Iterator[range]:
     return (range(i, min(i + size, cases)) for i in range(0, cases, size))
 
 
-def metric_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+def metric_suite(rng: np.random.Generator, cases: int) -> list[CaseResult]:
     """Nonnegativity, identity, symmetry, normalization and the triangle
     inequality on triples of NFDs laid on one shared support."""
     pairs = ((0, 1), (0, 2), (1, 2), (0, 0), (1, 0))
+    results = []
     for block in _blocks(cases):
         values, _, lengths = random_nfd_block(rng, CASE_BLOCK)
         keep = rng.integers(0, 2, size=(3, *values.shape), dtype=bool)
@@ -186,7 +185,8 @@ def metric_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
         exponentials = np.where(keep, rng.standard_exponential((3, *values.shape)), 0.0)
         acc = np.cumsum(exponentials, axis=2)[..., -1:]
         exponentials[..., :1] += acc == 0.0  # keeps nothing: all mass at the least value
-        nfds = exponentials * (1.0 / np.where(acc == 0.0, 1.0, acc))
+        # the block's cases only; the draws above stay whole
+        nfds = (exponentials * (1.0 / np.where(acc == 0.0, 1.0, acc)))[:, : len(block)]
         d12, d13, d23, d11, d21 = (row_distances(nfds[a], nfds[b]) for a, b in pairs)
         # per pair of a case's first three, whether their masses share no column
         on = nfds > 0.0
@@ -205,15 +205,18 @@ def metric_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
                 (x21 != x12, "asymmetric"),
                 (exceeds(x13, x12 + x23, METRIC_SLACK), "triangle inequality violated"),
             )
-            problems = [message for failed, message in checks if failed]
-            yield f"metric-{i:06d}", x13, x12 + x23, problems
+            detail = "; ".join(message for failed, message in checks if failed)
+            results.append(CaseResult(f"metric-{i:06d}", x13, x12 + x23, detail))
+    return results
 
 
-def _cases(name: str, block: range, lhs: list, rhs: list, slack: float, detail) -> Iterator[Case]:
-    """A block's cases as a suite yields them; ``detail(j)`` describes the
-    block's case j, and is called only if that case fails."""
-    for j, (i, l, r) in enumerate(zip(block, lhs, rhs)):
-        yield f"{name}-{i:06d}", l, r, [detail(j)] if exceeds(l, r, slack) else []
+def _cases(name: str, block: range, lhs: list, rhs: list, slack: float, detail) -> list:
+    """A block's cases; ``detail(j)`` describes the block's case j, and is
+    called only if that case fails."""
+    return [
+        CaseResult(f"{name}-{i:06d}", l, r, detail(j) if exceeds(l, r, slack) else "")
+        for j, (i, l, r) in enumerate(zip(block, lhs, rhs))
+    ]
 
 
 def _cases_and_gammas(rng: np.random.Generator, cases: int) -> Iterator[tuple]:
@@ -226,17 +229,20 @@ def _cases_and_gammas(rng: np.random.Generator, cases: int) -> Iterator[tuple]:
         yield block, tuple(a[: len(block)] for a in nfds), g1s, g2s, detail
 
 
-def lemma1_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+def lemma1_suite(rng: np.random.Generator, cases: int) -> list[CaseResult]:
     """Strength-difference bound on random (phi, gamma1, gamma2)."""
+    results = []
     for block, nfds, g1s, g2s, detail in _cases_and_gammas(rng, cases):
         lhs, rhs = lemma1_bounds(*nfds, g1s, g2s)
-        yield from _cases("lemma1", block, lhs, rhs, LEMMA_SLACK, detail)
+        results += _cases("lemma1", block, lhs, rhs, LEMMA_SLACK, detail)
+    return results
 
 
-def lemma2_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+def lemma2_suite(rng: np.random.Generator, cases: int) -> list[CaseResult]:
     """Tail bound on random NFDs and schedule windows 1 <= m < n <= 50;
     alpha and g0 are picked by index, the draws ``rng.choice`` makes."""
     schedules = {(a, g): cauchy_schedule(g, a) for a, g in product(LEMMA_ALPHAS, LEMMA_G0S)}
+    results = []
     for block in _blocks(cases):
         # support in [0, 1] keeps the bound informative
         nfds = random_nfd_block(rng, CASE_BLOCK)
@@ -249,20 +255,23 @@ def lemma2_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
         ms = ms.tolist()[:k]
         lhs, rhs = lemma2_bounds(*(a[:k] for a in nfds), picked, ms, ns[:k])
         detail = lambda j: f"alpha={picked[j].alpha} g0={picked[j].g0} m={ms[j]} n={ns[j]}"
-        yield from _cases("lemma2", block, lhs, rhs, LEMMA_SLACK, detail)
+        results += _cases("lemma2", block, lhs, rhs, LEMMA_SLACK, detail)
+    return results
 
 
-def semigroup_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+def semigroup_suite(rng: np.random.Generator, cases: int) -> list[CaseResult]:
     """Composition in two steps equals one application at the summed gamma."""
+    results = []
     for block, (values, masses, lengths), g1s, g2s, detail in _cases_and_gammas(rng, cases):
         once = boltzmann_tilt(values, masses, lengths, g1s)
         two_step = boltzmann_tilt(values, once, lengths, g2s)
         one_step = boltzmann_tilt(values, masses, lengths, g1s + g2s)
         errs = row_distances(two_step, one_step)
-        yield from _cases("semigroup", block, errs, [SEMIGROUP_TOL] * len(block), 0.0, detail)
+        results += _cases("semigroup", block, errs, [SEMIGROUP_TOL] * len(block), 0.0, detail)
+    return results
 
 
-def cauchy_tail_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+def cauchy_tail_suite(rng: np.random.Generator, cases: int) -> list[CaseResult]:
     """Window distances obey the tail bound; the reference profile contracts.
 
     Random-NFD cases check that the worst distance in each window (N, 4N)
@@ -274,7 +283,9 @@ def cauchy_tail_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     settings = list(product(LEMMA_ALPHAS, LEMMA_G0S, range(max(1, cases // 100))))
     nfds = random_nfd_block(rng, len(settings))
     checkpoints, k = list(TAIL_CHECKPOINTS), len(TAIL_CHECKPOINTS)
-    for block in _blocks(len(settings), 8):  # 8 NFDs' levels at a time keep memory small
+    results = []
+    # one draw for all NFDs; blocks of 8 bound the tilted levels and pair distances
+    for block in _blocks(len(settings), 8):
         values, masses, lengths = (a[block.start : block.stop] for a in nfds)
         schedules = [cauchy_schedule(g0, a) for a, g0, _ in settings[block.start : block.stop]]
         # each window's bound, at most the metric's ceiling of 2
@@ -290,7 +301,7 @@ def cauchy_tail_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
                 problems[-1] += f" (alpha={alpha} g0={g0})"
             # the first largest value with its bound; (0, 2) if every value is 0
             worst = max([(0.0, 2.0), *zip(vals, bounds)], key=lambda vb: vb[0])
-            yield f"cauchytail-{c:06d}", *worst, problems
+            results.append(CaseResult(f"cauchytail-{c:06d}", *worst, "; ".join(problems)))
     # the reference: an even two-point NFD per alpha, one row each
     k = len(LEMMA_ALPHAS)
     schedules = [cauchy_schedule(10.0, alpha) for alpha in LEMMA_ALPHAS]
@@ -303,16 +314,19 @@ def cauchy_tail_suite(rng: np.random.Generator, cases: int) -> Iterator[Case]:
         ]
         if vals[0] > 1e-9 and not vals[-1] < vals[0]:
             problems.append("final value not below first")
-        yield f"cauchytail-ref-alpha{alpha:g}", vals[-1], vals[0], problems
+        detail = "; ".join(problems)
+        results.append(CaseResult(f"cauchytail-ref-alpha{alpha:g}", vals[-1], vals[0], detail))
+    return results
 
 
-# (name, suite) in stream order: suite i draws from PCG64([seed, i])
+# (name, suite function's name) in stream order: suite i draws from
+# PCG64([seed, i]); the function is looked up here when the suite runs
 SUITES = (
-    ("metric", metric_suite),
-    ("lemma1", lemma1_suite),
-    ("lemma2", lemma2_suite),
-    ("semigroup", semigroup_suite),
-    ("cauchy-tail", cauchy_tail_suite),
+    ("metric", "metric_suite"),
+    ("lemma1", "lemma1_suite"),
+    ("lemma2", "lemma2_suite"),
+    ("semigroup", "semigroup_suite"),
+    ("cauchy-tail", "cauchy_tail_suite"),
 )
 
 
@@ -320,10 +334,7 @@ def _suite_output(seed: int, suite_index: int, case_count: int) -> tuple[str, li
     """Suite ``suite_index``'s report line and cases, drawn from ``PCG64([seed, suite_index])``."""
     rng = np.random.Generator(np.random.PCG64([seed, suite_index]))
     name, suite = SUITES[suite_index]
-    rows = [
-        CaseResult(case_id, lhs, rhs, "; ".join(problems))
-        for case_id, lhs, rhs, problems in suite(rng, case_count)
-    ]
+    rows = globals()[suite](rng, case_count)
     bad = sum(1 for row in rows if row.detail)
     worst = min(rows, key=lambda row: row.margin)
     return (

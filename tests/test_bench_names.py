@@ -5,8 +5,9 @@ renamed or deleted one only as a missing per-layer metric, which
 ``bench/test_bench.py`` (slow, outside this suite) then catches. These
 tests ask the benchmark's own rules, read from ``bench/`` and never
 changed, whether every per-layer metric of BENCHMARK.json still resolves
-to a function, and whether one pass of every workload's calls, at its
-smoke size, passes the workload's own output check.
+to a function, whether one pass of every workload's calls, at its
+smoke size, passes the workload's own output check, and whether the
+tracer sees every verify suite run.
 """
 
 from __future__ import annotations
@@ -60,3 +61,18 @@ def test_one_pass_of_every_workload_passes_its_own_check(tmp_path):
             call = workload.prepare(k)
             outcome = call.check(call.execute())
             assert outcome.ok, f"{name} call {k}: {outcome.problem}"
+
+
+def test_the_tracer_sees_every_verify_suite_run(tmp_path):
+    # the suites are looked up when run_verify runs, so each traced suite
+    # records its call and the time of its cases
+    tracing = bench_module("tracing")
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    spans = [name[: -len(".s")] for name in metrics if name.endswith("_suite.s")]
+    assert len(spans) == len(verify.SUITES)
+    tracer = tracing.Tracer(spans)
+    assert tracer.absent == []
+    assert tracer.call(lambda: verify.run_verify(42, 20, tmp_path)).ok
+    totals = tracer.totals()
+    for span in spans:
+        assert totals[span]["calls"] == 1 and totals[span]["s"] > 0.0, span

@@ -100,18 +100,47 @@ def then(suite, act):
     """``suite``, calling ``act()`` after its last case."""
 
     def wrapped(rng, cases):
-        yield from suite(rng, cases)
+        results = suite(rng, cases)
         act()
+        return results
 
     return wrapped
 
 
 def test_an_error_in_a_suite_reaches_the_caller(tmp_path, monkeypatch):
-    suites = list(verify.SUITES)
-    suites[2] = ("boom", then(suites[2][1], boom))
-    monkeypatch.setattr(verify, "SUITES", tuple(suites))
+    monkeypatch.setattr(verify, "lemma2_suite", then(verify.lemma2_suite, boom))
     with pytest.raises(ValueError, match="^boom$"):
         run_verify(42, 100, tmp_path)
+
+
+def test_a_suite_patched_before_the_call_is_the_one_that_runs(tmp_path, monkeypatch):
+    failing = verify.CaseResult("lemma2-000000", 1.0, 0.5, "patched")
+    monkeypatch.setattr(verify, "lemma2_suite", lambda rng, cases: [failing])
+    result = run_verify(42, 100, tmp_path / "direct")
+    assert result.suite_lines[2] == (
+        "FAIL lemma2: 1 cases, 1 violations, worst margin -0.5 at lemma2-000000"
+    )
+    assert [line.split(":")[0] for i, line in enumerate(result.suite_lines) if i != 2] == [
+        "PASS metric", "PASS lemma1", "PASS semigroup", "PASS cauchy-tail"
+    ]
+    assert result.first_failure == failing
+    argv = ["verify", "--cases", "100", "--seed", "42", "--output", str(tmp_path / "cli")]
+    assert main(argv) == 1
+
+
+@pytest.mark.parametrize("blocks", [[1], [verify.CASE_BLOCK, 3]])
+def test_the_metric_suite_checks_only_the_cases_it_reports(monkeypatch, blocks):
+    # it draws whole blocks, but measures only the rows of its cases
+    rows = []
+
+    def spy(masses1, masses2):
+        rows.append((len(masses1), len(masses2)))
+        return whole(masses1, masses2)
+
+    whole = verify.row_distances
+    monkeypatch.setattr(verify, "row_distances", spy)
+    assert len(verify.metric_suite(np.random.default_rng(191), sum(blocks))) == sum(blocks)
+    assert rows == [(n, n) for n in blocks for _ in range(5)]
 
 
 def test_importing_the_cli_leaves_the_process_pool_modules_out():
